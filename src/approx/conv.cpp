@@ -426,7 +426,6 @@ core::Image TconvLayer::apply_foveated(const FeatureMap& input,
   ICSC_TRACE_SPAN("htconv/apply_foveated");
   assert(input.rank() == 3);
   assert(input.dim(0) == in_channels());
-  assert(kernel() % 2 == 1 && "centred kernels must be odd-sized");
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);
   const std::size_t t = kernel();
@@ -556,7 +555,6 @@ core::Image TconvLayer::apply_foveated_reference(const FeatureMap& input,
   ICSC_TRACE_SPAN("htconv/apply_foveated_reference");
   assert(input.rank() == 3);
   assert(input.dim(0) == in_channels());
-  assert(kernel() % 2 == 1 && "centred kernels must be odd-sized");
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);
   const std::size_t t = kernel();

@@ -83,7 +83,9 @@ struct FovealRegion {
 
 /// Transposed-convolution (stride 2) layer producing a single output
 /// channel from weights [Cin, t, t], evaluated via the zero-insertion
-/// formulation of Fig. 3 with a centred kernel.
+/// formulation of Fig. 3. Any t >= 1 is valid: the kernel is anchored at
+/// offset (t - 1) / 2, which centres odd kernels and places even ones one
+/// tap off centre, the same way on every path (exact, foveated, reference).
 struct TconvLayer {
   core::TensorF weights;  // [Cin, t, t]
   float bias = 0.0F;

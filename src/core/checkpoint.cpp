@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -15,207 +14,70 @@ namespace icsc::core {
 
 namespace {
 
-// File layouts (all integers little-endian):
-//   snapshot: "ICSCSNAP" | u32 kind | u32 version | u64 payload_size |
-//             u32 payload_crc | u32 header_crc | payload
-//   journal record: u32 magic | u32 kind | u64 seq | u64 payload_size |
-//                   u32 payload_crc | u32 header_crc | payload
 constexpr char kSnapshotMagic[8] = {'I', 'C', 'S', 'C', 'S', 'N', 'A', 'P'};
-constexpr std::size_t kSnapshotHeaderSize = 32;
 constexpr std::uint32_t kJournalMagic = 0x4C4E524AU;  // "JRNL"
-constexpr std::size_t kJournalHeaderSize = 32;
 // Torn-tail safety valve: a corrupted size field must not drive a
 // multi-gigabyte allocation while scanning a journal.
 constexpr std::uint64_t kMaxRecordBytes = 1ULL << 32;
 
-void store_u32(std::uint8_t* at, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) at[i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-void store_u64(std::uint8_t* at, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) at[i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-std::uint32_t load_u32(const std::uint8_t* at) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value |= std::uint32_t{at[i]} << (8 * i);
-  return value;
-}
-
-std::uint64_t load_u64(const std::uint8_t* at) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value |= std::uint64_t{at[i]} << (8 * i);
-  return value;
-}
-
-/// Full write through the failpoint layer: `site` names the durability
-/// code path ("checkpoint/write", "journal/write") so the torture suite
-/// can inject short writes, EIO/ENOSPC, and crash-here at this exact
-/// boundary. A passthrough (one relaxed load) when nothing is armed.
-void write_all(const char* site, int fd, const void* data, std::size_t size,
-               const std::string& path) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  while (size > 0) {
-    const ssize_t written = failpoint::checked_write(site, fd, bytes, size);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      throw Error("core::checkpoint", "write failed",
-                  path + ": " + std::strerror(errno));
-    }
-    bytes += written;
-    size -= static_cast<std::size_t>(written);
+/// Whole-file read; nullopt when `path` does not exist (fresh start).
+std::optional<std::vector<std::uint8_t>> read_if_present(
+    const std::string& path, const char* what) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    throw Error("core::checkpoint", what, path + ": " + std::strerror(errno));
+  }
+  try {
+    auto bytes = frame::read_from(fd, 0, path);
+    ::close(fd);
+    return bytes;
+  } catch (...) {
+    ::close(fd);
+    throw;
   }
 }
 
-std::vector<std::uint8_t> read_whole_file(int fd, const std::string& path) {
-  std::vector<std::uint8_t> bytes;
-  std::array<std::uint8_t, 65536> chunk;
-  for (;;) {
-    const ssize_t got = ::read(fd, chunk.data(), chunk.size());
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      throw Error("core::checkpoint", "read failed",
-                  path + ": " + std::strerror(errno));
-    }
-    if (got == 0) break;
-    bytes.insert(bytes.end(), chunk.data(), chunk.data() + got);
-  }
-  return bytes;
-}
-
-void fsync_parent_dir(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best-effort: rename durability on exotic filesystems
-  ::fsync(fd);
-  ::close(fd);
-}
-
-/// True when a complete, CRC-clean record starts at `bytes[at]`; fills the
-/// outputs. Does not check the record's stream kind.
-bool parse_journal_record(const std::vector<std::uint8_t>& bytes,
-                          std::size_t at, std::uint32_t* record_kind,
-                          std::uint64_t* seq, const std::uint8_t** payload,
-                          std::uint64_t* size, std::size_t* record_end) {
-  if (bytes.size() - at < kJournalHeaderSize) return false;
-  const std::uint8_t* head = bytes.data() + at;
-  if (load_u32(head) != kJournalMagic ||
-      crc32(head, kJournalHeaderSize - 4) != load_u32(head + 28)) {
-    return false;
-  }
-  const std::uint64_t payload_size = load_u64(head + 16);
-  if (payload_size > kMaxRecordBytes ||
-      bytes.size() - at - kJournalHeaderSize < payload_size) {
-    return false;
-  }
-  const std::uint8_t* body = head + kJournalHeaderSize;
-  if (crc32(body, static_cast<std::size_t>(payload_size)) !=
-      load_u32(head + 24)) {
-    return false;
-  }
-  *record_kind = load_u32(head + 4);
-  *seq = load_u64(head + 8);
-  *payload = body;
-  *size = payload_size;
-  *record_end = at + kJournalHeaderSize + static_cast<std::size_t>(payload_size);
-  return true;
-}
-
-/// Scans `bytes` for valid journal records of `kind`; returns the records
-/// and sets `valid_end` to the byte offset of the last complete, CRC-clean
-/// record. A corrupt record *mid-file* (bit-flip, interrupted overwrite)
-/// is skipped and counted in `*skipped` -- the scan resynchronizes on the
-/// next valid record boundary -- so one damaged record no longer silently
-/// discards every record after it. Only the trailing region with no valid
-/// record after it (the torn tail a dying writer leaves) is dropped.
+/// The records of stream `kind` in `bytes` (frame::scan: a corrupt record
+/// mid-file is skipped and counted, only the torn tail is dropped). A
+/// first record of another stream means the file belongs to another
+/// experiment and throws; a later one ends the scan.
 std::vector<JournalRecord> scan_journal(const std::vector<std::uint8_t>& bytes,
                                         std::uint32_t kind,
                                         const std::string& path,
-                                        std::size_t* valid_end,
-                                        std::size_t* skipped) {
+                                        frame::ScanResult* scan) {
   std::vector<JournalRecord> records;
-  std::size_t cursor = 0;
-  *valid_end = 0;
-  *skipped = 0;
-  while (cursor < bytes.size()) {
-    std::uint32_t record_kind = 0;
-    std::uint64_t seq = 0;
-    const std::uint8_t* payload = nullptr;
-    std::uint64_t size = 0;
-    std::size_t record_end = 0;
-    if (parse_journal_record(bytes, cursor, &record_kind, &seq, &payload,
-                             &size, &record_end)) {
-      if (record_kind != kind) {
-        if (records.empty() && *skipped == 0) {
-          throw Error("core::checkpoint", "journal belongs to another stream",
-                      path);
+  *scan = frame::scan(
+      bytes, kJournalMagic, kMaxRecordBytes, [&](const frame::Frame& record) {
+        if (frame::load_u32(record.tag + 4) != kind) {
+          if (record.offset == 0) {
+            throw Error("core::checkpoint",
+                        "journal belongs to another stream", path);
+          }
+          return false;
         }
-        break;
-      }
-      JournalRecord record;
-      record.seq = seq;
-      record.payload.assign(payload, payload + size);
-      records.push_back(std::move(record));
-      cursor = record_end;
-      *valid_end = cursor;
-      continue;
-    }
-    // Invalid bytes at `cursor`: resynchronize by searching for the next
-    // offset that parses as a complete valid record. Found -> the gap was
-    // a corrupt mid-file record: count it and continue after it. Not
-    // found -> torn tail; stop at the last valid record.
-    std::size_t next = cursor + 1;
-    bool resynced = false;
-    for (; next + kJournalHeaderSize <= bytes.size(); ++next) {
-      if (load_u32(bytes.data() + next) != kJournalMagic) continue;
-      std::size_t probe_end = 0;
-      if (parse_journal_record(bytes, next, &record_kind, &seq, &payload,
-                               &size, &probe_end)) {
-        resynced = true;
-        break;
-      }
-    }
-    if (!resynced) break;
-    ++*skipped;
-    ICSC_TRACE_COUNT("journal.skipped_records", 1);
-    cursor = next;
+        records.push_back({frame::load_u64(record.tag + 8),
+                           {record.payload, record.payload + record.size}});
+        return true;
+      });
+  if (scan->skipped_regions > 0) {
+    ICSC_TRACE_COUNT("journal.skipped_records", scan->skipped_regions);
   }
   return records;
 }
 
 }  // namespace
 
-std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t crc) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  crc = ~crc;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return ~crc;
-}
-
 void SnapshotWriter::put_u32(std::uint32_t value) {
   const std::size_t at = bytes_.size();
   bytes_.resize(at + 4);
-  store_u32(bytes_.data() + at, value);
+  frame::store_u32(bytes_.data() + at, value);
 }
 
 void SnapshotWriter::put_u64(std::uint64_t value) {
   const std::size_t at = bytes_.size();
   bytes_.resize(at + 8);
-  store_u64(bytes_.data() + at, value);
+  frame::store_u64(bytes_.data() + at, value);
 }
 
 void SnapshotWriter::put_f64(double value) {
@@ -240,88 +102,51 @@ void SnapshotWriter::save(const std::string& path, std::uint32_t kind,
   ICSC_TRACE_SPAN("checkpoint/save");
   ICSC_TRACE_COUNT("checkpoint.saves", 1);
   ICSC_TRACE_COUNT("checkpoint.bytes", bytes_.size());
-  std::array<std::uint8_t, kSnapshotHeaderSize> header{};
-  std::memcpy(header.data(), kSnapshotMagic, sizeof(kSnapshotMagic));
-  store_u32(header.data() + 8, kind);
-  store_u32(header.data() + 12, version);
-  store_u64(header.data() + 16, bytes_.size());
-  store_u32(header.data() + 24, crc32(bytes_.data(), bytes_.size()));
-  store_u32(header.data() + 28, crc32(header.data(), kSnapshotHeaderSize - 4));
-
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw Error("core::checkpoint", "cannot create snapshot temp file",
-                tmp + ": " + std::strerror(errno));
-  }
-  try {
-    write_all("checkpoint/write", fd, header.data(), header.size(), tmp);
-    write_all("checkpoint/write", fd, bytes_.data(), bytes_.size(), tmp);
-    if (failpoint::checked_fsync("checkpoint/fsync", fd) != 0) {
-      throw Error("core::checkpoint", "fsync failed",
-                  tmp + ": " + std::strerror(errno));
-    }
-  } catch (...) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw;
-  }
-  ::close(fd);
-  if (failpoint::checked_rename("checkpoint/rename", tmp.c_str(),
-                                path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    throw Error("core::checkpoint", "atomic rename failed",
-                path + ": " + std::strerror(errno));
-  }
-  fsync_parent_dir(path);
+  frame::Tag tag{};
+  std::memcpy(tag.data(), kSnapshotMagic, sizeof(kSnapshotMagic));
+  frame::store_u32(tag.data() + 8, kind);
+  frame::store_u32(tag.data() + 12, version);
+  frame::replace_file(path, "checkpoint/fsync", "checkpoint/rename",
+                      [&](int fd, const std::string& tmp) {
+                        frame::write_frame("checkpoint/write", fd, tag,
+                                           bytes_.data(), bytes_.size(), tmp);
+                      });
 }
 
 std::optional<SnapshotReader> SnapshotReader::try_load(
     const std::string& path, std::uint32_t kind, std::uint32_t max_version) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::nullopt;  // fresh start
-    throw Error("core::checkpoint", "cannot open snapshot",
-                path + ": " + std::strerror(errno));
-  }
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = read_whole_file(fd, path);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-
-  if (bytes.size() < kSnapshotHeaderSize) {
+  const auto bytes = read_if_present(path, "cannot open snapshot");
+  if (!bytes) return std::nullopt;  // fresh start
+  if (bytes->size() < frame::kHeaderSize) {
     throw Error("core::checkpoint", "snapshot truncated (header)", path);
   }
-  const std::uint8_t* head = bytes.data();
+  const std::uint8_t* head = bytes->data();
   if (std::memcmp(head, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
     throw Error("core::checkpoint", "bad snapshot magic", path);
   }
-  if (crc32(head, kSnapshotHeaderSize - 4) != load_u32(head + 28)) {
+  frame::Frame snapshot;
+  const frame::Status status = frame::parse(*bytes, 0, UINT64_MAX, &snapshot);
+  if (status == frame::Status::kBadHeaderCrc) {
     throw Error("core::checkpoint", "snapshot header CRC mismatch", path);
   }
-  const std::uint32_t file_kind = load_u32(head + 8);
-  if (file_kind != kind) {
+  if (frame::load_u32(head + 8) != kind) {
     throw Error("core::checkpoint", "snapshot belongs to another stream",
                 path);
   }
-  const std::uint32_t version = load_u32(head + 12);
+  const std::uint32_t version = frame::load_u32(head + 12);
   if (version > max_version) {
     throw Error("core::checkpoint", "snapshot version too new", path);
   }
-  const std::uint64_t size = load_u64(head + 16);
-  if (bytes.size() - kSnapshotHeaderSize != size) {
+  if (status == frame::Status::kBadSize || snapshot.end != bytes->size()) {
     throw Error("core::checkpoint", "snapshot truncated (payload)", path);
   }
-  const std::uint8_t* payload = head + kSnapshotHeaderSize;
-  if (crc32(payload, static_cast<std::size_t>(size)) != load_u32(head + 24)) {
+  if (status != frame::Status::kOk) {
     throw Error("core::checkpoint", "snapshot payload CRC mismatch", path);
   }
   return SnapshotReader(
-      std::vector<std::uint8_t>(payload, payload + size), version);
+      std::vector<std::uint8_t>(snapshot.payload,
+                                snapshot.payload + snapshot.size),
+      version);
 }
 
 std::uint8_t SnapshotReader::get_u8() {
@@ -335,7 +160,7 @@ std::uint32_t SnapshotReader::get_u32() {
   if (remaining() < 4) {
     throw Error("core::checkpoint", "snapshot payload overrun");
   }
-  const std::uint32_t value = load_u32(bytes_.data() + cursor_);
+  const std::uint32_t value = frame::load_u32(bytes_.data() + cursor_);
   cursor_ += 4;
   return value;
 }
@@ -344,7 +169,7 @@ std::uint64_t SnapshotReader::get_u64() {
   if (remaining() < 8) {
     throw Error("core::checkpoint", "snapshot payload overrun");
   }
-  const std::uint64_t value = load_u64(bytes_.data() + cursor_);
+  const std::uint64_t value = frame::load_u64(bytes_.data() + cursor_);
   cursor_ += 8;
   return value;
 }
@@ -379,24 +204,23 @@ std::string SnapshotReader::get_string() {
 
 RunJournal::RunJournal(const std::string& path, std::uint32_t kind)
     : path_(path), kind_(kind) {
-  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) {
     throw Error("core::checkpoint", "cannot open journal",
                 path + ": " + std::strerror(errno));
   }
-  std::vector<std::uint8_t> bytes;
   try {
-    bytes = read_whole_file(fd_, path);
-    std::size_t valid_end = 0;
-    recovered_ = scan_journal(bytes, kind, path, &valid_end, &skipped_);
-    // Truncate the torn tail (if any) so new records append cleanly after
-    // the last durable one.
-    if (valid_end != bytes.size() && ::ftruncate(fd_, static_cast<off_t>(valid_end)) != 0) {
+    const std::vector<std::uint8_t> bytes = frame::read_from(fd_, 0, path);
+    frame::ScanResult scan;
+    recovered_ = scan_journal(bytes, kind, path, &scan);
+    skipped_ = scan.skipped_regions;
+    // Truncate the torn tail (if any) so new records, opened O_APPEND,
+    // land right after the last durable one.
+    if (scan.valid_end != bytes.size() &&
+        failpoint::checked_ftruncate("journal/truncate", fd_,
+                                     static_cast<off_t>(scan.valid_end)) !=
+            0) {
       throw Error("core::checkpoint", "cannot truncate torn journal tail",
-                  path + ": " + std::strerror(errno));
-    }
-    if (::lseek(fd_, static_cast<off_t>(valid_end), SEEK_SET) < 0) {
-      throw Error("core::checkpoint", "journal seek failed",
                   path + ": " + std::strerror(errno));
     }
   } catch (...) {
@@ -442,15 +266,9 @@ void RunJournal::append(const void* data, std::size_t size) {
   if (fd_ < 0) {
     throw Error("core::checkpoint", "append on closed journal", path_);
   }
-  std::array<std::uint8_t, kJournalHeaderSize> header{};
-  store_u32(header.data(), kJournalMagic);
-  store_u32(header.data() + 4, kind_);
-  store_u64(header.data() + 8, next_seq_);
-  store_u64(header.data() + 16, size);
-  store_u32(header.data() + 24, crc32(data, size));
-  store_u32(header.data() + 28, crc32(header.data(), kJournalHeaderSize - 4));
-  write_all("journal/write", fd_, header.data(), header.size(), path_);
-  write_all("journal/write", fd_, data, size, path_);
+  frame::write_frame("journal/write", fd_,
+                     frame::log_tag(kJournalMagic, kind_, next_seq_), data,
+                     size, path_);
   if (failpoint::checked_fsync("journal/fsync", fd_) != 0) {
     throw Error("core::checkpoint", "journal fsync failed",
                 path_ + ": " + std::strerror(errno));
@@ -469,27 +287,11 @@ void RunJournal::close() {
 std::vector<JournalRecord> RunJournal::replay(const std::string& path,
                                               std::uint32_t kind,
                                               std::size_t* skipped_records) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      if (skipped_records != nullptr) *skipped_records = 0;
-      return {};
-    }
-    throw Error("core::checkpoint", "cannot open journal",
-                path + ": " + std::strerror(errno));
-  }
-  std::vector<std::uint8_t> bytes;
-  try {
-    bytes = read_whole_file(fd, path);
-  } catch (...) {
-    ::close(fd);
-    throw;
-  }
-  ::close(fd);
-  std::size_t valid_end = 0;
-  std::size_t skipped = 0;
-  auto records = scan_journal(bytes, kind, path, &valid_end, &skipped);
-  if (skipped_records != nullptr) *skipped_records = skipped;
+  const auto bytes = read_if_present(path, "cannot open journal");
+  frame::ScanResult scan;
+  auto records = bytes ? scan_journal(*bytes, kind, path, &scan)
+                       : std::vector<JournalRecord>{};
+  if (skipped_records != nullptr) *skipped_records = scan.skipped_regions;
   return records;
 }
 

@@ -16,10 +16,11 @@
 //     *mid-file* (bit-flip) is skipped and counted rather than silently
 //     discarding everything after it.
 //
-// All integers are serialized little-endian byte-by-byte, so snapshots and
-// journals are portable across compilers and architectures. Corruption
-// (bad magic, CRC mismatch, truncated payload, wrong version) is reported
-// as core::Error -- a corrupt snapshot must never be silently accepted.
+// Both are written as CRC frames (on-disk layout and core::crc32 in
+// core/frame.hpp); fields are little-endian byte-by-byte, so files are
+// portable across compilers and architectures. Corruption (bad magic, CRC
+// mismatch, truncated payload, wrong version) is reported as core::Error
+// -- a corrupt snapshot must never be silently accepted.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +29,9 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "core/frame.hpp"
 
 namespace icsc::core {
-
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over a byte span.
-std::uint32_t crc32(const void* data, std::size_t size,
-                    std::uint32_t crc = 0);
 
 /// Append-only binary serializer: fixed-width little-endian fields.
 class SnapshotWriter {

@@ -6,12 +6,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstring>
 
-#include "core/checkpoint.hpp"
 #include "core/failpoint.hpp"
+#include "core/frame.hpp"
 #include "core/trace.hpp"
 
 namespace icsc::core {
@@ -21,26 +20,7 @@ namespace {
 constexpr std::uint32_t kStoreMagic = 0x31545352U;  // "RST1"
 // Corrupt size fields must not drive huge allocations during recovery.
 constexpr std::uint64_t kMaxPayloadBytes = 1ULL << 30;
-
-void store_u32(std::uint8_t* at, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) at[i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-void store_u64(std::uint8_t* at, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) at[i] = static_cast<std::uint8_t>(value >> (8 * i));
-}
-
-std::uint32_t load_u32(const std::uint8_t* at) {
-  std::uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value |= std::uint32_t{at[i]} << (8 * i);
-  return value;
-}
-
-std::uint64_t load_u64(const std::uint8_t* at) {
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value |= std::uint64_t{at[i]} << (8 * i);
-  return value;
-}
+static_assert(ResultStore::kFrameHeaderSize == frame::kHeaderSize);
 
 /// Creates `dir` and any missing parents (mkdir -p).
 void make_dirs(const std::string& dir) {
@@ -58,45 +38,6 @@ void make_dirs(const std::string& dir) {
   }
 }
 
-/// Failpoint-aware full write: loops real short writes (EINTR included),
-/// converts injected/real failures into core::Error. A failpoint crash
-/// propagates as CrashError.
-void write_all(const char* site, int fd, const void* data, std::size_t size,
-               const std::string& path) {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  while (size > 0) {
-    const ssize_t written = failpoint::checked_write(site, fd, bytes, size);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      throw Error("core::result_store", "write failed",
-                  path + ": " + std::strerror(errno));
-    }
-    bytes += written;
-    size -= static_cast<std::size_t>(written);
-  }
-}
-
-std::vector<std::uint8_t> read_from(int fd, std::uint64_t offset,
-                                    const std::string& path) {
-  if (::lseek(fd, static_cast<off_t>(offset), SEEK_SET) < 0) {
-    throw Error("core::result_store", "seek failed",
-                path + ": " + std::strerror(errno));
-  }
-  std::vector<std::uint8_t> bytes;
-  std::array<std::uint8_t, 65536> chunk;
-  for (;;) {
-    const ssize_t got = ::read(fd, chunk.data(), chunk.size());
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      throw Error("core::result_store", "read failed",
-                  path + ": " + std::strerror(errno));
-    }
-    if (got == 0) break;
-    bytes.insert(bytes.end(), chunk.data(), chunk.data() + got);
-  }
-  return bytes;
-}
-
 std::uint64_t file_size(int fd, const std::string& path) {
   struct ::stat st{};
   if (::fstat(fd, &st) != 0) {
@@ -104,57 +45,6 @@ std::uint64_t file_size(int fd, const std::string& path) {
                 path + ": " + std::strerror(errno));
   }
   return static_cast<std::uint64_t>(st.st_size);
-}
-
-void fsync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;  // best-effort, matching core/checkpoint
-  ::fsync(fd);
-  ::close(fd);
-}
-
-/// Validates the frame starting at bytes[at]; on success fills the outputs
-/// and returns true. `*frame_end` is the offset one past the payload.
-bool parse_frame(const std::vector<std::uint8_t>& bytes, std::size_t at,
-                 std::uint64_t* fingerprint, std::uint32_t* version,
-                 const std::uint8_t** payload, std::uint64_t* payload_size,
-                 std::size_t* frame_end) {
-  if (bytes.size() - at < ResultStore::kFrameHeaderSize) return false;
-  const std::uint8_t* head = bytes.data() + at;
-  if (load_u32(head) != kStoreMagic) return false;
-  if (crc32(head, ResultStore::kFrameHeaderSize - 4) != load_u32(head + 28)) {
-    return false;
-  }
-  const std::uint64_t size = load_u64(head + 16);
-  if (size > kMaxPayloadBytes ||
-      bytes.size() - at - ResultStore::kFrameHeaderSize < size) {
-    return false;
-  }
-  const std::uint8_t* body = head + ResultStore::kFrameHeaderSize;
-  if (crc32(body, static_cast<std::size_t>(size)) != load_u32(head + 24)) {
-    return false;
-  }
-  *fingerprint = load_u64(head + 8);
-  *version = load_u32(head + 4);
-  *payload = body;
-  *payload_size = size;
-  *frame_end = at + ResultStore::kFrameHeaderSize +
-               static_cast<std::size_t>(size);
-  return true;
-}
-
-std::array<std::uint8_t, ResultStore::kFrameHeaderSize> build_header(
-    std::uint64_t fingerprint, std::uint32_t schema_version, const void* data,
-    std::size_t size) {
-  std::array<std::uint8_t, ResultStore::kFrameHeaderSize> header{};
-  store_u32(header.data(), kStoreMagic);
-  store_u32(header.data() + 4, schema_version);
-  store_u64(header.data() + 8, fingerprint);
-  store_u64(header.data() + 16, size);
-  store_u32(header.data() + 24, crc32(data, size));
-  store_u32(header.data() + 28,
-            crc32(header.data(), ResultStore::kFrameHeaderSize - 4));
-  return header;
 }
 
 }  // namespace
@@ -199,88 +89,31 @@ void ResultStore::lock_file() {
 
 void ResultStore::unlock_file() { ::flock(lock_fd_, LOCK_UN); }
 
-void ResultStore::open_and_recover() {
-  ICSC_TRACE_SPAN("result_store/open");
+void ResultStore::reopen_log() {
   const std::string log_path = config_.dir + "/store.log";
-  log_fd_ = ::open(log_path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (log_fd_ < 0) {
+  const int fd = ::open(log_path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
+  if (fd < 0) {
     throw Error("core::result_store", "cannot open store log",
                 log_path + ": " + std::strerror(errno));
   }
+  if (log_fd_ >= 0) ::close(log_fd_);
+  log_fd_ = fd;
+}
+
+void ResultStore::open_and_recover() {
+  ICSC_TRACE_SPAN("result_store/open");
+  reopen_log();
   lock_file();
   try {
     // A temp file left by a compaction that died pre-rename is garbage.
-    ::unlink((log_path + ".tmp").c_str());
-    scan_offset_ = 0;
-    index_.clear();
-    const std::vector<std::uint8_t> bytes = read_from(log_fd_, 0, log_path);
-    scan_locked(bytes, 0);
-    // Trailing bytes past the last valid frame are a torn tail from a
-    // writer that died mid-append: truncate so the file ends on a frame
-    // boundary. (Mid-file corrupt regions, which have valid frames after
-    // them, were quarantined by the scan and stay in place.)
-    if (scan_offset_ < bytes.size()) {
-      stats_.torn_tail_bytes += bytes.size() - scan_offset_;
-      if (failpoint::checked_ftruncate("result_store/truncate", log_fd_,
-                                       static_cast<off_t>(scan_offset_)) !=
-          0) {
-        throw Error("core::result_store", "cannot truncate torn tail",
-                    log_path + ": " + std::strerror(errno));
-      }
-    }
-    stats_.file_bytes = scan_offset_;
+    ::unlink((config_.dir + "/store.log.tmp").c_str());
+    // Recovery is a refresh from offset 0 into the empty index.
+    refresh_locked();
   } catch (...) {
     unlock_file();
     throw;
   }
   unlock_file();
-}
-
-void ResultStore::scan_locked(const std::vector<std::uint8_t>& bytes,
-                              std::uint64_t base_offset) {
-  std::size_t cursor = 0;
-  std::size_t valid_end = 0;
-  while (cursor < bytes.size()) {
-    std::uint64_t fingerprint = 0;
-    std::uint32_t version = 0;
-    const std::uint8_t* payload = nullptr;
-    std::uint64_t payload_size = 0;
-    std::size_t frame_end = 0;
-    if (parse_frame(bytes, cursor, &fingerprint, &version, &payload,
-                    &payload_size, &frame_end)) {
-      Entry& entry = index_[fingerprint];  // later frames supersede earlier
-      entry.schema_version = version;
-      entry.payload.assign(payload, payload + payload_size);
-      entry.last_use = ++use_tick_;
-      cursor = frame_end;
-      valid_end = cursor;
-      ++stats_.recovered_records;
-      continue;
-    }
-    // Corrupt or torn bytes at `cursor`: resynchronize by searching for
-    // the next offset that parses as a complete valid frame. Found one ->
-    // the gap was a corrupt mid-file region (bit-flip, interrupted
-    // rollback): quarantine it -- count it, never index it -- and resume.
-    // Not found -> everything from `cursor` on is the torn tail.
-    std::size_t next = cursor + 1;
-    bool resynced = false;
-    for (; next + kFrameHeaderSize <= bytes.size(); ++next) {
-      if (load_u32(bytes.data() + next) != kStoreMagic) continue;
-      std::size_t probe_end = 0;
-      if (parse_frame(bytes, next, &fingerprint, &version, &payload,
-                      &payload_size, &probe_end)) {
-        resynced = true;
-        break;
-      }
-    }
-    if (!resynced) break;  // torn tail; caller decides whether to truncate
-    ++stats_.quarantined_regions;
-    stats_.quarantined_bytes += next - cursor;
-    ICSC_TRACE_COUNT("result_store.quarantined", 1);
-    cursor = next;
-  }
-  scan_offset_ = base_offset + valid_end;
-  stats_.live_records = index_.size();
 }
 
 std::optional<std::vector<std::uint8_t>> ResultStore::lookup(
@@ -320,7 +153,7 @@ void ResultStore::put(std::uint64_t fingerprint, std::uint32_t schema_version,
   const auto it = index_.find(fingerprint);
   if (it != index_.end() && it->second.schema_version == schema_version &&
       it->second.payload.size() == size &&
-      std::memcmp(it->second.payload.data(), data, size) == 0) {
+      (size == 0 || std::memcmp(it->second.payload.data(), data, size) == 0)) {
     return;  // identical record already durable
   }
   lock_file();
@@ -355,11 +188,10 @@ void ResultStore::append_frame_locked(std::uint64_t fingerprint,
   // the failure rollback below truncates to the true pre-append boundary.
   refresh_locked();
   const std::uint64_t before = file_size(log_fd_, log_path);
-  const auto header = build_header(fingerprint, schema_version, data, size);
   try {
-    write_all("result_store/write", log_fd_, header.data(), header.size(),
-              log_path);
-    write_all("result_store/write", log_fd_, data, size, log_path);
+    frame::write_frame("result_store/write", log_fd_,
+                       frame::log_tag(kStoreMagic, schema_version, fingerprint),
+                       data, size, log_path);
     if (failpoint::checked_fsync("result_store/fsync", log_fd_) != 0) {
       throw Error("core::result_store", "fsync failed",
                   log_path + ": " + std::strerror(errno));
@@ -426,22 +258,33 @@ void ResultStore::refresh_locked() {
   if (::fstat(log_fd_, &ours) == 0 &&
       ::stat(log_path.c_str(), &current) == 0 &&
       (ours.st_ino != current.st_ino || ours.st_dev != current.st_dev)) {
-    const int fd = ::open(log_path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-    if (fd < 0) {
-      throw Error("core::result_store", "cannot reopen compacted log",
-                  log_path + ": " + std::strerror(errno));
-    }
-    ::close(log_fd_);
-    log_fd_ = fd;
+    reopen_log();
     scan_offset_ = 0;
     index_.clear();
   }
   const std::uint64_t end = file_size(log_fd_, log_path);
   if (end > scan_offset_) {
     const std::vector<std::uint8_t> tail =
-        read_from(log_fd_, scan_offset_, log_path);
-    const std::uint64_t base = scan_offset_;
-    scan_locked(tail, base);
+        frame::read_from(log_fd_, scan_offset_, log_path);
+    const frame::ScanResult scan = frame::scan(
+        tail, kStoreMagic, kMaxPayloadBytes, [&](const frame::Frame& record) {
+          // Later frames supersede earlier ones.
+          Entry& entry = index_[frame::load_u64(record.tag + 8)];
+          entry.schema_version = frame::load_u32(record.tag + 4);
+          entry.payload.assign(record.payload, record.payload + record.size);
+          entry.last_use = ++use_tick_;
+          ++stats_.recovered_records;
+          return true;
+        });
+    // A corrupt mid-file region (bit-flip, interrupted rollback) is
+    // quarantined: counted, never indexed.
+    stats_.quarantined_regions += scan.skipped_regions;
+    stats_.quarantined_bytes += scan.skipped_bytes;
+    if (scan.skipped_regions > 0) {
+      ICSC_TRACE_COUNT("result_store.quarantined", scan.skipped_regions);
+    }
+    scan_offset_ += scan.valid_end;
+    stats_.live_records = index_.size();
     // Trailing garbage can only be the torn tail of a writer that died
     // while holding the lock we now hold: truncate it away so our next
     // append lands on a frame boundary.
@@ -474,7 +317,6 @@ void ResultStore::compact() {
 void ResultStore::compact_locked() {
   ICSC_TRACE_SPAN("result_store/compact");
   const std::string log_path = config_.dir + "/store.log";
-  const std::string tmp_path = log_path + ".tmp";
 
   // Eviction: keep the max_records most-recently-used entries (insertion
   // counts as a use, so never-read records age out first among peers).
@@ -495,51 +337,20 @@ void ResultStore::compact_locked() {
     ICSC_TRACE_COUNT("result_store.evicted", 1);
   }
 
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw Error("core::result_store", "cannot create compaction temp file",
-                tmp_path + ": " + std::strerror(errno));
-  }
   std::uint64_t written = 0;
-  try {
-    for (const auto& [fp, entry] : index_) {
-      const auto header = build_header(fp, entry.schema_version,
-                                       entry.payload.data(),
-                                       entry.payload.size());
-      write_all("result_store/write", fd, header.data(), header.size(),
-                tmp_path);
-      write_all("result_store/write", fd, entry.payload.data(),
-                entry.payload.size(), tmp_path);
-      written += kFrameHeaderSize + entry.payload.size();
-    }
-    if (failpoint::checked_fsync("result_store/fsync", fd) != 0) {
-      throw Error("core::result_store", "compaction fsync failed",
-                  tmp_path + ": " + std::strerror(errno));
-    }
-  } catch (...) {
-    ::close(fd);
-    ::unlink(tmp_path.c_str());  // no-op after a simulated crash: the tmp
-                                 // file is garbage either way, cleaned at
-                                 // the next open
-    throw;
-  }
-  ::close(fd);
-  if (failpoint::checked_rename("result_store/rename", tmp_path.c_str(),
-                                log_path.c_str()) != 0) {
-    ::unlink(tmp_path.c_str());
-    throw Error("core::result_store", "compaction rename failed",
-                log_path + ": " + std::strerror(errno));
-  }
-  fsync_dir(config_.dir);
-  // Our append fd still points at the replaced inode: reopen.
-  const int reopened =
-      ::open(log_path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (reopened < 0) {
-    throw Error("core::result_store", "cannot reopen compacted log",
-                log_path + ": " + std::strerror(errno));
-  }
-  ::close(log_fd_);
-  log_fd_ = reopened;
+  frame::replace_file(
+      log_path, "result_store/fsync", "result_store/rename",
+      [&](int fd, const std::string& tmp_path) {
+        for (const auto& [fp, entry] : index_) {
+          frame::write_frame("result_store/write", fd,
+                             frame::log_tag(kStoreMagic, entry.schema_version,
+                                            fp),
+                             entry.payload.data(), entry.payload.size(),
+                             tmp_path);
+          written += kFrameHeaderSize + entry.payload.size();
+        }
+      });
+  reopen_log();  // our append fd still points at the replaced inode
   scan_offset_ = written;
   stats_.file_bytes = written;
   stats_.live_records = index_.size();

@@ -8,15 +8,10 @@
 // service instance on the same scratch volume -- costs ~zero.
 //
 // On-disk format: one file `store.log` under the store directory, a
-// sequence of frames
-//
-//   u32 magic "RST1" | u32 schema_version | u64 fingerprint |
-//   u64 payload_size | u32 payload_crc | u32 header_crc | payload
-//
-// (all little-endian, same codec as core/checkpoint). Appends are
-// frame-at-a-time + fsync under an exclusive flock on `store.lock`, so
-// concurrent writers -- threads or whole processes -- never interleave
-// frames.
+// sequence of CRC frames (layout in core/frame.hpp) tagged "RST1" |
+// schema_version | fingerprint. Appends are frame-at-a-time + fsync under
+// an exclusive flock on `store.lock`, so concurrent writers -- threads or
+// whole processes -- never interleave frames.
 //
 // Robustness contract, enforced by the failpoint torture suite:
 //   * Recovery from any crash point: opening scans the log, indexes every
@@ -141,8 +136,7 @@ class ResultStore {
   };
 
   void open_and_recover();
-  void scan_locked(const std::vector<std::uint8_t>& bytes,
-                   std::uint64_t base_offset);
+  void reopen_log();  // (re)opens store.log for appending, closing the old fd
   void append_frame_locked(std::uint64_t fingerprint,
                            std::uint32_t schema_version, const void* data,
                            std::size_t size);
