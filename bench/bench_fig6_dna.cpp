@@ -12,9 +12,9 @@
 
 #include "core/rng.hpp"
 #include "core/table.hpp"
+#include "hetero/dna/cluster.hpp"
 #include "hetero/dna/edit_distance.hpp"
 #include "hetero/dna/fpga_accel.hpp"
-#include "hetero/dna/prefilter.hpp"
 #include "hetero/dna/storage_sim.hpp"
 
 namespace {
@@ -128,7 +128,6 @@ void print_tables() {
       // (~2 * error_rate * strand_length between two noisy copies).
       params.clustering.distance_threshold =
           10 + static_cast<int>(600.0 * err);
-      params.clustering.band = params.clustering.distance_threshold + 4;
       const auto r = run_storage_sim(params);
       pipe.add_row({core::TextTable::num(err, 3), core::TextTable::num(cov, 0),
                     std::to_string(r.strands), std::to_string(r.reads),
@@ -178,26 +177,27 @@ void print_tables() {
     channel.seed = 33;
     const auto reads = simulate_channel(set.strands, channel);
     const ClusterParams params;
-    const auto plain = cluster_reads(reads.reads, params);
-    const auto filtered =
-        cluster_reads_filtered(reads.reads, params, FilterParams{});
+    const auto plain = cluster_reads_reference(reads.reads, params);
+    const auto filtered = cluster_reads(reads.reads, params);
     core::TextTable ft({"pipeline", "exact kernel calls", "DP cells",
                         "filter rejections", "clusters"});
-    ft.add_row({"exact only", std::to_string(plain.pair_comparisons),
+    ft.add_row({"exact only (banded DP)",
+                std::to_string(plain.pair_comparisons),
                 core::TextTable::si(
                     static_cast<double>(plain.dp_cells_updated), 2),
                 "-", std::to_string(plain.clusters.size())});
-    ft.add_row({"length + q-gram prefilter",
-                std::to_string(filtered.exact_evaluations),
+    ft.add_row({"length + q-gram prefilter (Myers)",
+                std::to_string(filtered.pair_comparisons -
+                               filtered.screened_out),
                 core::TextTable::si(
-                    static_cast<double>(filtered.clusters.dp_cells_updated), 2),
-                std::to_string(filtered.filtered_out),
-                std::to_string(filtered.clusters.clusters.size())});
+                    static_cast<double>(filtered.dp_cells_updated), 2),
+                std::to_string(filtered.screened_out),
+                std::to_string(filtered.clusters.size())});
     std::printf("%s", ft.to_string().c_str());
     std::printf("-> identical clusters with %.0f%% of candidate pairs "
                 "rejected before the exact kernel\n",
-                100.0 * static_cast<double>(filtered.filtered_out) /
-                    static_cast<double>(filtered.candidates));
+                100.0 * static_cast<double>(filtered.screened_out) /
+                    static_cast<double>(filtered.pair_comparisons));
   }
 
   std::printf("\n=== Sec. VI: edit-distance accelerator KPIs (model vs paper) ===\n");

@@ -28,7 +28,6 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +41,6 @@
 #include "hetero/dna/channel.hpp"
 #include "hetero/dna/cluster.hpp"
 #include "hls/dse.hpp"
-#include "imc/crossbar.hpp"
 
 namespace {
 
@@ -286,78 +284,23 @@ KernelRow bench_dna(int reps) {
   channel.seed = 42;
   const auto reads = dna::simulate_channel(strands, channel);
 
-  dna::ClusterParams banded;
-  banded.kernel = dna::DistanceKernel::kBandedDp;
-  dna::ClusterParams screened = banded;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
+  const dna::ClusterParams params;
 
   KernelRow row;
   row.name = "dna_cluster_reads";
-  const auto old_result = dna::cluster_reads(reads.reads, banded);
-  const auto new_result = dna::cluster_reads(reads.reads, screened);
+  const auto old_result = dna::cluster_reads_reference(reads.reads, params);
+  const auto new_result = dna::cluster_reads(reads.reads, params);
   row.identical = clusters_identical(old_result, new_result);
   row.old_ms = best_ms(reps, [&] {
-    benchmark_keep(dna::cluster_reads(reads.reads, banded));
+    benchmark_keep(dna::cluster_reads_reference(reads.reads, params));
   });
   row.new_ms = best_ms(reps, [&] {
-    benchmark_keep(dna::cluster_reads(reads.reads, screened));
+    benchmark_keep(dna::cluster_reads(reads.reads, params));
   });
   row.extra_json =
       ",\"reads\":" + core::json_num(std::uint64_t{reads.reads.size()}) +
       ",\"pair_comparisons\":" + core::json_num(new_result.pair_comparisons) +
       ",\"screened_out\":" + core::json_num(new_result.screened_out);
-  return row;
-}
-
-// --- IMC crossbar raw MVM ---------------------------------------------
-
-KernelRow bench_crossbar(int reps) {
-  const std::size_t out_dim = 64;
-  const std::size_t in_dim = 96;
-  const std::size_t batch = 4;
-  core::Rng rng(51);
-  core::TensorF w({out_dim, in_dim});
-  for (auto& v : w.data()) v = static_cast<float>(rng.normal(0.0, 0.5));
-  imc::CrossbarConfig config;
-  config.device = imc::pcm_spec();  // drift live: the worst-case read path
-  config.ir_drop_per_row = 1e-4;
-  config.seed = 7;
-  std::vector<float> xs(batch * in_dim);
-  for (auto& v : xs) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto vec = [&](std::size_t m) {
-    return std::span<const float>(xs).subspan(m * in_dim, in_dim);
-  };
-
-  KernelRow row;
-  row.name = "imc_crossbar_mvm";
-  {
-    // Two fresh arrays stay in RNG lockstep, so interleaving the fused
-    // scalar oracle with the SoA two-pass MVM must agree bit for bit.
-    imc::Crossbar oracle(w, config);
-    imc::Crossbar fast(w, config);
-    row.identical = true;
-    for (std::size_t m = 0; m < batch; ++m) {
-      const auto ref = oracle.matvec_raw_reference(vec(m), 10.0);
-      const auto got = fast.matvec_raw(vec(m), 10.0);
-      for (std::size_t o = 0; o < ref.size(); ++o) {
-        if (ref[o] != got[o]) row.identical = false;
-      }
-    }
-  }
-  imc::Crossbar old_xbar(w, config);
-  imc::Crossbar new_xbar(w, config);
-  row.old_ms = best_ms(reps, [&] {
-    for (std::size_t m = 0; m < batch; ++m) {
-      benchmark_keep(old_xbar.matvec_raw_reference(vec(m), 10.0));
-    }
-  });
-  row.new_ms = best_ms(reps, [&] {
-    benchmark_keep(new_xbar.matvec_raw_batch(xs, batch, 10.0));
-  });
-  row.extra_json =
-      ",\"rows\":" + core::json_num(std::uint64_t{in_dim}) +
-      ",\"cols\":" + core::json_num(std::uint64_t{out_dim}) +
-      ",\"batch\":" + core::json_num(std::uint64_t{batch});
   return row;
 }
 
@@ -430,7 +373,6 @@ int main(int argc, char** argv) {
   rows.push_back(bench_approx_conv(reps));
   rows.push_back(bench_htconv(reps));
   rows.push_back(bench_dna(reps));
-  rows.push_back(bench_crossbar(reps));
 
   core::TextTable table(
       {"kernel", "old (ms)", "new (ms)", "speedup", "bit-identical"});

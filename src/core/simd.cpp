@@ -202,24 +202,6 @@ void quantize_fixed_f32(float* data, std::size_t n, int int_bits,
   }
 }
 
-void scaled_axpy_f64(double a, double b, const double* x, double* acc,
-                     std::size_t n) {
-  switch (active_isa()) {
-#if defined(__x86_64__) || defined(__i386__)
-    case Isa::kAvx2:
-      return avx2::scaled_axpy_f64(a, b, x, acc, n);
-    case Isa::kSse4:
-      return sse4::scaled_axpy_f64(a, b, x, acc, n);
-#endif
-#if defined(__aarch64__)
-    case Isa::kNeon:
-      return neon::scaled_axpy_f64(a, b, x, acc, n);
-#endif
-    default:
-      return scalar_impl::scaled_axpy_f64(a, b, x, acc, n);
-  }
-}
-
 void qtap_exact(const std::int32_t* x, std::int32_t w, int loa_bits,
                 std::int64_t* acc, std::size_t n) {
   switch (active_isa()) {

@@ -61,18 +61,13 @@ Isa resolve_isa(const char* env_value);
 std::string cpu_features();
 
 // ---------------------------------------------------------------------------
-// Floating-point panel primitives (conv / htconv / crossbar MVM).
+// Floating-point panel primitives (conv / htconv).
 // ---------------------------------------------------------------------------
 
 /// acc[i] += w * double(x[i]) for i in [0, n). One widening convert, one
 /// multiply, one add per element — the exact scalar sequence of the conv
 /// row-panel accumulation, applied to n independent accumulators.
 void axpy_f32_f64(double w, const float* x, double* acc, std::size_t n);
-
-/// acc[i] += (a * x[i]) * b for i in [0, n). Matches the crossbar bitline
-/// accumulation `acc += dac * g * attenuation` (left-associative).
-void scaled_axpy_f64(double a, double b, const double* x, double* acc,
-                     std::size_t n);
 
 /// Whole-panel accumulation: acc[c] += sum over taps t (ascending) of
 /// weights[t] * double(rows[t][c]), one IEEE multiply + add per tap per

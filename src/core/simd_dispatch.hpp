@@ -13,8 +13,6 @@
 // macro so the three variant declarations cannot drift apart.
 #define ICSC_SIMD_DECLARE_VARIANT()                                          \
   void axpy_f32_f64(double w, const float* x, double* acc, std::size_t n);   \
-  void scaled_axpy_f64(double a, double b, const double* x, double* acc,     \
-                       std::size_t n);                                       \
   void tap_panel_axpy_f32_f64(const float* const* rows,                      \
                               const double* weights, std::size_t taps,       \
                               double* acc, std::size_t n);                   \

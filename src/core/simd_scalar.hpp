@@ -84,11 +84,6 @@ inline void axpy_f32_f64(double w, const float* x, double* acc,
   }
 }
 
-inline void scaled_axpy_f64(double a, double b, const double* x, double* acc,
-                            std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) acc[i] += (a * x[i]) * b;
-}
-
 inline void tap_panel_axpy_f32_f64(const float* const* rows,
                                    const double* weights, std::size_t taps,
                                    double* acc, std::size_t n) {

@@ -12,35 +12,13 @@ namespace icsc::hetero::dna {
 
 namespace {
 
-/// Edit distance of a read against one representative plus the DP-cell
-/// count the serial kernel books for that comparison. Pure function of its
-/// inputs, so a batch of candidates can be evaluated concurrently.
-struct PairEval {
-  int distance = 0;
-  std::uint64_t dp = 0;
-  bool screened = false;  // resolved by a lower bound; no exact kernel ran
-};
+/// q-gram order of the screen: 4^4 = 256 u16 buckets per histogram, one
+/// SIMD L1 pass per candidate pair.
+constexpr int kScreenQ = 4;
 
-/// Evaluates one candidate pair under the non-screened kernels (full DP or
-/// banded DP). The screened-Myers path runs through the batched pipeline in
-/// cluster_reads instead: parallel lower-bound screens, then one SIMD
-/// myers-banded batch over the survivors.
-PairEval evaluate_pair(const Strand& bases, const Strand& representative,
-                       const ClusterParams& params) {
-  PairEval out;
-  if (params.band <= 0) {
-    out.distance = levenshtein_full(bases, representative);
-    out.dp = dp_cells(bases, representative);
-    return out;
-  }
-  out.distance = levenshtein_banded(bases, representative, params.band);
-  out.dp = static_cast<std::uint64_t>(bases.size()) * (2 * params.band + 1);
-  return out;
-}
-
-bool use_screen(const ClusterParams& params) {
-  return params.band > 0 && params.kernel == DistanceKernel::kScreenedMyers &&
-         params.screen_q >= 1 && params.screen_q <= 8;
+/// Band of the screen and of the exact kernels (see ClusterParams).
+int join_band(const ClusterParams& params) {
+  return std::max(params.distance_threshold, 0);
 }
 
 /// Block size for the speculative candidate scan: large enough to keep the
@@ -55,90 +33,68 @@ ClusterResult cluster_reads(const std::vector<Read>& reads,
                             const ClusterParams& params) {
   ICSC_TRACE_SPAN("dna/cluster_reads");
   ClusterResult result;
+  auto& clusters = result.clusters;
+  const int band = join_band(params);
   const std::size_t block = scan_block();
-  const bool screen = use_screen(params);
-  const bool batched =
-      params.band > 0 && params.kernel == DistanceKernel::kScreenedMyers;
   // Representative q-gram histograms, computed once per cluster (founding
   // read) instead of once per candidate pair.
   std::vector<std::vector<std::uint16_t>> rep_hists;
-  // Scratch reused across blocks by the batched screened-Myers path.
+  // Scratch reused across candidate blocks.
   std::vector<std::uint8_t> rejected;
   std::vector<const Strand*> survivors;
   std::vector<int> survivor_dist;
   for (std::size_t r = 0; r < reads.size(); ++r) {
     const Strand& bases = reads[r].bases;
-    const auto read_hist = screen ? qgram_histogram(bases, params.screen_q)
-                                  : std::vector<std::uint16_t>{};
-    // Match masks built once per read and reused across every candidate
-    // (the screened path's only per-pair state is the text itself).
-    const auto pattern =
-        batched ? MyersPattern(bases) : MyersPattern(Strand{});
-    auto& clusters = result.clusters;
+    auto read_hist = qgram_histogram(bases, kScreenQ);
+    // Match masks built once per read and reused across every candidate.
+    const MyersPattern pattern(bases);
     bool assigned = false;
     // The serial greedy scan joins the first cluster within threshold and
-    // stops. Here candidate blocks are evaluated in parallel, then folded
+    // stops. Here candidate blocks are screened in parallel, then folded
     // in cluster order: counters are booked only up to and including the
-    // first match, so clusters AND work counters are bit-identical to the
-    // serial scan (speculative evaluations past the match are discarded).
+    // first match, so clusters AND work counters equal the serial scan's
+    // (speculative evaluations past the match are discarded).
     for (std::size_t base = 0; base < clusters.size() && !assigned;
          base += block) {
       const std::size_t count = std::min(block, clusters.size() - base);
-      if (batched) {
-        // Stage 1 in parallel: lower-bound screens (d >= |len(a) - len(b)|
-        // and d >= L1(qgram hists) / (2q)); a bound beyond the band already
-        // decides the banded-contract answer, exactly as the banded kernel
-        // would have returned band + 1.
-        rejected.resize(count);
-        core::parallel_for(0, count, 1, [&](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) {
-            const Strand& rep = clusters[base + i].representative;
-            rejected[i] =
-                length_lower_bound(bases, rep) > params.band ||
-                (screen &&
-                 qgram_histogram_lower_bound(read_hist, rep_hists[base + i],
-                                             params.screen_q) > params.band);
-          }
-        });
-        // Stage 2: one bit-parallel banded-Myers batch over the survivors,
-        // lanes spanning candidate representatives.
-        survivors.clear();
-        for (std::size_t i = 0; i < count; ++i) {
-          if (!rejected[i]) {
-            survivors.push_back(&clusters[base + i].representative);
-          }
+      // Stage 1 in parallel: lower-bound screens (d >= |len(a) - len(b)|
+      // and d >= L1(qgram hists) / (2q)); a bound beyond the band already
+      // decides the banded-contract answer, exactly as the banded kernel
+      // would have returned band + 1.
+      rejected.resize(count);
+      core::parallel_for(0, count, 1, [&](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) {
+          const Strand& rep = clusters[base + i].representative;
+          rejected[i] =
+              length_lower_bound(bases, rep) > band ||
+              qgram_histogram_lower_bound(read_hist, rep_hists[base + i],
+                                          kScreenQ) > band;
         }
-        survivor_dist.resize(survivors.size());
-        levenshtein_myers_banded_batch(pattern, survivors.data(),
-                                       survivors.size(), params.band,
-                                       survivor_dist.data());
-        std::size_t next_survivor = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-          ++result.pair_comparisons;
-          int distance = params.band + 1;
-          if (rejected[i]) {
-            ++result.screened_out;
-          } else {
-            distance = survivor_dist[next_survivor++];
-            result.dp_cells_updated +=
-                myers_cells(bases, clusters[base + i].representative);
-          }
-          if (distance <= params.distance_threshold) {
-            clusters[base + i].read_indices.push_back(r);
-            assigned = true;
-            break;
-          }
-        }
-        continue;
-      }
-      const auto evals = core::parallel_map(count, 1, [&](std::size_t i) {
-        return evaluate_pair(bases, clusters[base + i].representative, params);
       });
+      // Stage 2: one bit-parallel banded-Myers batch over the survivors,
+      // lanes spanning candidate representatives.
+      survivors.clear();
+      for (std::size_t i = 0; i < count; ++i) {
+        if (!rejected[i]) {
+          survivors.push_back(&clusters[base + i].representative);
+        }
+      }
+      survivor_dist.resize(survivors.size());
+      levenshtein_myers_banded_batch(pattern, survivors.data(),
+                                     survivors.size(), band,
+                                     survivor_dist.data());
+      std::size_t next_survivor = 0;
       for (std::size_t i = 0; i < count; ++i) {
         ++result.pair_comparisons;
-        result.dp_cells_updated += evals[i].dp;
-        if (evals[i].screened) ++result.screened_out;
-        if (evals[i].distance <= params.distance_threshold) {
+        int distance = band + 1;
+        if (rejected[i]) {
+          ++result.screened_out;
+        } else {
+          distance = survivor_dist[next_survivor++];
+          result.dp_cells_updated +=
+              myers_cells(bases, clusters[base + i].representative);
+        }
+        if (distance <= params.distance_threshold) {
           clusters[base + i].read_indices.push_back(r);
           assigned = true;
           break;
@@ -146,16 +102,36 @@ ClusterResult cluster_reads(const std::vector<Read>& reads,
       }
     }
     if (!assigned) {
-      Cluster fresh;
-      fresh.read_indices.push_back(r);
-      fresh.representative = bases;
-      clusters.push_back(std::move(fresh));
-      if (screen) rep_hists.push_back(read_hist);
+      clusters.push_back({{r}, bases});
+      rep_hists.push_back(std::move(read_hist));
     }
   }
   ICSC_TRACE_COUNT("dna.pair_comparisons", result.pair_comparisons);
   ICSC_TRACE_COUNT("dna.dp_cells", result.dp_cells_updated);
   ICSC_TRACE_COUNT("dna.screened_out", result.screened_out);
+  return result;
+}
+
+ClusterResult cluster_reads_reference(const std::vector<Read>& reads,
+                                      const ClusterParams& params) {
+  ClusterResult result;
+  const int band = join_band(params);
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    const Strand& bases = reads[r].bases;
+    bool assigned = false;
+    for (auto& cluster : result.clusters) {
+      ++result.pair_comparisons;
+      result.dp_cells_updated +=
+          static_cast<std::uint64_t>(bases.size()) * (2 * band + 1);
+      if (levenshtein_banded(bases, cluster.representative, band) <=
+          params.distance_threshold) {
+        cluster.read_indices.push_back(r);
+        assigned = true;
+        break;
+      }
+    }
+    if (!assigned) result.clusters.push_back({{r}, bases});
+  }
   return result;
 }
 

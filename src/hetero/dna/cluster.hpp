@@ -16,26 +16,13 @@
 
 namespace icsc::hetero::dna {
 
-/// Exact-distance kernel the clustering scans run when `band > 0`.
-/// Both produce identical distances (the levenshtein_banded contract:
-/// exact when <= band, band + 1 otherwise), so cluster assignments are
-/// bit-identical; only the work performed per pair differs.
-enum class DistanceKernel {
-  /// The banded dynamic-programming kernel (the pre-screening baseline).
-  kBandedDp,
-  /// Two-stage path: length-difference + q-gram lower bounds skip the
-  /// exact kernel entirely when the bound already exceeds the band; the
-  /// survivors run the bit-parallel banded Myers/Hyyro kernel.
-  kScreenedMyers,
-};
-
 struct ClusterParams {
-  int distance_threshold = 10;  // join a cluster if d(read, rep) <= this
-  /// Use a banded kernel with this band when > 0; full DP otherwise.
-  int band = 12;
-  DistanceKernel kernel = DistanceKernel::kScreenedMyers;
-  /// q-gram order of the kScreenedMyers screen (1..8; 0 disables it).
-  int screen_q = 4;
+  /// A read joins a cluster if d(read, representative) <= this. The
+  /// lower-bound screen and the banded kernel both run at band
+  /// max(distance_threshold, 0): the smallest band under which every join
+  /// decision is exact, since a distance beyond it comes back as band + 1
+  /// and clustering keeps no distances.
+  int distance_threshold = 10;
 };
 
 struct Cluster {
@@ -45,17 +32,29 @@ struct Cluster {
 
 struct ClusterResult {
   std::vector<Cluster> clusters;
-  std::uint64_t pair_comparisons = 0;  // edit-distance evaluations performed
-  std::uint64_t dp_cells_updated = 0;  // total DP work (CUPS numerator)
-  /// kScreenedMyers only: pairs resolved by a lower bound alone (counted in
-  /// pair_comparisons, but no exact-kernel cells were updated for them).
+  std::uint64_t pair_comparisons = 0;  // join decisions taken
+  std::uint64_t dp_cells_updated = 0;  // exact-kernel work (CUPS numerator)
+  /// Pairs decided by a lower bound alone (counted in pair_comparisons,
+  /// but no exact-kernel cells were updated for them).
   std::uint64_t screened_out = 0;
 };
 
 /// Greedy star clustering: each read joins the first cluster whose
 /// representative is within the threshold, else founds a new cluster.
+/// Pre-alignment filters ([33], [34]; hetero/dna/prefilter.hpp) -- length
+/// difference and q-gram lower bounds -- decide band-exceeding pairs
+/// without touching DP; the survivors of each candidate block run one
+/// bit-parallel banded Myers batch. Candidate blocks are screened in
+/// parallel, yet clusters and counters equal the serial scan's.
 ClusterResult cluster_reads(const std::vector<Read>& reads,
                             const ClusterParams& params);
+
+/// The equivalence oracle for cluster_reads: the serial, unscreened greedy
+/// scan over levenshtein_banded at the same band. Same clusters and
+/// pair_comparisons by the banded contract; screened_out stays 0 and
+/// dp_cells_updated books the banded-DP cells.
+ClusterResult cluster_reads_reference(const std::vector<Read>& reads,
+                                      const ClusterParams& params);
 
 /// Fraction of clusters whose member reads all share one origin strand
 /// (purity) and fraction of origins recovered by at least one pure cluster.

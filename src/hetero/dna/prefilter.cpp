@@ -1,14 +1,24 @@
 #include "hetero/dna/prefilter.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
-#include "core/parallel.hpp"
+#include "core/error.hpp"
 #include "core/simd.hpp"
 
 namespace icsc::hetero::dna {
+
+namespace {
+
+void check_q(const char* where, int q) {
+  if (q < 1 || q > 8) {
+    throw core::Error(where, "q-gram order must be in [1, 8]",
+                      "got " + std::to_string(q));
+  }
+}
+
+}  // namespace
 
 int length_lower_bound(const Strand& a, const Strand& b) {
   return static_cast<int>(
@@ -17,6 +27,7 @@ int length_lower_bound(const Strand& a, const Strand& b) {
 }
 
 std::vector<std::uint16_t> qgram_histogram(const Strand& s, int q) {
+  check_q("dna::qgram_histogram", q);
   std::vector<std::uint16_t> hist(std::size_t{1} << (2 * q), 0);
   if (s.size() < static_cast<std::size_t>(q)) return hist;
   const std::uint32_t mask = (1u << (2 * q)) - 1;
@@ -30,8 +41,15 @@ std::vector<std::uint16_t> qgram_histogram(const Strand& s, int q) {
 
 int qgram_histogram_lower_bound(const std::vector<std::uint16_t>& ha,
                                 const std::vector<std::uint16_t>& hb, int q) {
-  assert(q >= 1 && q <= 8);
-  assert(ha.size() == hb.size());
+  check_q("dna::qgram_histogram_lower_bound", q);
+  const std::size_t buckets = std::size_t{1} << (2 * q);
+  if (ha.size() != buckets || hb.size() != buckets) {
+    throw core::Error("dna::qgram_histogram_lower_bound",
+                      "histograms must have 4^q buckets",
+                      "got " + std::to_string(ha.size()) + " and " +
+                          std::to_string(hb.size()) + ", expected " +
+                          std::to_string(buckets));
+  }
   // L1 distance between histograms; each edit changes at most q q-grams in
   // each string, so |hist_a - hist_b|_1 <= 2 q d  =>  d >= L1 / (2q). The
   // clustering screens spend most of their time in this pass, so it runs
@@ -42,160 +60,8 @@ int qgram_histogram_lower_bound(const std::vector<std::uint16_t>& ha,
 }
 
 int qgram_lower_bound(const Strand& a, const Strand& b, int q) {
-  assert(q >= 1 && q <= 8);
   return qgram_histogram_lower_bound(qgram_histogram(a, q),
                                      qgram_histogram(b, q), q);
-}
-
-namespace {
-
-/// Outcome of one read-vs-representative candidate: which lower bound (if
-/// any) rejected it, else the exact distance and DP-cell cost. Pure, so
-/// candidate blocks are evaluated in parallel; the caller folds outcomes in
-/// cluster order and books counters exactly as the serial scan would.
-struct CandidateEval {
-  bool filtered = false;  // rejected by a lower bound; no exact kernel run
-  int distance = 0;
-  std::uint64_t dp = 0;
-};
-
-}  // namespace
-
-FilteredClusterResult cluster_reads_filtered(const std::vector<Read>& reads,
-                                             const ClusterParams& params,
-                                             const FilterParams& filter) {
-  FilteredClusterResult result;
-  // Cache representative histograms to avoid recomputing per candidate.
-  std::vector<std::vector<std::uint16_t>> rep_hists;
-  const std::size_t block =
-      std::max<std::size_t>(16, 8 * core::parallel_threads());
-
-  const bool batched =
-      params.band > 0 && params.kernel == DistanceKernel::kScreenedMyers;
-  // Scratch reused across blocks by the batched screened-Myers path.
-  std::vector<std::uint8_t> filtered;
-  std::vector<const Strand*> survivors;
-  std::vector<int> survivor_dist;
-
-  for (std::size_t r = 0; r < reads.size(); ++r) {
-    const Strand& bases = reads[r].bases;
-    const auto read_hist =
-        filter.use_qgram ? qgram_histogram(bases, filter.q)
-                         : std::vector<std::uint16_t>{};
-    const auto pattern =
-        batched ? MyersPattern(bases) : MyersPattern(Strand{});
-    auto& clusters = result.clusters.clusters;
-
-    // True when a pre-alignment filter rejects candidate c outright.
-    auto filters_reject = [&](std::size_t c) -> bool {
-      const Strand& representative = clusters[c].representative;
-      if (filter.use_length &&
-          length_lower_bound(bases, representative) >
-              params.distance_threshold) {
-        return true;
-      }
-      return filter.use_qgram &&
-             qgram_histogram_lower_bound(read_hist, rep_hists[c], filter.q) >
-                 params.distance_threshold;
-    };
-
-    auto evaluate_candidate = [&](std::size_t c) {
-      CandidateEval eval;
-      const Strand& representative = clusters[c].representative;
-      if (filters_reject(c)) {
-        eval.filtered = true;
-        return eval;
-      }
-      if (params.band > 0) {
-        eval.distance = levenshtein_banded(bases, representative, params.band);
-        eval.dp =
-            static_cast<std::uint64_t>(bases.size()) * (2 * params.band + 1);
-      } else {
-        eval.distance = levenshtein_full(bases, representative);
-        eval.dp = dp_cells(bases, representative);
-      }
-      return eval;
-    };
-
-    bool assigned = false;
-    // Parallel speculative scan over candidate blocks; see cluster_reads.
-    // Counters stop at the first match, matching the serial early exit.
-    for (std::size_t base = 0; base < clusters.size() && !assigned;
-         base += block) {
-      const std::size_t count = std::min(block, clusters.size() - base);
-      if (batched) {
-        // Filters in parallel, then one bit-parallel banded-Myers batch
-        // over the survivors (identical distances under the banded
-        // contract); lanes span candidate representatives.
-        filtered.resize(count);
-        core::parallel_for(0, count, 1, [&](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) {
-            filtered[i] = filters_reject(base + i) ? 1 : 0;
-          }
-        });
-        survivors.clear();
-        for (std::size_t i = 0; i < count; ++i) {
-          if (!filtered[i]) {
-            survivors.push_back(&clusters[base + i].representative);
-          }
-        }
-        survivor_dist.resize(survivors.size());
-        levenshtein_myers_banded_batch(pattern, survivors.data(),
-                                       survivors.size(), params.band,
-                                       survivor_dist.data());
-        std::size_t next_survivor = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-          ++result.candidates;
-          if (filtered[i]) {
-            ++result.filtered_out;
-            continue;
-          }
-          const int distance = survivor_dist[next_survivor++];
-          ++result.exact_evaluations;
-          ++result.clusters.pair_comparisons;
-          result.clusters.dp_cells_updated +=
-              myers_cells(bases, clusters[base + i].representative);
-          if (distance <= params.distance_threshold) {
-            clusters[base + i].read_indices.push_back(r);
-            assigned = true;
-            break;
-          }
-        }
-        continue;
-      }
-      const auto evals = core::parallel_map(
-          count, 1, [&](std::size_t i) { return evaluate_candidate(base + i); });
-      for (std::size_t i = 0; i < count; ++i) {
-        ++result.candidates;
-        if (evals[i].filtered) {
-          ++result.filtered_out;
-          continue;
-        }
-        ++result.exact_evaluations;
-        ++result.clusters.pair_comparisons;
-        result.clusters.dp_cells_updated += evals[i].dp;
-        if (evals[i].distance <= params.distance_threshold) {
-          clusters[base + i].read_indices.push_back(r);
-          assigned = true;
-          break;
-        }
-      }
-    }
-    if (!assigned) {
-      Cluster fresh;
-      fresh.read_indices.push_back(r);
-      fresh.representative = bases;
-      result.clusters.clusters.push_back(std::move(fresh));
-      if (filter.use_qgram) {
-        rep_hists.push_back(read_hist.empty()
-                                ? qgram_histogram(bases, filter.q)
-                                : read_hist);
-      } else {
-        rep_hists.emplace_back();
-      }
-    }
-  }
-  return result;
 }
 
 }  // namespace icsc::hetero::dna

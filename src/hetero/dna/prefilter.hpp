@@ -9,13 +9,14 @@
 //   - q-gram filter: two strings within edit distance t share at least
 //     max(|a|,|b|) - q + 1 - q*t q-grams (the q-gram lemma); counting
 //     4^q-bucket histograms gives a lower bound on the distance.
-// Both are *complete* (never reject a true match), which the tests verify.
+// Both are *complete* (never reject a true match), which the tests verify;
+// cluster_reads runs them ahead of its exact kernel.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "hetero/dna/cluster.hpp"
+#include "hetero/dna/encoding.hpp"
 
 namespace icsc::hetero::dna {
 
@@ -23,36 +24,20 @@ namespace icsc::hetero::dna {
 int length_lower_bound(const Strand& a, const Strand& b);
 
 /// q-gram-lemma lower bound on the edit distance: each edit destroys at
-/// most q q-grams, so d >= (shared-deficit) / q. q in [1, 8].
+/// most q q-grams, so d >= (shared-deficit) / q. Throws core::Error unless
+/// q is in [1, 8].
 int qgram_lower_bound(const Strand& a, const Strand& b, int q);
 
 /// 4^q-bucket q-gram histogram of a strand (q in [1, 8] keeps the table
-/// <= 64Ki buckets). Cache these per cluster representative so repeated
-/// bound evaluations cost one L1 pass instead of a rebuild.
+/// <= 64Ki buckets; throws core::Error otherwise). Cache these per cluster
+/// representative so repeated bound evaluations cost one L1 pass instead
+/// of a rebuild.
 std::vector<std::uint16_t> qgram_histogram(const Strand& s, int q);
 
 /// The q-gram lower bound evaluated on two precomputed histograms:
-/// L1(ha, hb) / (2q). Both histograms must have been built with the same q.
+/// L1(ha, hb) / (2q). Throws core::Error unless q is in [1, 8] and both
+/// histograms have the 4^q buckets qgram_histogram(_, q) builds.
 int qgram_histogram_lower_bound(const std::vector<std::uint16_t>& ha,
                                 const std::vector<std::uint16_t>& hb, int q);
-
-struct FilterParams {
-  int q = 4;
-  bool use_length = true;
-  bool use_qgram = true;
-};
-
-/// Greedy star clustering with pre-alignment filtering: candidate pairs
-/// whose lower bound exceeds the threshold skip the exact kernel.
-struct FilteredClusterResult {
-  ClusterResult clusters;
-  std::uint64_t candidates = 0;       // pairs considered
-  std::uint64_t filtered_out = 0;     // rejected by lower bounds alone
-  std::uint64_t exact_evaluations = 0;  // pairs that ran the exact kernel
-};
-
-FilteredClusterResult cluster_reads_filtered(const std::vector<Read>& reads,
-                                             const ClusterParams& params,
-                                             const FilterParams& filter);
 
 }  // namespace icsc::hetero::dna

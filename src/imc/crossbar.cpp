@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "core/error.hpp"
-#include "core/simd.hpp"
 #include "core/trace.hpp"
 
 namespace icsc::imc {
@@ -326,62 +325,8 @@ void Crossbar::matvec_raw_into(std::span<const float> x, std::span<double> out,
                           std::to_string(out_dim_));
   }
   mvm_periphery(x);
-
-  // Pass 1 (serial): analog reads in the reference (column, row, +/-)
-  // order -- the RNG stream is part of the contract -- stored transposed
-  // ([row][column]) so pass 2 can stream whole wordlines.
-  mvm_values_.resize(in_dim_ * out_dim_);
-  for (std::size_t o = 0; o < out_dim_; ++o) {
-    const std::int32_t slot = remap_[o];
-    const bool spare = slot >= 0;
-    const std::size_t base =
-        (spare ? static_cast<std::size_t>(slot) : o) * in_dim_;
-    const std::size_t physical =
-        spare ? spare_physical_col_[static_cast<std::size_t>(slot)] : o;
-    const CellBank& plus = spare ? spare_plus_ : plus_;
-    const CellBank& minus = spare ? spare_minus_ : minus_;
-    for (std::size_t i = 0; i < in_dim_; ++i) {
-      const std::size_t cell = base + i;
-      const std::uint64_t site = 2 * (physical * in_dim_ + i);
-      double g = read_site(plus, cell, site, t_seconds);
-      if (config_.differential) {
-        g -= read_site(minus, cell, site + 1, t_seconds);
-      }
-      mvm_values_[i * out_dim_ + o] = g;
-    }
-  }
-
-  // Pass 2 (SIMD): Ohm's law + KCL, bitlines as independent lanes. Each
-  // column still accumulates (dac[i] * g) * attenuation[i] over ascending
-  // i, the exact FP sequence of the fused reference loop.
-  std::fill(out.begin(), out.end(), 0.0);
-  if (out_dim_ <= 4) {
-    // Tiny arrays: the indirect SIMD dispatch costs more than the math it
-    // hides. Same left-associative `(dac * g) * attenuation` per element
-    // as core::simd::scaled_axpy_f64, so results stay bit-identical.
-    for (std::size_t i = 0; i < in_dim_; ++i) {
-      const double dac = dac_[i];
-      const double att = row_attenuation_[i];
-      const double* v = mvm_values_.data() + i * out_dim_;
-      for (std::size_t o = 0; o < out_dim_; ++o) {
-        out[o] += (dac * v[o]) * att;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < in_dim_; ++i) {
-      core::simd::scaled_axpy_f64(dac_[i], row_attenuation_[i],
-                                  mvm_values_.data() + i * out_dim_,
-                                  out.data(), out_dim_);
-    }
-  }
-
-  mvm_finish(out);
-}
-
-std::vector<double> Crossbar::matvec_raw_reference(std::span<const float> x,
-                                                   double t_seconds) {
-  mvm_periphery(x);
-  std::vector<double> currents(out_dim_, 0.0);
+  // Bitline by bitline, rows ascending, G+ before G-: the read order fixes
+  // the RNG stream, which is part of the contract.
   for (std::size_t o = 0; o < out_dim_; ++o) {
     const std::int32_t slot = remap_[o];
     const bool spare = slot >= 0;
@@ -402,10 +347,9 @@ std::vector<double> Crossbar::matvec_raw_reference(std::span<const float> x,
       // Ohm's law; KCL sums onto the bitline.
       acc += dac_[i] * g * row_attenuation_[i];
     }
-    currents[o] = acc;
+    out[o] = acc;
   }
-  mvm_finish(currents);
-  return currents;
+  mvm_finish(out);
 }
 
 std::vector<double> Crossbar::matvec_raw_batch(std::span<const float> xs,

@@ -96,22 +96,11 @@ public:
   /// Analog MVM *without* the ADC stage: returns the raw bitline sums in
   /// weight units. Used by analog-accumulation architectures ([11]) that
   /// sum partial results in the analog domain across arrays and convert
-  /// once. No ADC energy is charged; read energy is.
-  ///
-  /// Internally this runs two passes: a serial pass draws every cell read
-  /// in the reference (column, row, +/-) RNG order into a transposed value
-  /// plane, then a SIMD pass streams each wordline's contribution across
-  /// all bitlines. Results, RNG stream and counters are bit-identical to
-  /// matvec_raw_reference.
+  /// once. No ADC energy is charged; read energy is. Each bitline reads
+  /// its cells in (row, +/-) order and sums them as it goes, so the RNG
+  /// stream and the per-bitline FP sequence are fixed by the column order.
   std::vector<double> matvec_raw(std::span<const float> x,
                                  double t_seconds = 1.0);
-
-  /// The retained scalar oracle: the original fused per-column
-  /// accumulation. Same RNG draws, same FP operation sequence per bitline,
-  /// so the equivalence tests can interleave it with matvec_raw on two
-  /// identically-programmed arrays and demand exact equality.
-  std::vector<double> matvec_raw_reference(std::span<const float> x,
-                                           double t_seconds = 1.0);
 
   /// matvec_raw writing into a caller-provided buffer of cols() doubles
   /// (overwritten, not accumulated) -- the allocation-free form batch and
@@ -183,11 +172,11 @@ private:
                            CellBank& plus, CellBank& minus);
   double read_site(const CellBank& bank, std::size_t cell, std::uint64_t site,
                    double t_seconds);
-  /// Shared front-end of the raw MVM variants: validates the input, sets
-  /// the per-vector DAC range, and fills the dac / attenuation tables.
+  /// Front-end of the raw MVM: validates the input, sets the per-vector
+  /// DAC range, and fills the dac / attenuation tables.
   void mvm_periphery(std::span<const float> x);
-  /// Shared back-end: transient glitches and conductance -> weight rescale,
-  /// applied per column in the original order.
+  /// Back-end: transient glitches and conductance -> weight rescale,
+  /// applied per column in column order, plus the read-energy charge.
   void mvm_finish(std::span<double> currents);
 
   std::size_t in_dim_ = 0;
@@ -204,9 +193,8 @@ private:
   CellBank spare_minus_;
   std::vector<std::uint32_t> spare_physical_col_;  // slot -> physical column
   std::vector<std::int32_t> remap_;
-  // MVM scratch reused across calls: transposed read values [in][out],
-  // DAC codes and IR-drop attenuation per wordline.
-  core::aligned_vector<double> mvm_values_;
+  // MVM scratch reused across calls: DAC codes and IR-drop attenuation
+  // per wordline.
   std::vector<double> dac_;
   std::vector<double> row_attenuation_;
   double weight_scale_ = 1.0;  // conductance-units per weight-unit

@@ -121,29 +121,6 @@ TEST(SimdEquivalence, AxpyF32F64MatchesScalarBitwise) {
   }
 }
 
-TEST(SimdEquivalence, ScaledAxpyF64MatchesScalarBitwise) {
-  IsaGuard guard;
-  Rng rng(102);
-  for (const std::size_t n : kSizes) {
-    std::vector<double> x(n), acc0(n);
-    for (auto& v : x) v = rng.uniform(-2.0, 2.0);
-    for (auto& v : acc0) v = rng.uniform(-10.0, 10.0);
-    const double a = rng.uniform(-3.0, 3.0);
-    const double b = rng.uniform(0.0, 1.0);
-
-    std::vector<double> want = acc0;
-    for (std::size_t i = 0; i < n; ++i) want[i] += (a * x[i]) * b;
-    for (const Isa isa : supported_isas()) {
-      set_active_isa(isa);
-      std::vector<double> acc = acc0;
-      scaled_axpy_f64(a, b, x.data(), acc.data(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(want[i], acc[i]) << isa_name(isa) << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(SimdEquivalence, QuantizeFixedF32MatchesScalarBitwise) {
   IsaGuard guard;
   Rng rng(107);

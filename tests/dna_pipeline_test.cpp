@@ -5,6 +5,7 @@
 #include "core/rng.hpp"
 #include "hetero/dna/channel.hpp"
 #include "hetero/dna/cluster.hpp"
+#include "hetero/dna/edit_distance.hpp"
 #include "hetero/dna/fpga_accel.hpp"
 #include "hetero/dna/storage_sim.hpp"
 
@@ -119,15 +120,51 @@ TEST(Cluster, SingletonReadsFormOwnClusters) {
   EXPECT_EQ(result.clusters.size(), reads.reads.size());
 }
 
+/// The greedy star scan spelled out over exact full-DP distances: the
+/// independent oracle for the band both cluster_reads and
+/// cluster_reads_reference derive from the threshold.
+ClusterResult full_dp_clusters(const std::vector<Read>& reads,
+                               int distance_threshold) {
+  ClusterResult result;
+  for (std::size_t r = 0; r < reads.size(); ++r) {
+    bool assigned = false;
+    for (auto& cluster : result.clusters) {
+      ++result.pair_comparisons;
+      if (levenshtein_full(reads[r].bases, cluster.representative) <=
+          distance_threshold) {
+        cluster.read_indices.push_back(r);
+        assigned = true;
+        break;
+      }
+    }
+    if (!assigned) result.clusters.push_back({{r}, reads[r].bases});
+  }
+  return result;
+}
+
 TEST(Cluster, FullDpPathAgreesWithBanded) {
-  const auto reads = make_read_set(256, 0.01, 5.0, 23);
-  ClusterParams banded;
-  ClusterParams full;
-  full.band = 0;
-  full.distance_threshold = banded.distance_threshold;
-  const auto rb = cluster_reads(reads.reads, banded);
-  const auto rf = cluster_reads(reads.reads, full);
-  EXPECT_EQ(rb.clusters.size(), rf.clusters.size());
+  // Noisy enough that read-to-representative distances spread across
+  // every threshold below, so a band narrower than the threshold would
+  // mis-join pairs (and a -1 threshold must keep every read apart).
+  const auto reads = make_read_set(256, 0.03, 5.0, 23);
+  for (const int threshold : {-1, 0, 4, 10, 30}) {
+    const auto want = full_dp_clusters(reads.reads, threshold);
+    ClusterParams params;
+    params.distance_threshold = threshold;
+    const ClusterResult got[] = {cluster_reads(reads.reads, params),
+                                 cluster_reads_reference(reads.reads, params)};
+    for (const auto& result : got) {
+      EXPECT_EQ(result.pair_comparisons, want.pair_comparisons)
+          << "threshold " << threshold;
+      ASSERT_EQ(result.clusters.size(), want.clusters.size())
+          << "threshold " << threshold;
+      for (std::size_t c = 0; c < want.clusters.size(); ++c) {
+        EXPECT_EQ(result.clusters[c].read_indices,
+                  want.clusters[c].read_indices)
+            << "threshold " << threshold << " cluster " << c;
+      }
+    }
+  }
 }
 
 TEST(Consensus, ExactRecoveryAtModerateNoise) {
@@ -242,7 +279,6 @@ TEST(StorageSim, HighNoiseDegrades) {
   noisy.channel.insertion_rate = 0.04;
   noisy.channel.deletion_rate = 0.04;
   noisy.clustering.distance_threshold = 30;
-  noisy.clustering.band = 34;
   const auto r_clean = run_storage_sim(clean);
   const auto r_noisy = run_storage_sim(noisy);
   EXPECT_GE(r_noisy.byte_error_rate, r_clean.byte_error_rate);

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "hetero/dna/channel.hpp"
+#include "hetero/dna/cluster.hpp"
 #include "hetero/dna/encoding.hpp"
 
 namespace icsc::hetero::dna {
@@ -65,6 +67,31 @@ TEST(QgramBound, ZeroForIdenticalStrings) {
   EXPECT_EQ(qgram_lower_bound(a, a, 4), 0);
 }
 
+TEST(QgramBound, RejectsOutOfRangeOrder) {
+  icsc::core::Rng rng(10);
+  const auto a = random_strand(40, rng);
+  for (const int q : {-1, 0, 9}) {
+    EXPECT_THROW(qgram_histogram(a, q), core::Error) << "q=" << q;
+    EXPECT_THROW(qgram_lower_bound(a, a, q), core::Error) << "q=" << q;
+  }
+  const auto h = qgram_histogram(a, 4);
+  EXPECT_THROW(qgram_histogram_lower_bound(h, h, 0), core::Error);
+  EXPECT_THROW(qgram_histogram_lower_bound(h, h, 9), core::Error);
+}
+
+TEST(QgramBound, RejectsMismatchedHistograms) {
+  icsc::core::Rng rng(12);
+  const auto a = random_strand(40, rng);
+  const auto h4 = qgram_histogram(a, 4);
+  const auto h3 = qgram_histogram(a, 3);
+  EXPECT_THROW(qgram_histogram_lower_bound(h4, h3, 4), core::Error);
+  EXPECT_THROW(qgram_histogram_lower_bound(h3, h4, 4), core::Error);
+  // Equal sizes, but not the 4^q buckets of the stated q.
+  EXPECT_THROW(qgram_histogram_lower_bound(h3, h3, 4), core::Error);
+  EXPECT_THROW(qgram_histogram_lower_bound({}, {}, 1), core::Error);
+  EXPECT_EQ(qgram_histogram_lower_bound(h3, h3, 3), 0);
+}
+
 ReadSet make_reads(std::uint64_t seed) {
   icsc::core::Rng rng(seed);
   std::vector<std::uint8_t> payload(768);
@@ -79,37 +106,38 @@ ReadSet make_reads(std::uint64_t seed) {
   return simulate_channel(set.strands, channel);
 }
 
+void expect_same_clusters(const ClusterResult& a, const ClusterResult& b) {
+  ASSERT_EQ(a.clusters.size(), b.clusters.size());
+  for (std::size_t c = 0; c < a.clusters.size(); ++c) {
+    EXPECT_EQ(a.clusters[c].read_indices, b.clusters[c].read_indices);
+    EXPECT_EQ(a.clusters[c].representative, b.clusters[c].representative);
+  }
+}
+
 TEST(FilteredClustering, SameClustersAsUnfiltered) {
   const auto reads = make_reads(11);
-  ClusterParams params;
-  const auto plain = cluster_reads(reads.reads, params);
-  const auto filtered =
-      cluster_reads_filtered(reads.reads, params, FilterParams{});
+  const ClusterParams params;
+  const auto plain = cluster_reads_reference(reads.reads, params);
+  const auto filtered = cluster_reads(reads.reads, params);
   // Completeness: the filters never reject a true match, so the greedy
   // assignment sequence -- and hence the clusters -- are identical.
-  ASSERT_EQ(filtered.clusters.clusters.size(), plain.clusters.size());
-  for (std::size_t c = 0; c < plain.clusters.size(); ++c) {
-    EXPECT_EQ(filtered.clusters.clusters[c].read_indices,
-              plain.clusters[c].read_indices);
-  }
+  EXPECT_EQ(filtered.pair_comparisons, plain.pair_comparisons);
+  expect_same_clusters(filtered, plain);
 }
 
 TEST(FilteredClustering, FiltersMostCandidatePairs) {
   const auto reads = make_reads(13);
-  ClusterParams params;
-  const auto filtered =
-      cluster_reads_filtered(reads.reads, params, FilterParams{});
-  EXPECT_GT(filtered.candidates, 0u);
-  EXPECT_EQ(filtered.candidates,
-            filtered.filtered_out + filtered.exact_evaluations);
-  const double filter_rate =
-      static_cast<double>(filtered.filtered_out) /
-      static_cast<double>(filtered.candidates);
+  const ClusterParams params;
+  const auto filtered = cluster_reads(reads.reads, params);
+  ASSERT_GT(filtered.pair_comparisons, 0u);
+  const double filter_rate = static_cast<double>(filtered.screened_out) /
+                             static_cast<double>(filtered.pair_comparisons);
   // Most cross-cluster candidates are dissimilar -> rejected cheaply.
   EXPECT_GT(filter_rate, 0.7);
-  // And the exact kernel runs far fewer times than the unfiltered path.
-  const auto plain = cluster_reads(reads.reads, params);
-  EXPECT_LT(filtered.exact_evaluations, plain.pair_comparisons / 2);
+  // And the exact kernel runs far fewer times than the unfiltered scan.
+  const auto plain = cluster_reads_reference(reads.reads, params);
+  EXPECT_LT(filtered.pair_comparisons - filtered.screened_out,
+            plain.pair_comparisons / 2);
 }
 
 TEST(FilteredClustering, ParallelScanBitIdenticalToSerial) {
@@ -117,50 +145,19 @@ TEST(FilteredClustering, ParallelScanBitIdenticalToSerial) {
   // greedy clustering exactly -- assignments AND work counters.
   core::set_parallel_threads(4);  // real pool even on 1-core hosts
   const auto reads = make_reads(19);
-  ClusterParams params;
-  ClusterResult serial_plain;
-  FilteredClusterResult serial_filtered;
+  const ClusterParams params;
+  ClusterResult serial;
   {
     core::ScopedSerial guard;
-    serial_plain = cluster_reads(reads.reads, params);
-    serial_filtered =
-        cluster_reads_filtered(reads.reads, params, FilterParams{});
+    serial = cluster_reads(reads.reads, params);
   }
-  const auto parallel_plain = cluster_reads(reads.reads, params);
-  const auto parallel_filtered =
-      cluster_reads_filtered(reads.reads, params, FilterParams{});
+  const auto parallel = cluster_reads(reads.reads, params);
   core::set_parallel_threads(0);
 
-  EXPECT_EQ(parallel_plain.pair_comparisons, serial_plain.pair_comparisons);
-  EXPECT_EQ(parallel_plain.dp_cells_updated, serial_plain.dp_cells_updated);
-  ASSERT_EQ(parallel_plain.clusters.size(), serial_plain.clusters.size());
-  for (std::size_t c = 0; c < serial_plain.clusters.size(); ++c) {
-    EXPECT_EQ(parallel_plain.clusters[c].read_indices,
-              serial_plain.clusters[c].read_indices);
-    EXPECT_EQ(parallel_plain.clusters[c].representative,
-              serial_plain.clusters[c].representative);
-  }
-  EXPECT_EQ(parallel_filtered.candidates, serial_filtered.candidates);
-  EXPECT_EQ(parallel_filtered.filtered_out, serial_filtered.filtered_out);
-  EXPECT_EQ(parallel_filtered.exact_evaluations,
-            serial_filtered.exact_evaluations);
-  ASSERT_EQ(parallel_filtered.clusters.clusters.size(),
-            serial_filtered.clusters.clusters.size());
-  for (std::size_t c = 0; c < serial_filtered.clusters.clusters.size(); ++c) {
-    EXPECT_EQ(parallel_filtered.clusters.clusters[c].read_indices,
-              serial_filtered.clusters.clusters[c].read_indices);
-  }
-}
-
-TEST(FilteredClustering, LengthOnlyFilterStillComplete) {
-  const auto reads = make_reads(17);
-  ClusterParams params;
-  FilterParams length_only;
-  length_only.use_qgram = false;
-  const auto plain = cluster_reads(reads.reads, params);
-  const auto filtered =
-      cluster_reads_filtered(reads.reads, params, length_only);
-  EXPECT_EQ(filtered.clusters.clusters.size(), plain.clusters.size());
+  EXPECT_EQ(parallel.pair_comparisons, serial.pair_comparisons);
+  EXPECT_EQ(parallel.screened_out, serial.screened_out);
+  EXPECT_EQ(parallel.dp_cells_updated, serial.dp_cells_updated);
+  expect_same_clusters(parallel, serial);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Equivalence tests for the two-stage DNA distance path: the banded
 // Myers/Hyyro bit-parallel kernel must honour the levenshtein_banded
 // contract on randomized strands (exact distance when <= band, band + 1
-// otherwise), and clustering with kScreenedMyers must produce clusters
-// bit-identical to the kBandedDp seed path while actually screening pairs.
+// otherwise), and the screened cluster_reads must produce clusters
+// bit-identical to the unscreened banded-DP cluster_reads_reference while
+// actually screening pairs.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -58,6 +59,21 @@ void expect_identical(const dna::ClusterResult& a, const dna::ClusterResult& b) 
   }
 }
 
+/// Small noisy read set: read-to-representative distances of ~10 straddle
+/// the default threshold, so join decisions land on both sides of it.
+dna::ReadSet golden_reads(std::uint64_t seed) {
+  std::mt19937 rng(static_cast<unsigned>(seed));
+  std::vector<dna::Strand> strands;
+  for (int i = 0; i < 8; ++i) strands.push_back(random_strand(rng, 80));
+  dna::ChannelParams params;
+  params.substitution_rate = 0.03;
+  params.insertion_rate = 0.015;
+  params.deletion_rate = 0.015;
+  params.mean_coverage = 4.0;
+  params.seed = seed;
+  return dna::simulate_channel(strands, params);
+}
+
 dna::ReadSet workload(std::uint64_t seed) {
   std::mt19937 rng(static_cast<unsigned>(seed));
   std::vector<dna::Strand> strands;
@@ -73,7 +89,7 @@ dna::ReadSet workload(std::uint64_t seed) {
 TEST(ScreenedDistance, MyersBandedMatchesBandedContractOnRandomPairs) {
   std::mt19937 rng(2026);
   const auto pool = strand_pool(rng);
-  for (const int band : {1, 4, 12, 40}) {
+  for (const int band : {0, 1, 4, 12, 40}) {
     for (std::size_t i = 0; i < pool.size(); ++i) {
       for (std::size_t j = i; j < pool.size(); ++j) {
         const int full = dna::levenshtein_full(pool[i], pool[j]);
@@ -124,15 +140,48 @@ TEST(ScreenedDistance, QgramHistogramBoundNeverExceedsTrueDistance) {
   }
 }
 
+TEST(ScreenedDistance, ClusteringGoldenOnSeededReadSets) {
+  // Pinned greedy-scan outcomes at default params: label[r] is the index
+  // of the cluster read r joined (clusters are numbered by founding read,
+  // members listed in read order).
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t pair_comparisons;
+    std::vector<std::size_t> labels;
+  };
+  const Golden goldens[] = {
+      {101, 375, {0,  1,  1,  0,  0,  2,  3,  4,  3,  3,  5,  6,  7,  8,
+                  8,  9,  9,  9,  9,  10, 11, 10, 10, 10, 10, 10, 12, 13,
+                  13, 13, 14, 12, 13, 13, 15, 15, 15, 15, 15, 16}},
+      {202, 173, {0, 1, 1, 1, 2, 1, 3, 4, 5,  5,  5,  6,  7,
+                  6, 7, 8, 9, 9, 9, 9, 10, 10, 10, 10, 10, 11}},
+      {303, 380, {0,  1,  2,  3,  1,  4,  4,  4,  5,  5,  5,  6,  7,
+                  8,  9,  10, 10, 10, 10, 10, 10, 11, 11, 11, 11, 12,
+                  13, 14, 13, 15, 12, 16, 16, 16, 16, 16, 16, 16}},
+  };
+  for (const auto& golden : goldens) {
+    const auto reads = golden_reads(golden.seed);
+    ASSERT_EQ(reads.reads.size(), golden.labels.size()) << golden.seed;
+    std::vector<std::vector<std::size_t>> want;
+    for (std::size_t r = 0; r < golden.labels.size(); ++r) {
+      if (golden.labels[r] == want.size()) want.emplace_back();
+      want[golden.labels[r]].push_back(r);
+    }
+    const auto got = dna::cluster_reads(reads.reads, dna::ClusterParams{});
+    EXPECT_EQ(got.pair_comparisons, golden.pair_comparisons) << golden.seed;
+    ASSERT_EQ(got.clusters.size(), want.size()) << golden.seed;
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      EXPECT_EQ(got.clusters[c].read_indices, want[c])
+          << "seed " << golden.seed << " cluster " << c;
+    }
+  }
+}
+
 TEST(ScreenedDistance, ClusteringBitIdenticalAcrossKernels) {
   const auto reads = workload(11);
-  dna::ClusterParams screened;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
-  dna::ClusterParams banded = screened;
-  banded.kernel = dna::DistanceKernel::kBandedDp;
-
-  const auto seed = dna::cluster_reads(reads.reads, banded);
-  const auto fast = dna::cluster_reads(reads.reads, screened);
+  const dna::ClusterParams params;
+  const auto seed = dna::cluster_reads_reference(reads.reads, params);
+  const auto fast = dna::cluster_reads(reads.reads, params);
   expect_identical(seed, fast);
   EXPECT_EQ(seed.screened_out, 0u);
   // The unrelated-strand majority of pairs must trip the lower bounds.
@@ -140,36 +189,10 @@ TEST(ScreenedDistance, ClusteringBitIdenticalAcrossKernels) {
   EXPECT_LT(fast.dp_cells_updated, seed.dp_cells_updated);
 
   core::ScopedSerial serial;
-  const auto fast_serial = dna::cluster_reads(reads.reads, screened);
+  const auto fast_serial = dna::cluster_reads(reads.reads, params);
   expect_identical(fast, fast_serial);
   EXPECT_EQ(fast.screened_out, fast_serial.screened_out);
   EXPECT_EQ(fast.dp_cells_updated, fast_serial.dp_cells_updated);
-}
-
-TEST(ScreenedDistance, ScreenQZeroDisablesQgramStageOnly) {
-  const auto reads = workload(13);
-  dna::ClusterParams screened;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
-  dna::ClusterParams no_qgram = screened;
-  no_qgram.screen_q = 0;
-  expect_identical(dna::cluster_reads(reads.reads, screened),
-                   dna::cluster_reads(reads.reads, no_qgram));
-}
-
-TEST(ScreenedDistance, FilteredClusteringBitIdenticalAcrossKernels) {
-  const auto reads = workload(17);
-  dna::ClusterParams screened;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
-  dna::ClusterParams banded = screened;
-  banded.kernel = dna::DistanceKernel::kBandedDp;
-  const dna::FilterParams filter;
-
-  const auto seed = dna::cluster_reads_filtered(reads.reads, banded, filter);
-  const auto fast = dna::cluster_reads_filtered(reads.reads, screened, filter);
-  expect_identical(seed.clusters, fast.clusters);
-  EXPECT_EQ(seed.candidates, fast.candidates);
-  EXPECT_EQ(seed.filtered_out, fast.filtered_out);
-  EXPECT_EQ(seed.exact_evaluations, fast.exact_evaluations);
 }
 
 TEST(ScreenedDistance, IsaSweepClusteringBitIdentical) {
@@ -178,15 +201,14 @@ TEST(ScreenedDistance, IsaSweepClusteringBitIdentical) {
   // a forced-scalar run.
   namespace simd = core::simd;
   const auto reads = workload(23);
-  dna::ClusterParams screened;
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
+  const dna::ClusterParams params;
   simd::set_active_isa(simd::Isa::kScalar);
-  const auto oracle = dna::cluster_reads(reads.reads, screened);
+  const auto oracle = dna::cluster_reads(reads.reads, params);
   for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse4,
                               simd::Isa::kAvx2, simd::Isa::kNeon}) {
     if (!simd::isa_supported(isa)) continue;
     ASSERT_EQ(simd::set_active_isa(isa), isa);
-    const auto got = dna::cluster_reads(reads.reads, screened);
+    const auto got = dna::cluster_reads(reads.reads, params);
     expect_identical(oracle, got);
     EXPECT_EQ(oracle.screened_out, got.screened_out)
         << simd::isa_name(isa);
@@ -194,18 +216,4 @@ TEST(ScreenedDistance, IsaSweepClusteringBitIdentical) {
         << simd::isa_name(isa);
   }
   simd::set_active_isa(simd::detected_isa());
-}
-
-TEST(ScreenedDistance, FullDpFallbackIgnoresKernelChoice) {
-  const auto reads = workload(19);
-  dna::ClusterParams screened;
-  screened.band = 0;  // full DP: the kernel knob must be irrelevant
-  screened.kernel = dna::DistanceKernel::kScreenedMyers;
-  dna::ClusterParams banded = screened;
-  banded.kernel = dna::DistanceKernel::kBandedDp;
-  const auto a = dna::cluster_reads(reads.reads, screened);
-  const auto b = dna::cluster_reads(reads.reads, banded);
-  expect_identical(a, b);
-  EXPECT_EQ(a.dp_cells_updated, b.dp_cells_updated);
-  EXPECT_EQ(a.screened_out, 0u);
 }

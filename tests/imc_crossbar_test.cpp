@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "core/simd.hpp"
 #include "imc/dimc.hpp"
 
 namespace icsc::imc {
@@ -126,8 +125,7 @@ TEST(Crossbar, OpsPerMvm) {
 }
 
 /// Noisy, drifting, glitching config: every stochastic read path is live,
-/// so any divergence in RNG draw order between the SoA MVM and the scalar
-/// oracle shows up immediately.
+/// so any divergence in RNG draw order shows up immediately.
 CrossbarConfig noisy_pcm_config() {
   CrossbarConfig config;
   config.device = pcm_spec();
@@ -140,34 +138,70 @@ CrossbarConfig noisy_pcm_config() {
   return config;
 }
 
-TEST(Crossbar, RawMvmSimdMatchesReferenceAcrossIsas) {
-  // Two identically-seeded arrays stay in RNG lockstep, so the SoA
-  // two-pass MVM must equal the fused scalar oracle bit for bit -- across
-  // repeated (stateful) MVMs and on every supported ISA.
-  namespace simd = core::simd;
-  const auto w = random_weights(6, 10, 7);
-  const auto config = noisy_pcm_config();
-  core::Rng in_rng(29);
-  std::vector<float> x(10);
-  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kSse4,
-                              simd::Isa::kAvx2, simd::Isa::kNeon}) {
-    if (!simd::isa_supported(isa)) continue;
-    ASSERT_EQ(simd::set_active_isa(isa), isa);
-    Crossbar oracle(w, config);
-    Crossbar fast(w, config);
-    for (int m = 0; m < 3; ++m) {
-      for (auto& v : x) v = static_cast<float>(in_rng.uniform(-1.0, 1.0));
-      const auto ref = oracle.matvec_raw_reference(x, 10.0);
-      const auto got = fast.matvec_raw(x, 10.0);
-      ASSERT_EQ(ref.size(), got.size());
-      for (std::size_t o = 0; o < ref.size(); ++o) {
-        ASSERT_EQ(ref[o], got[o])
-            << simd::isa_name(isa) << " mvm=" << m << " col=" << o;
-      }
-    }
-    EXPECT_EQ(oracle.health().transient_hits, fast.health().transient_hits);
+/// Three successive matvec_raw calls, then one two-vector
+/// matvec_raw_batch, all at t = 10 s: the outputs in call order.
+std::vector<double> raw_mvm_trace(Crossbar& xbar, std::uint64_t input_seed) {
+  core::Rng in_rng(input_seed);
+  std::vector<double> trace;
+  std::vector<float> x(xbar.rows());
+  for (int m = 0; m < 3; ++m) {
+    for (auto& v : x) v = static_cast<float>(in_rng.uniform(-1.0, 1.0));
+    const auto y = xbar.matvec_raw(x, 10.0);
+    trace.insert(trace.end(), y.begin(), y.end());
   }
-  simd::set_active_isa(simd::detected_isa());
+  std::vector<float> xs(2 * xbar.rows());
+  for (auto& v : xs) v = static_cast<float>(in_rng.uniform(-1.0, 1.0));
+  const auto batch = xbar.matvec_raw_batch(xs, 2, 10.0);
+  trace.insert(trace.end(), batch.begin(), batch.end());
+  return trace;
+}
+
+void expect_trace(const std::vector<double>& got,
+                  const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "output " << i;
+  }
+}
+
+// Golden raw-MVM outputs, exact to the bit: they pin the RNG draw order,
+// the per-bitline FP sequence, the fault overlay and the spare remap of
+// the read loop, independently of how that loop is written.
+TEST(Crossbar, RawMvmGoldenNoisyPcmWithSpares) {
+  auto config = noisy_pcm_config();
+  config.spare_columns = 2;
+  Crossbar xbar(random_weights(6, 10, 7), config);
+  ASSERT_EQ(xbar.health().remapped_columns, 1u);  // a spare column is read
+  expect_trace(raw_mvm_trace(xbar, 29), {
+      -0.96518324896415153, -0.0079743442999245587, -0.35050936237032626,
+      -0.3584514991005921, -2.6137315790278759, 0.50455360543493599,
+      -0.10656348711380696, -0.99413586025285128, -0.53779444446869484,
+      0.54905955620660074, 0.43179952420610368, 0.13210386284364573,
+      1.0156838418166623, 0.45634040533403725, -0.30539816075183829,
+      0.044635350554590648, -1.1594662755475722, -0.79795536240977605,
+      0.30787760622700094, 1.1287838519560625, 0.84281327974007991,
+      0.110407271634523, 0.40530118229086692, 0.86963100480974009,
+      0.35015757199075065, 0.68972206047793017, 0.47398157705275951,
+      -0.47651908209359539, 2.4350319370813485, 0.47363215753286503});
+  EXPECT_EQ(xbar.energy().total_pj(), 12800.719999999999);
+  EXPECT_EQ(xbar.health().transient_hits, 3u);
+}
+
+TEST(Crossbar, RawMvmGoldenSingleEndedRram) {
+  CrossbarConfig config;
+  config.differential = false;
+  config.ir_drop_per_row = 1e-3;
+  config.adc_bits = 0;
+  config.seed = 5;
+  Crossbar xbar(random_weights(3, 7, 3), config);
+  expect_trace(raw_mvm_trace(xbar, 31), {
+      0.19441853646721963, 0.98702519707508285, 0.075871946905575749,
+      0.32701892150446982, -0.12422129031283631, 0.05392036760927444,
+      0.56280140034294923, 0.44119114415347815, 0.094795275517971081,
+      -0.30347825958551822, -0.41468886334699551, 0.045397286258712144,
+      0.21451414281572437, -0.10277289017078964, 0.016931690120230349});
+  EXPECT_EQ(xbar.energy().total_pj(), 612.08399999999995);
+  EXPECT_EQ(xbar.health().transient_hits, 0u);
 }
 
 TEST(Crossbar, RawMvmBatchMatchesSequentialCalls) {

@@ -9,6 +9,7 @@
 #include "core/bfloat16.hpp"
 #include "core/fixed_point.hpp"
 #include "core/rng.hpp"
+#include "hetero/dna/edit_distance.hpp"
 #include "hetero/dna/prefilter.hpp"
 #include "hls/pipelining.hpp"
 #include "imc/crossbar.hpp"
