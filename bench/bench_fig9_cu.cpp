@@ -2,11 +2,14 @@
 // and 1.5 TFLOPS/W at 460 MHz, 0.55 V" with bf16 Transformer blocks, in
 // ~1.21 mm^2 of GF12. The bench runs bf16 transformer-block kernels through
 // the CU timing/energy model across operating points and GEMM shapes, and
-// times the software bf16 transformer kernels themselves.
+// times the software bf16 transformer kernels themselves. It also swaps the
+// Sec. V aggressive softmax approximation ([18]) into the block's attention
+// and reports how far the block output moves.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
+#include "approx/softmax.hpp"
 #include "core/table.hpp"
 #include "scf/compute_unit.hpp"
 #include "scf/model.hpp"
@@ -62,8 +65,9 @@ void print_tables() {
   std::printf("\n=== Transformer-block kernels on the CU ===\n");
   TransformerConfig model;  // 128 x 256, 4 heads, d_ff 1024
   const TransformerBlock block(model);
+  const auto activations = make_activations(model, 1);
   std::vector<KernelCall> trace;
-  block.forward(make_activations(model, 1), &trace);
+  const auto exact_out = block.forward(activations, &trace);
   core::TextTable kt({"kernel", "shape (m,k,n / elems)", "cycles",
                       "GFLOPS", "energy (uJ)"});
   CuRunStats total;
@@ -94,6 +98,44 @@ void print_tables() {
       total.seconds(cu.config().fclk_mhz) * 1e3,
       static_cast<double>(total.cycles) / 1e3,
       total.gflops(cu.config().fclk_mhz), cu.tflops_per_watt(total));
+
+  std::printf("\n=== Sec. V approximate softmax ([18]) in the block's attention ===\n");
+  {
+    // Same config, hence the same seeded weights; only the attention
+    // softmax changes. The exact-softmax output above is the reference.
+    struct Variant {
+      const char* name;
+      const char* normalisation;
+      TransformerConfig::SoftmaxFn fn;
+    };
+    const Variant variants[] = {
+        {"softmax_approx_exact_norm", "exact divide",
+         approx::softmax_approx_exact_norm},
+        {"softmax_approx", "power-of-two shift",
+         [](std::span<const float> logits) {
+           return approx::softmax_approx(logits);
+         }}};
+    core::TextTable at({"attention softmax", "normalisation",
+                        "block max abs diff vs exact"});
+    for (const auto& variant : variants) {
+      TransformerConfig approx_model = model;
+      approx_model.softmax_override = variant.fn;
+      const TransformerBlock approx_block(approx_model);
+      const float diff =
+          max_abs_diff(approx_block.forward(activations), exact_out);
+      at.add_row({variant.name, variant.normalisation,
+                  core::TextTable::num(diff, 3)});
+    }
+    std::printf("%s", at.to_string().c_str());
+    const auto sweep =
+        approx::sweep_softmax(static_cast<int>(model.seq_len), 1000, 8.0, 1);
+    std::printf(
+        "sweep_softmax (width %zu, 1000 rows, logits in [-8, 8], exact "
+        "divide): mean max-abs error %.4f, worst %.4f, argmax preserved "
+        "%.1f%%\n",
+        model.seq_len, sweep.mean_max_abs_error, sweep.worst_max_abs_error,
+        100.0 * sweep.argmax_preservation_rate);
+  }
 
   std::printf("\n=== Model-level inference on the SCF (12-layer encoder) ===\n");
   {

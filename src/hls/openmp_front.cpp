@@ -1,26 +1,34 @@
 #include "hls/openmp_front.hpp"
 
-#include <stdexcept>
+#include <charconv>
+
+#include "core/error.hpp"
 
 namespace icsc::hls {
 
 OmpDirective parse_omp_directive(const std::string& pragma_text) {
+  constexpr const char* kWhere = "hls::parse_omp_directive";
   if (pragma_text.find("parallel") == std::string::npos ||
       pragma_text.find("for") == std::string::npos) {
-    throw std::invalid_argument("unsupported OpenMP directive: " + pragma_text);
+    throw core::Error(kWhere, "unsupported OpenMP directive", pragma_text);
   }
   OmpDirective directive;
   const auto nt = pragma_text.find("num_threads(");
   if (nt != std::string::npos) {
     const auto close = pragma_text.find(')', nt);
     if (close == std::string::npos) {
-      throw std::invalid_argument("malformed num_threads clause");
+      throw core::Error(kWhere, "malformed num_threads clause", pragma_text);
     }
     const std::string value =
         pragma_text.substr(nt + 12, close - nt - 12);
-    directive.num_threads = std::stoi(value);
+    const char* const last = value.data() + value.size();
+    const auto [end, ec] =
+        std::from_chars(value.data(), last, directive.num_threads);
+    if (ec != std::errc{} || end != last) {
+      throw core::Error(kWhere, "num_threads must be a decimal int", value);
+    }
     if (directive.num_threads <= 0) {
-      throw std::invalid_argument("num_threads must be positive");
+      throw core::Error(kWhere, "num_threads must be positive", value);
     }
   }
   if (pragma_text.find("schedule(static") != std::string::npos) {

@@ -28,7 +28,8 @@ struct OmpDirective {
 };
 
 /// Parses "parallel for num_threads(N) schedule(static|dynamic)".
-/// Throws std::invalid_argument on malformed directives.
+/// Throws core::Error on an unsupported directive, an unclosed clause, or a
+/// num_threads value that is not a positive decimal integer.
 OmpDirective parse_omp_directive(const std::string& pragma_text);
 
 /// Lowers the directive onto a SPARTA configuration: threads -> lanes,

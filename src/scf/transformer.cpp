@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/bfloat16.hpp"
+#include "core/error.hpp"
 #include "core/rng.hpp"
 
 namespace icsc::scf {
@@ -115,7 +116,19 @@ void trace_other(std::vector<KernelCall>* trace, KernelCall::Kind kind,
 
 TransformerBlock::TransformerBlock(const TransformerConfig& config)
     : config_(config) {
-  assert(config.d_model % config.heads == 0);
+  if (config.seq_len == 0 || config.d_model == 0 || config.d_ff == 0) {
+    throw core::Error("scf::TransformerBlock",
+                      "seq_len, d_model and d_ff must be non-zero",
+                      std::to_string(config.seq_len) + " x " +
+                          std::to_string(config.d_model) + ", d_ff " +
+                          std::to_string(config.d_ff));
+  }
+  if (config.heads == 0 || config.d_model % config.heads != 0) {
+    throw core::Error("scf::TransformerBlock",
+                      "heads must be non-zero and divide d_model",
+                      "d_model " + std::to_string(config.d_model) +
+                          ", heads " + std::to_string(config.heads));
+  }
   core::Rng rng(config.seed);
   wq_ = random_weights(config.d_model, config.d_model, rng);
   wk_ = random_weights(config.d_model, config.d_model, rng);
@@ -141,7 +154,12 @@ core::TensorF TransformerBlock::forward(const core::TensorF& input,
   const std::size_t h = config_.heads;
   const std::size_t dh = config_.d_head();
   const bool bf16 = config_.use_bf16;
-  assert(input.dim(0) == s && input.dim(1) == d);
+  if (input.shape() != core::Shape{s, d}) {
+    throw core::Error("scf::TransformerBlock::forward",
+                      "input must be [seq_len, d_model]",
+                      "got " + core::shape_to_string(input.shape()) +
+                          ", want " + core::shape_to_string({s, d}));
+  }
 
   core::TensorF x = input;
   round_tensor_bf16(x, bf16);
@@ -215,7 +233,11 @@ double TransformerBlock::flops() const {
 }
 
 float max_abs_diff(const core::TensorF& a, const core::TensorF& b) {
-  assert(a.same_shape(b));
+  if (!a.same_shape(b)) {
+    throw core::Error("scf::max_abs_diff", "shape mismatch",
+                      core::shape_to_string(a.shape()) + " vs " +
+                          core::shape_to_string(b.shape()));
+  }
   float worst = 0.0F;
   for (std::size_t i = 0; i < a.numel(); ++i) {
     worst = std::max(worst, std::abs(a[i] - b[i]));

@@ -45,9 +45,12 @@ struct KernelCall {
 /// Weights of one encoder block (deterministically initialised).
 class TransformerBlock {
 public:
+  /// Throws core::Error unless seq_len, d_model and d_ff are non-zero and
+  /// heads is non-zero and divides d_model.
   explicit TransformerBlock(const TransformerConfig& config);
 
   /// Runs the block on input [seq_len, d_model]; returns same shape.
+  /// Throws core::Error on any other input shape.
   /// Appends every kernel invocation to `trace` when non-null.
   core::TensorF forward(const core::TensorF& input,
                         std::vector<KernelCall>* trace = nullptr) const;
@@ -64,7 +67,8 @@ private:
   std::vector<float> ln1_gain_, ln1_bias_, ln2_gain_, ln2_bias_;
 };
 
-/// Max absolute elementwise difference between two equal-shape tensors.
+/// Max absolute elementwise difference between two equal-shape tensors;
+/// throws core::Error when the shapes differ.
 float max_abs_diff(const core::TensorF& a, const core::TensorF& b);
 
 /// Deterministic random activations [seq_len, d_model] in [-1, 1].

@@ -101,18 +101,10 @@ JobBody make_fault_campaign_job(
     std::shared_ptr<core::CampaignRunOutcome> out) {
   return [options = std::move(options),
           out = std::move(out)](core::JobContext& ctx) {
-    // Degraded tiers with a stopping rule keep the full statistical budget
-    // and stop at CI convergence; tiers without one (kFull stays
-    // bit-identical) fall back to the blunt trial_scale cut.
-    const TierProfile profile = tier_profile(ctx.tier());
-    const std::size_t trials =
-        profile.campaign_early_stop.enabled
-            ? options.trials
-            : scaled_trials(options.trials, ctx.tier());
-    const core::FaultCampaign campaign(options.seed, trials);
+    const core::FaultCampaign campaign(options.seed, options.trials);
     core::CampaignRunOptions run;
     run.cancel = ctx.cancel();
-    run.early_stop = profile.campaign_early_stop;
+    run.early_stop = tier_profile(ctx.tier()).campaign_early_stop;
     run.checkpoint_path = ctx.checkpoint_path("campaign.snap");
     ctx.heartbeat();
     core::CampaignRunOutcome outcome;

@@ -85,7 +85,8 @@ JobBody make_dse_job(DseJobOptions options,
 
 struct FaultCampaignJobOptions {
   std::uint64_t seed = 1;
-  /// Full-tier trial count; degraded tiers sample scaled_trials() of it.
+  /// Trial budget at every tier; degraded tiers stop early once the KPI
+  /// confidence interval converges (TierProfile::campaign_early_stop).
   std::size_t trials = 32;
   /// Trials folded per heartbeat/checkpoint round.
   std::size_t batch_trials = 4;

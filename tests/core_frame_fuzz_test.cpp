@@ -23,6 +23,7 @@
 #include "core/error.hpp"
 #include "core/result_store.hpp"
 #include "core/rng.hpp"
+#include "fuzz_mutate.hpp"
 
 namespace icsc::core {
 namespace {
@@ -40,41 +41,6 @@ void spew(const std::string& path, const std::vector<std::uint8_t>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
-}
-
-/// One to three seeded mutations: flip 1-4 bits, truncate, or splice a
-/// copy of a span of up to 96 bytes (longer than a small frame) into, or
-/// over, another position.
-std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> bytes, Rng& rng) {
-  for (std::uint64_t round = 1 + rng.below(3); round > 0 && !bytes.empty();
-       --round) {
-    switch (rng.below(3)) {
-      case 0:
-        for (std::uint64_t flips = 1 + rng.below(4); flips > 0; --flips) {
-          bytes[rng.below(bytes.size())] ^=
-              static_cast<std::uint8_t>(1u << rng.below(8));
-        }
-        break;
-      case 1:
-        bytes.resize(rng.below(bytes.size()));
-        break;
-      default: {
-        const std::size_t from = rng.below(bytes.size());
-        const std::size_t len =
-            1 + rng.below(std::min<std::size_t>(96, bytes.size() - from));
-        const std::vector<std::uint8_t> span(bytes.begin() + from,
-                                             bytes.begin() + from + len);
-        const std::size_t to = rng.below(bytes.size() + 1);
-        if (rng.below(2) == 0) {
-          bytes.insert(bytes.begin() + to, span.begin(), span.end());
-        } else {
-          bytes.resize(std::max(bytes.size(), to + len));
-          std::copy(span.begin(), span.end(), bytes.begin() + to);
-        }
-      }
-    }
-  }
-  return bytes;
 }
 
 class FrameFuzzTest : public ::testing::Test {
@@ -101,7 +67,7 @@ TEST_F(FrameFuzzTest, SnapshotLoadServesTheWrittenPayloadOrThrows) {
   const auto corpus = slurp(path);
   Rng rng(0xF022);
   for (int it = 0; it < kIterations; ++it) {
-    spew(path, mutate(corpus, rng));
+    spew(path, fuzz::mutate(corpus, rng));
     try {
       auto reader = SnapshotReader::try_load(path, kKind, 2);
       ASSERT_TRUE(reader.has_value()) << "iteration " << it;
@@ -145,7 +111,7 @@ TEST_F(FrameFuzzTest, JournalReplayServesOnlyWrittenRecords) {
   };
   Rng rng(0xF023);
   for (int it = 0; it < kIterations; ++it) {
-    spew(path, mutate(corpus, rng));
+    spew(path, fuzz::mutate(corpus, rng));
     try {
       check(RunJournal::replay(path, kKind), it);
       if (HasFatalFailure()) return;
@@ -183,7 +149,7 @@ TEST_F(FrameFuzzTest, StoreOpenServesOnlyWrittenRecords) {
   const auto corpus = slurp(log);
   Rng rng(0xF024);
   for (int it = 0; it < kIterations; ++it) {
-    spew(log, mutate(corpus, rng));
+    spew(log, fuzz::mutate(corpus, rng));
     try {
       ResultStore store(config);
       EXPECT_LE(store.size(), written.size()) << "iteration " << it;

@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "core/error.hpp"
+#include "core/rng.hpp"
+#include "fuzz_mutate.hpp"
 #include "hls/openmp_front.hpp"
 
 namespace icsc::hls {
@@ -174,12 +176,38 @@ TEST(OmpFront, ParsesClauses) {
 }
 
 TEST(OmpFront, RejectsUnsupported) {
-  EXPECT_THROW(parse_omp_directive("#pragma omp sections"),
-               std::invalid_argument);
-  EXPECT_THROW(parse_omp_directive("#pragma omp parallel for num_threads(0)"),
-               std::invalid_argument);
-  EXPECT_THROW(parse_omp_directive("#pragma omp parallel for num_threads(3"),
-               std::invalid_argument);
+  for (const char* pragma_text :
+       {"#pragma omp sections", "#pragma omp parallel for num_threads(0)",
+        "#pragma omp parallel for num_threads(3",
+        "#pragma omp parallel for num_threads(abc)",
+        "#pragma omp parallel for num_threads(99999999999)",
+        "#pragma omp parallel for num_threads(4x)"}) {
+    EXPECT_THROW(parse_omp_directive(pragma_text), core::Error)
+        << pragma_text;
+  }
+}
+
+TEST(OmpFront, MutatedPragmasParseOrThrowError) {
+  // Seeded mutation fuzz over the pragmas bench_sparta_graphs and the
+  // accelerator_design_flow example parse: bit flips, truncations and
+  // splices. Every mutant yields a usable directive or throws core::Error;
+  // any other exception escapes and fails the test.
+  const std::vector<std::string> corpus = {
+      "#pragma omp parallel for num_threads(8) schedule(static)",
+      "#pragma omp parallel for num_threads(8) schedule(dynamic)"};
+  core::Rng rng(0x0A9);
+  int accepted = 0;
+  for (int it = 0; it < 400; ++it) {
+    const std::string text =
+        fuzz::mutate(corpus[rng.below(corpus.size())], rng);
+    try {
+      EXPECT_GE(parse_omp_directive(text).num_threads, 1) << text;
+      ++accepted;
+    } catch (const core::Error&) {
+      // A damaged pragma is rejected: the contract.
+    }
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(OmpFront, LoweringSetsLanesAndPartition) {

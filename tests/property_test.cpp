@@ -6,8 +6,8 @@
 
 #include <cmath>
 
+#include "approx/conv.hpp"
 #include "core/bfloat16.hpp"
-#include "core/fixed_point.hpp"
 #include "core/rng.hpp"
 #include "hetero/dna/edit_distance.hpp"
 #include "hetero/dna/prefilter.hpp"
@@ -21,27 +21,47 @@ using namespace icsc;
 
 // ---------------------------------------------------------------- formats
 
-class FixedPointLaws : public ::testing::TestWithParam<std::uint64_t> {};
+class NumberFormatLaws : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(FixedPointLaws, AdditionCommutesAndQuantizationIsMonotone) {
+TEST_P(NumberFormatLaws, QuantConfigIsMonotoneAndSaturates) {
+  // The 16-bit formats every conv path quantises to: Q7.8 activations and
+  // Q3.12 weights, each saturating at its two's-complement bounds.
+  struct Format {
+    float (approx::QuantConfig::*quantize)(float) const;
+    float lo, hi;
+  };
+  const Format formats[] = {
+      {&approx::QuantConfig::quantize_activation, -128.0F, 32767.0F / 256.0F},
+      {&approx::QuantConfig::quantize_weight, -8.0F, 32767.0F / 4096.0F}};
+  const approx::QuantConfig config;
   core::Rng rng(GetParam());
-  for (int i = 0; i < 500; ++i) {
-    const double a = rng.uniform(-100.0, 100.0);
-    const double b = rng.uniform(-100.0, 100.0);
-    const auto fa = core::Q16::from_double(a);
-    const auto fb = core::Q16::from_double(b);
-    EXPECT_EQ((fa + fb).raw(), (fb + fa).raw());
-    EXPECT_EQ((fa * fb).raw(), (fb * fa).raw());
-    // Monotonicity of quantisation.
-    if (a <= b) {
-      EXPECT_LE(fa.raw(), fb.raw());
-    } else {
-      EXPECT_GE(fa.raw(), fb.raw());
+  for (const auto& f : formats) {
+    const auto quantize = [&](float v) { return (config.*f.quantize)(v); };
+    // Draws reach twice past either bound, so saturation is exercised too.
+    const double reach = 2.0 * -f.lo;
+    for (int i = 0; i < 500; ++i) {
+      const auto a = static_cast<float>(rng.uniform(-reach, reach));
+      const auto b = static_cast<float>(rng.uniform(-reach, reach));
+      const float qa = quantize(a), qb = quantize(b);
+      if (a <= b) {
+        EXPECT_LE(qa, qb);
+      } else {
+        EXPECT_GE(qa, qb);
+      }
+      EXPECT_GE(qa, f.lo);
+      EXPECT_LE(qa, f.hi);
+      if (a >= f.hi) {
+        EXPECT_EQ(qa, f.hi);
+      } else if (a <= f.lo) {
+        EXPECT_EQ(qa, f.lo);
+      }
     }
+    EXPECT_EQ(quantize(1e30F), f.hi);
+    EXPECT_EQ(quantize(-1e30F), f.lo);
   }
 }
 
-TEST_P(FixedPointLaws, Bf16RoundingIsMonotoneAndBounded) {
+TEST_P(NumberFormatLaws, Bf16RoundingIsMonotoneAndBounded) {
   core::Rng rng(GetParam() ^ 0xBF16);
   float prev_in = -1e30F, prev_out = -1e30F;
   for (int i = 0; i < 500; ++i) {
@@ -61,7 +81,7 @@ TEST_P(FixedPointLaws, Bf16RoundingIsMonotoneAndBounded) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FixedPointLaws,
+INSTANTIATE_TEST_SUITE_P(Seeds, NumberFormatLaws,
                          ::testing::Values(1u, 42u, 777u));
 
 // ------------------------------------------------------------ edit metric

@@ -23,11 +23,11 @@
 #include "hetero/dna/storage_sim.hpp"
 #include "hls/dse.hpp"
 #include "hls/scheduling.hpp"
-#include "imc/conv_mapping.hpp"
 #include "imc/crossbar.hpp"
 #include "scf/compute_unit.hpp"
 #include "scf/fabric.hpp"
 #include "scf/hetero_fabric.hpp"
+#include "scf/transformer.hpp"
 
 namespace {
 
@@ -673,16 +673,40 @@ TEST(Robustness, GraphValidationThrows) {
 TEST(Robustness, ImcValidationThrows) {
   EXPECT_THROW(imc::Crossbar(core::TensorF({3}), imc::CrossbarConfig{}),
                core::Error);
-  EXPECT_THROW(
-      imc::CrossbarConv(core::TensorF({2, 3}), imc::TileConfig{}),
-      core::Error);
-  EXPECT_THROW(
-      imc::CrossbarConv(core::TensorF({2, 2, 2, 2}), imc::TileConfig{}),
-      core::Error);  // even kernel
   core::TensorF w({4, 4}, 0.5F);
   imc::Crossbar xbar(w, imc::CrossbarConfig{});
   const std::vector<float> wrong(3, 1.0F);
   EXPECT_THROW(xbar.matvec(std::span<const float>(wrong)), core::Error);
+}
+
+TEST(Robustness, TransformerConfigValidationThrows) {
+  const auto rejects = [](auto edit) {
+    scf::TransformerConfig config;
+    edit(config);
+    EXPECT_THROW(scf::TransformerBlock{config}, core::Error);
+  };
+  rejects([](scf::TransformerConfig& c) { c.heads = 0; });  // d_head() / 0
+  rejects([](scf::TransformerConfig& c) { c.heads = 3; });  // 256 % 3 != 0
+  rejects([](scf::TransformerConfig& c) { c.seq_len = 0; });
+  rejects([](scf::TransformerConfig& c) { c.d_model = 0; });
+  rejects([](scf::TransformerConfig& c) { c.d_ff = 0; });
+}
+
+TEST(Robustness, TransformerShapeMismatchesThrow) {
+  scf::TransformerConfig config;
+  config.seq_len = 8;
+  config.d_model = 16;
+  config.heads = 2;
+  config.d_ff = 32;
+  const scf::TransformerBlock block(config);
+  const auto x = scf::make_activations(config, 1);
+  EXPECT_THROW(block.forward(core::TensorF({8, 17})), core::Error);
+  EXPECT_THROW(block.forward(core::TensorF({9, 16})), core::Error);
+  EXPECT_THROW(block.forward(core::TensorF({8 * 16})), core::Error);
+  const auto y = block.forward(x);
+  EXPECT_EQ(scf::max_abs_diff(y, y), 0.0F);
+  EXPECT_THROW(scf::max_abs_diff(y, core::TensorF({8, 15})), core::Error);
+  EXPECT_THROW(scf::max_abs_diff(y, core::TensorF({16, 8})), core::Error);
 }
 
 }  // namespace
