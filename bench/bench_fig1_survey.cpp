@@ -55,9 +55,7 @@ std::vector<SurveyEntry> model_points() {
   // Our 16-CU SCF running a transformer block.
   {
     TransformerConfig model;
-    const TransformerBlock block(model);
-    std::vector<KernelCall> trace;
-    block.forward(make_activations(model, 1), &trace);
+    const auto trace = kernel_trace(model);
     FabricConfig config;
     config.num_cus = 16;
     const ScalableComputeFabric fabric(config);

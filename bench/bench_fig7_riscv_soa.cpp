@@ -18,9 +18,7 @@ using namespace icsc::scf;
 
 void BM_ScfPoint(benchmark::State& state) {
   TransformerConfig model;
-  const TransformerBlock block(model);
-  std::vector<KernelCall> trace;
-  block.forward(make_activations(model, 1), &trace);
+  const auto trace = kernel_trace(model);
   FabricConfig config;
   config.num_cus = static_cast<int>(state.range(0));
   const ScalableComputeFabric fabric(config);
@@ -36,9 +34,7 @@ void print_tables() {
 
   // Our model points: single CU and 16-CU SCF (the >1W target zone).
   TransformerConfig model;
-  const TransformerBlock block(model);
-  std::vector<KernelCall> trace;
-  block.forward(make_activations(model, 1), &trace);
+  const auto trace = kernel_trace(model);
   for (const int cus : {1, 16, 64}) {
     FabricConfig config;
     config.num_cus = cus;

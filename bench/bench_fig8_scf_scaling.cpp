@@ -17,9 +17,7 @@ using namespace icsc::scf;
 
 void BM_FabricTrace(benchmark::State& state) {
   TransformerConfig model;
-  const TransformerBlock block(model);
-  std::vector<KernelCall> trace;
-  block.forward(make_activations(model, 1), &trace);
+  const auto trace = kernel_trace(model);
   FabricConfig config;
   config.num_cus = static_cast<int>(state.range(0));
   const ScalableComputeFabric fabric(config);

@@ -79,11 +79,8 @@ void print_tables() {
       shape = std::to_string(call.m) + "x" + std::to_string(call.k) + "x" +
               std::to_string(call.n);
     } else {
-      const double ops = call.kind == KernelCall::Kind::kSoftmax    ? 6
-                         : call.kind == KernelCall::Kind::kLayerNorm ? 5
-                         : call.kind == KernelCall::Kind::kGelu      ? 8
-                                                                     : 1;
-      stats = cu.run_elementwise(call.m, ops, ops - 1);
+      const ElementCost cost = element_cost(call.kind);
+      stats = cu.run_elementwise(call.m, cost.ops, cost.flops);
       shape = std::to_string(call.m);
     }
     total = ComputeUnit::combine(total, stats);

@@ -36,15 +36,16 @@ int main() {
               max_abs_diff(y_bf, y_fp));
 
   // Kernel trace onto one CU.
-  std::vector<KernelCall> trace;
-  bf16_block.forward(x, &trace);
+  const auto trace = kernel_trace(model);
   const ComputeUnit cu;
   CuRunStats total;
   for (const auto& call : trace) {
     if (call.kind == KernelCall::Kind::kGemm) {
       total = ComputeUnit::combine(total, cu.run_gemm(call.m, call.k, call.n));
     } else {
-      total = ComputeUnit::combine(total, cu.run_elementwise(call.m, 6.0, 5.0));
+      const ElementCost cost = element_cost(call.kind);
+      total = ComputeUnit::combine(
+          total, cu.run_elementwise(call.m, cost.ops, cost.flops));
     }
   }
   std::printf("on one CU (%s): %.2f ms/block, %.1f GFLOPS sustained, "

@@ -10,6 +10,8 @@
 // checking exactly once on entry.
 #pragma once
 
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -31,5 +33,27 @@ public:
 private:
   std::string where_;
 };
+
+/// Range checks for config validate() methods: each throws
+/// Error(where, "<field> must be finite and ...", "got <value>") unless
+/// `value` is finite and inside the range.
+inline void require_at_least(const std::string& where, const char* field,
+                             double value, double min) {
+  if (std::isfinite(value) && value >= min) return;
+  char bound[32];
+  char got[40];
+  std::snprintf(bound, sizeof bound, "%g", min);
+  std::snprintf(got, sizeof got, "got %g", value);
+  throw Error(where, std::string(field) + " must be finite and >= " + bound,
+              got);
+}
+
+inline void require_positive(const std::string& where, const char* field,
+                             double value) {
+  if (std::isfinite(value) && value > 0.0) return;
+  char got[40];
+  std::snprintf(got, sizeof got, "got %g", value);
+  throw Error(where, std::string(field) + " must be finite and > 0", got);
+}
 
 }  // namespace icsc::core

@@ -3,7 +3,23 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/error.hpp"
+
 namespace icsc::scf {
+
+void CuConfig::validate() const {
+  const std::string where = "scf::CuConfig";
+  core::require_at_least(where, "cores", cores, 1);
+  core::require_at_least(where, "tensor_rows", tensor_rows, 1);
+  core::require_at_least(where, "tensor_cols", tensor_cols, 1);
+  core::require_positive(where, "fclk_mhz", fclk_mhz);
+  core::require_positive(where, "vdd", vdd);
+  core::require_positive(where, "dma_bytes_per_cycle", dma_bytes_per_cycle);
+  core::require_at_least(where, "fma_energy_pj", fma_energy_pj, 0.0);
+  core::require_at_least(where, "core_op_energy_pj", core_op_energy_pj, 0.0);
+  core::require_at_least(where, "dma_byte_energy_pj", dma_byte_energy_pj, 0.0);
+  core::require_at_least(where, "static_power_mw", static_power_mw, 0.0);
+}
 
 CuConfig at_operating_point(const CuConfig& base, double fclk_mhz,
                             double vdd) {
@@ -18,7 +34,9 @@ CuConfig at_operating_point(const CuConfig& base, double fclk_mhz,
   return config;
 }
 
-ComputeUnit::ComputeUnit(CuConfig config) : config_(config) {}
+ComputeUnit::ComputeUnit(CuConfig config) : config_(config) {
+  config_.validate();
+}
 
 CuRunStats ComputeUnit::run_gemm(std::size_t m, std::size_t k,
                                  std::size_t n) const {

@@ -41,6 +41,11 @@ struct CuConfig {
   double peak_gflops() const {
     return 2.0 * tensor_rows * tensor_cols * fclk_mhz * 1e-3;
   }
+
+  /// Throws core::Error unless cores, tensor_rows and tensor_cols are >= 1,
+  /// fclk_mhz, vdd and dma_bytes_per_cycle are finite and > 0, and every
+  /// energy and power is finite and >= 0.
+  void validate() const;
 };
 
 /// Voltage/frequency operating point scaling: energy ~ V^2, static ~ V^3,
@@ -65,6 +70,7 @@ struct CuRunStats {
 
 class ComputeUnit {
 public:
+  /// Throws core::Error when config.validate() does.
   explicit ComputeUnit(CuConfig config = {});
 
   const CuConfig& config() const { return config_; }

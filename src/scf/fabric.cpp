@@ -3,31 +3,21 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/error.hpp"
 #include "core/fault.hpp"
 #include "core/trace.hpp"
 
 namespace icsc::scf {
 
-namespace {
-
-/// Core-op and FLOP costs per element for the non-GEMM kernels.
-struct ElementCost {
-  double ops;
-  double flops;
-};
-
-ElementCost element_cost(KernelCall::Kind kind) {
-  switch (kind) {
-    case KernelCall::Kind::kSoftmax: return {6.0, 5.0};
-    case KernelCall::Kind::kLayerNorm: return {5.0, 4.0};
-    case KernelCall::Kind::kGelu: return {8.0, 6.0};
-    case KernelCall::Kind::kResidualAdd: return {1.0, 1.0};
-    case KernelCall::Kind::kGemm: return {0.0, 0.0};
-  }
-  return {0.0, 0.0};
+void FabricConfig::validate() const {
+  cu.validate();
+  const std::string where = "scf::FabricConfig";
+  core::require_positive(where, "interconnect_bytes_per_cycle",
+                         interconnect_bytes_per_cycle);
+  core::require_at_least(where, "dispatch_cycles", dispatch_cycles, 0.0);
+  core::require_at_least(where, "uncore_power_mw", uncore_power_mw, 0.0);
+  core::require_at_least(where, "slow_cu_penalty", slow_cu_penalty, 1.0);
 }
-
-}  // namespace
 
 FabricHealth census_cus(const core::FaultConfig& faults, int total, int forced,
                         std::uint64_t site_base) {
@@ -65,7 +55,9 @@ ScalableComputeFabric::ScalableComputeFabric(FabricConfig config)
     : config_(config),
       cu_(config.cu),
       health_(census_cus(config.faults, config.num_cus,
-                         config.forced_failed_cus)) {}
+                         config.forced_failed_cus)) {
+  config_.validate();
+}
 
 FabricRunStats ScalableComputeFabric::run_kernel(const KernelCall& call) const {
   FabricRunStats stats;
@@ -194,9 +186,7 @@ double ScalableComputeFabric::tflops_per_watt(
 std::vector<ScalingPoint> strong_scaling(const TransformerConfig& model,
                                          const FabricConfig& base,
                                          int max_cus) {
-  const TransformerBlock block(model);
-  std::vector<KernelCall> trace;
-  block.forward(make_activations(model, 1), &trace);
+  const auto trace = kernel_trace(model);
 
   std::vector<ScalingPoint> points;
   double single_cycles = 0.0;
@@ -224,11 +214,7 @@ std::vector<ScalingPoint> weak_scaling(const TransformerConfig& base_model,
   for (int cus = 1; cus <= max_cus; cus *= 2) {
     TransformerConfig model = base_model;
     model.seq_len = base_model.seq_len * static_cast<std::size_t>(cus);
-    const TransformerBlock block(model);
-    std::vector<KernelCall> trace;
-    // The kernel shapes (not the numerics) drive the timing model; use a
-    // light activation tensor to build the trace.
-    block.forward(make_activations(model, 1), &trace);
+    const auto trace = kernel_trace(model);
 
     FabricConfig config = base;
     config.num_cus = cus;

@@ -47,6 +47,12 @@ struct FabricConfig {
   /// Cycle multiplier a delay-faulted CU imposes on the kernels it joins
   /// (bulk-synchronous execution waits on the laggard).
   double slow_cu_penalty = 2.0;
+
+  /// Throws core::Error when cu.validate() does, or unless
+  /// interconnect_bytes_per_cycle is finite and > 0, dispatch_cycles and
+  /// uncore_power_mw are finite and >= 0, and slow_cu_penalty is finite
+  /// and >= 1.
+  void validate() const;
 };
 
 struct FabricRunStats {
@@ -97,6 +103,7 @@ struct DegradedKpi {
 
 class ScalableComputeFabric {
 public:
+  /// Throws core::Error when config.validate() does.
   explicit ScalableComputeFabric(FabricConfig config = {});
 
   const FabricConfig& config() const { return config_; }
@@ -126,8 +133,9 @@ private:
   FabricHealth health_;
 };
 
-/// Strong-scaling study: same trace on 1..max_cus CUs; returns speedup
-/// relative to one CU for each point.
+/// One point of a scaling study. Both studies build their traces with
+/// kernel_trace(), from the config alone: the fabric model reads kernel
+/// shapes, so no weights are drawn and no numeric forward runs.
 struct ScalingPoint {
   int cus = 1;
   double speedup = 1.0;
@@ -136,6 +144,9 @@ struct ScalingPoint {
   double tflops_per_watt = 0.0;
 };
 
+/// Strong-scaling study: kernel_trace(model) on 1, 2, 4, ... max_cus CUs;
+/// `speedup` is relative to one CU. Throws core::Error when model or base
+/// does not validate.
 std::vector<ScalingPoint> strong_scaling(const TransformerConfig& model,
                                          const FabricConfig& base,
                                          int max_cus);
@@ -144,6 +155,7 @@ std::vector<ScalingPoint> strong_scaling(const TransformerConfig& model,
 /// count so the work per CU stays constant; `speedup` is relative work
 /// rate vs one CU on the base model. The SCF template is designed for this
 /// regime ("HPC deep learning inference" on growing problem sizes).
+/// Throws core::Error when base_model or base does not validate.
 std::vector<ScalingPoint> weak_scaling(const TransformerConfig& base_model,
                                        const FabricConfig& base, int max_cus);
 

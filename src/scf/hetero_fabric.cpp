@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/error.hpp"
+
 namespace icsc::scf {
 
 CuConfig vector_cu_config() {
@@ -17,10 +19,22 @@ CuConfig vector_cu_config() {
   return config;
 }
 
+void HeteroFabricConfig::validate() const {
+  tensor_cu.validate();
+  vector_cu.validate();
+  const std::string where = "scf::HeteroFabricConfig";
+  core::require_positive(where, "interconnect_bytes_per_cycle",
+                         interconnect_bytes_per_cycle);
+  core::require_at_least(where, "dispatch_cycles", dispatch_cycles, 0.0);
+  core::require_at_least(where, "uncore_power_mw", uncore_power_mw, 0.0);
+  core::require_at_least(where, "slow_cu_penalty", slow_cu_penalty, 1.0);
+}
+
 HeterogeneousFabric::HeterogeneousFabric(HeteroFabricConfig config)
     : config_(config),
       tensor_cu_(config.tensor_cu),
       vector_cu_(config.vector_cu) {
+  config_.validate();
   health_.tensor = census_cus(config_.faults, config_.tensor_cus,
                               config_.forced_failed_tensor_cus,
                               /*site_base=*/0);
@@ -30,26 +44,6 @@ HeterogeneousFabric::HeterogeneousFabric(HeteroFabricConfig config)
   health_.operational =
       health_.tensor.active_cus + health_.vector.active_cus > 0;
 }
-
-namespace {
-
-struct ElementCost {
-  double ops;
-  double flops;
-};
-
-ElementCost element_cost(KernelCall::Kind kind) {
-  switch (kind) {
-    case KernelCall::Kind::kSoftmax: return {6.0, 5.0};
-    case KernelCall::Kind::kLayerNorm: return {5.0, 4.0};
-    case KernelCall::Kind::kGelu: return {8.0, 6.0};
-    case KernelCall::Kind::kResidualAdd: return {1.0, 1.0};
-    case KernelCall::Kind::kGemm: return {0.0, 0.0};
-  }
-  return {0.0, 0.0};
-}
-
-}  // namespace
 
 FabricRunStats HeterogeneousFabric::run_kernel(const KernelCall& call) const {
   FabricRunStats stats;
@@ -158,9 +152,7 @@ double HeterogeneousFabric::tflops_per_watt(const FabricRunStats& stats) const {
 
 std::vector<MixPoint> sweep_cu_mix(const TransformerConfig& model,
                                    int total_cus) {
-  const TransformerBlock block(model);
-  std::vector<KernelCall> trace;
-  block.forward(make_activations(model, 1), &trace);
+  const auto trace = kernel_trace(model);
 
   std::vector<MixPoint> points;
   for (int vector_cus = 0; vector_cus <= total_cus / 2;

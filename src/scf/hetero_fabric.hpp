@@ -41,6 +41,10 @@ struct HeteroFabricConfig {
   double slow_cu_penalty = 2.0;
 
   int total_cus() const { return tensor_cus + vector_cus; }
+
+  /// Throws core::Error when either CU config's validate() does, or on the
+  /// fabric-level values FabricConfig::validate() rejects.
+  void validate() const;
 };
 
 /// Per-pool health census of a heterogeneous fabric.
@@ -55,6 +59,7 @@ public:
   /// Fault-site base for vector CUs (keeps the two pools' sites disjoint).
   static constexpr std::uint64_t kVectorSiteBase = 1000;
 
+  /// Throws core::Error when config.validate() does.
   explicit HeterogeneousFabric(HeteroFabricConfig config = {});
 
   const HeteroFabricConfig& config() const { return config_; }
@@ -74,7 +79,7 @@ private:
 };
 
 /// Comparison of a homogeneous fabric against hetero mixes with the same
-/// total CU count on a transformer trace.
+/// total CU count on kernel_trace(model).
 struct MixPoint {
   int tensor_cus = 0;
   int vector_cus = 0;

@@ -28,9 +28,12 @@ double TransformerModel::flops() const {
 
 ModelInferenceEstimate estimate_model_inference(const TransformerModel& model,
                                                 const FabricConfig& fabric) {
-  // Trace once (kernel shapes are identical across inputs).
+  // Every block shares the config, hence the kernel shapes.
+  const auto block_trace = kernel_trace(model.config());
   std::vector<KernelCall> trace;
-  model.forward(make_activations(model.config(), 1), &trace);
+  for (int l = 0; l < model.layers(); ++l) {
+    trace.insert(trace.end(), block_trace.begin(), block_trace.end());
+  }
   const ScalableComputeFabric scf(fabric);
   const auto stats = scf.run_trace(trace);
 

@@ -42,6 +42,9 @@ struct ModelInferenceEstimate {
   double power_w = 0.0;
 };
 
+/// Times layers() copies of kernel_trace(config()) on the fabric; no
+/// numeric forward runs. Throws core::Error when the fabric config does not
+/// validate.
 ModelInferenceEstimate estimate_model_inference(const TransformerModel& model,
                                                 const FabricConfig& fabric);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
+#include <utility>
 
 #include "core/bfloat16.hpp"
 #include "core/error.hpp"
@@ -100,35 +102,63 @@ core::TensorF random_weights(std::size_t out, std::size_t in, core::Rng& rng) {
   return w;
 }
 
-void trace_gemm(std::vector<KernelCall>* trace, std::size_t m, std::size_t k,
-                std::size_t n, const std::string& label) {
-  if (trace) {
-    trace->push_back({KernelCall::Kind::kGemm, m, k, n, label});
+}  // namespace
+
+void TransformerConfig::validate() const {
+  if (seq_len == 0 || d_model == 0 || d_ff == 0) {
+    throw core::Error("scf::TransformerConfig",
+                      "seq_len, d_model and d_ff must be non-zero",
+                      std::to_string(seq_len) + " x " +
+                          std::to_string(d_model) + ", d_ff " +
+                          std::to_string(d_ff));
+  }
+  if (heads == 0 || d_model % heads != 0) {
+    throw core::Error("scf::TransformerConfig",
+                      "heads must be non-zero and divide d_model",
+                      "d_model " + std::to_string(d_model) + ", heads " +
+                          std::to_string(heads));
   }
 }
 
-void trace_other(std::vector<KernelCall>* trace, KernelCall::Kind kind,
-                 std::size_t elements, const std::string& label) {
-  if (trace) trace->push_back({kind, elements, 0, 0, label});
+std::vector<KernelCall> kernel_trace(const TransformerConfig& config) {
+  config.validate();
+  using Kind = KernelCall::Kind;
+  const std::size_t s = config.seq_len;
+  const std::size_t d = config.d_model;
+  const std::size_t dh = config.d_head();
+  const std::size_t ff = config.d_ff;
+  std::vector<KernelCall> trace;
+  const auto gemm = [&trace](std::size_t m, std::size_t k, std::size_t n,
+                             std::string label) {
+    trace.push_back({Kind::kGemm, m, k, n, std::move(label)});
+  };
+  const auto other = [&trace](Kind kind, std::size_t elements,
+                              std::string label) {
+    trace.push_back({kind, elements, 0, 0, std::move(label)});
+  };
+  gemm(s, d, d, "q_proj");
+  gemm(s, d, d, "k_proj");
+  gemm(s, d, d, "v_proj");
+  for (std::size_t head = 0; head < config.heads; ++head) {
+    const std::string h = std::to_string(head);
+    gemm(s, dh, s, "attn_scores_h" + h);
+    other(Kind::kSoftmax, s * s, "softmax_h" + h);
+    gemm(s, s, dh, "attn_context_h" + h);
+  }
+  gemm(s, d, d, "out_proj");
+  other(Kind::kResidualAdd, s * d, "residual1");
+  other(Kind::kLayerNorm, s * d, "ln1");
+  gemm(s, d, ff, "ffn_up");
+  other(Kind::kGelu, s * ff, "gelu");
+  gemm(s, ff, d, "ffn_down");
+  other(Kind::kResidualAdd, s * d, "residual2");
+  other(Kind::kLayerNorm, s * d, "ln2");
+  return trace;
 }
-
-}  // namespace
 
 TransformerBlock::TransformerBlock(const TransformerConfig& config)
     : config_(config) {
-  if (config.seq_len == 0 || config.d_model == 0 || config.d_ff == 0) {
-    throw core::Error("scf::TransformerBlock",
-                      "seq_len, d_model and d_ff must be non-zero",
-                      std::to_string(config.seq_len) + " x " +
-                          std::to_string(config.d_model) + ", d_ff " +
-                          std::to_string(config.d_ff));
-  }
-  if (config.heads == 0 || config.d_model % config.heads != 0) {
-    throw core::Error("scf::TransformerBlock",
-                      "heads must be non-zero and divide d_model",
-                      "d_model " + std::to_string(config.d_model) +
-                          ", heads " + std::to_string(config.heads));
-  }
+  config.validate();
   core::Rng rng(config.seed);
   wq_ = random_weights(config.d_model, config.d_model, rng);
   wk_ = random_weights(config.d_model, config.d_model, rng);
@@ -166,11 +196,8 @@ core::TensorF TransformerBlock::forward(const core::TensorF& input,
 
   // QKV projections.
   const auto q = gemm_bt(x, wq_, bf16);
-  trace_gemm(trace, s, d, d, "q_proj");
   const auto k_mat = gemm_bt(x, wk_, bf16);
-  trace_gemm(trace, s, d, d, "k_proj");
   const auto v = gemm_bt(x, wv_, bf16);
-  trace_gemm(trace, s, d, d, "v_proj");
 
   // Attention per head.
   core::TensorF context({s, d});
@@ -186,41 +213,34 @@ core::TensorF TransformerBlock::forward(const core::TensorF& input,
       }
     }
     auto scores = gemm_bt(qh, kh, bf16);  // [s, s]
-    trace_gemm(trace, s, dh, s, "attn_scores_h" + std::to_string(head));
     scores *= scale;
     round_tensor_bf16(scores, bf16);
     softmax_rows(scores, bf16, config_.softmax_override);
-    trace_other(trace, KernelCall::Kind::kSoftmax, s * s,
-                "softmax_h" + std::to_string(head));
     const auto ctx = gemm(scores, vh, bf16);  // [s, dh]
-    trace_gemm(trace, s, s, dh, "attn_context_h" + std::to_string(head));
     for (std::size_t r = 0; r < s; ++r) {
       for (std::size_t c = 0; c < dh; ++c) context(r, off + c) = ctx(r, c);
     }
   }
 
   auto attn_out = gemm_bt(context, wo_, bf16);
-  trace_gemm(trace, s, d, d, "out_proj");
 
   // Residual + layer norm.
   attn_out += x;
   round_tensor_bf16(attn_out, bf16);
-  trace_other(trace, KernelCall::Kind::kResidualAdd, s * d, "residual1");
   layer_norm(attn_out, ln1_gain_, ln1_bias_, bf16);
-  trace_other(trace, KernelCall::Kind::kLayerNorm, s * d, "ln1");
 
   // FFN.
   auto hidden = gemm_bt(attn_out, w1_, bf16);  // [s, d_ff]
-  trace_gemm(trace, s, d, config_.d_ff, "ffn_up");
   gelu(hidden, bf16);
-  trace_other(trace, KernelCall::Kind::kGelu, s * config_.d_ff, "gelu");
   auto out = gemm_bt(hidden, w2_, bf16);  // [s, d]
-  trace_gemm(trace, s, config_.d_ff, d, "ffn_down");
   out += attn_out;
   round_tensor_bf16(out, bf16);
-  trace_other(trace, KernelCall::Kind::kResidualAdd, s * d, "residual2");
   layer_norm(out, ln2_gain_, ln2_bias_, bf16);
-  trace_other(trace, KernelCall::Kind::kLayerNorm, s * d, "ln2");
+  if (trace) {
+    auto calls = kernel_trace(config_);
+    trace->insert(trace->end(), std::make_move_iterator(calls.begin()),
+                  std::make_move_iterator(calls.end()));
+  }
   return out;
 }
 

@@ -4,9 +4,12 @@
 // implements the block numerically -- QKV projection, multi-head
 // attention, softmax, residual + layer norm, GELU FFN -- with bf16 storage
 // rounding on every tensor (fp32 accumulation inside GEMMs, matching the
-// tensor engine), and records the kernel sequence with sizes so the CU and
-// fabric models can time it. Numerical correctness is validated against an
-// fp32 reference in the test suite.
+// tensor engine). Numerical correctness is validated against an fp32
+// reference in the test suite.
+//
+// The CU and fabric models time the block from its kernel sequence with
+// sizes, which depends on the config alone: kernel_trace() builds it
+// without weights or numerics, and forward() appends the same list.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +35,10 @@ struct TransformerConfig {
   SoftmaxFn softmax_override = nullptr;
 
   std::size_t d_head() const { return d_model / heads; }
+
+  /// Throws core::Error unless seq_len, d_model and d_ff are non-zero and
+  /// heads is non-zero and divides d_model.
+  void validate() const;
 };
 
 /// One kernel invocation in the block, for the performance models.
@@ -42,16 +49,38 @@ struct KernelCall {
   std::string label;
 };
 
+/// Core-op and FLOP costs per element of a non-GEMM kernel on the CU
+/// cores; zero for GEMMs, which the tensor engine times from (m, k, n).
+struct ElementCost {
+  double ops;
+  double flops;
+};
+
+constexpr ElementCost element_cost(KernelCall::Kind kind) {
+  switch (kind) {
+    case KernelCall::Kind::kSoftmax: return {6.0, 5.0};
+    case KernelCall::Kind::kLayerNorm: return {5.0, 4.0};
+    case KernelCall::Kind::kGelu: return {8.0, 6.0};
+    case KernelCall::Kind::kResidualAdd: return {1.0, 1.0};
+    case KernelCall::Kind::kGemm: return {0.0, 0.0};
+  }
+  return {0.0, 0.0};
+}
+
+/// Every kernel invocation of one block forward pass, in execution order,
+/// from the config alone (no weights are drawn). Throws core::Error when
+/// config.validate() does.
+std::vector<KernelCall> kernel_trace(const TransformerConfig& config);
+
 /// Weights of one encoder block (deterministically initialised).
 class TransformerBlock {
 public:
-  /// Throws core::Error unless seq_len, d_model and d_ff are non-zero and
-  /// heads is non-zero and divides d_model.
+  /// Throws core::Error when config.validate() does.
   explicit TransformerBlock(const TransformerConfig& config);
 
   /// Runs the block on input [seq_len, d_model]; returns same shape.
   /// Throws core::Error on any other input shape.
-  /// Appends every kernel invocation to `trace` when non-null.
+  /// Appends kernel_trace(config()) to `trace` when non-null.
   core::TensorF forward(const core::TensorF& input,
                         std::vector<KernelCall>* trace = nullptr) const;
 

@@ -111,9 +111,7 @@ TEST(Integration, TransformerOnFabricMatchesCuKernelSum) {
   model.d_model = 128;
   model.heads = 4;
   model.d_ff = 256;
-  const scf::TransformerBlock block(model);
-  std::vector<scf::KernelCall> trace;
-  block.forward(scf::make_activations(model, 3), &trace);
+  const auto trace = scf::kernel_trace(model);
 
   scf::FabricConfig config;
   config.num_cus = 1;

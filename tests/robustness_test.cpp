@@ -684,12 +684,91 @@ TEST(Robustness, TransformerConfigValidationThrows) {
     scf::TransformerConfig config;
     edit(config);
     EXPECT_THROW(scf::TransformerBlock{config}, core::Error);
+    EXPECT_THROW(scf::kernel_trace(config), core::Error);
   };
   rejects([](scf::TransformerConfig& c) { c.heads = 0; });  // d_head() / 0
   rejects([](scf::TransformerConfig& c) { c.heads = 3; });  // 256 % 3 != 0
   rejects([](scf::TransformerConfig& c) { c.seq_len = 0; });
   rejects([](scf::TransformerConfig& c) { c.d_model = 0; });
   rejects([](scf::TransformerConfig& c) { c.d_ff = 0; });
+}
+
+TEST(Robustness, ScfHardwareConfigValidationThrows) {
+  // Inside the models a bad value divides by zero (tensor_rows = 0),
+  // overflows the uint64 cycle cast (interconnect_bytes_per_cycle = 0,
+  // negative dispatch) or makes energy infinite (fclk_mhz = 0), so every
+  // SCF model constructor rejects it, also as a CU nested in a fabric.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto rejects_cu = [](auto edit) {
+    scf::CuConfig cu;
+    edit(cu);
+    EXPECT_THROW(scf::ComputeUnit{cu}, core::Error);
+    scf::FabricConfig fabric;
+    edit(fabric.cu);
+    EXPECT_THROW(scf::ScalableComputeFabric{fabric}, core::Error);
+    scf::HeteroFabricConfig tensor_pool;
+    edit(tensor_pool.tensor_cu);
+    EXPECT_THROW(scf::HeterogeneousFabric{tensor_pool}, core::Error);
+    scf::HeteroFabricConfig vector_pool;
+    edit(vector_pool.vector_cu);
+    EXPECT_THROW(scf::HeterogeneousFabric{vector_pool}, core::Error);
+  };
+  rejects_cu([](scf::CuConfig& c) { c.cores = 0; });
+  rejects_cu([](scf::CuConfig& c) { c.cores = -4; });
+  rejects_cu([](scf::CuConfig& c) { c.tensor_rows = 0; });
+  rejects_cu([](scf::CuConfig& c) { c.tensor_cols = 0; });
+  rejects_cu([](scf::CuConfig& c) { c.tensor_cols = -1; });
+  for (const double bad : {0.0, -460.0, kNan, kInf}) {
+    rejects_cu([bad](scf::CuConfig& c) { c.fclk_mhz = bad; });
+    rejects_cu([bad](scf::CuConfig& c) { c.vdd = bad; });
+    rejects_cu([bad](scf::CuConfig& c) { c.dma_bytes_per_cycle = bad; });
+  }
+  for (const double bad : {-1.0, kNan, kInf, -kInf}) {
+    rejects_cu([bad](scf::CuConfig& c) { c.fma_energy_pj = bad; });
+    rejects_cu([bad](scf::CuConfig& c) { c.core_op_energy_pj = bad; });
+    rejects_cu([bad](scf::CuConfig& c) { c.dma_byte_energy_pj = bad; });
+    rejects_cu([bad](scf::CuConfig& c) { c.static_power_mw = bad; });
+  }
+
+  // The fabric-level fields, identical in both fabric configs.
+  const auto rejects_fabric = [](auto edit) {
+    scf::FabricConfig fabric;
+    edit(fabric);
+    EXPECT_THROW(scf::ScalableComputeFabric{fabric}, core::Error);
+    scf::HeteroFabricConfig hetero;
+    edit(hetero);
+    EXPECT_THROW(scf::HeterogeneousFabric{hetero}, core::Error);
+  };
+  for (const double bad : {0.0, -128.0, kNan, kInf}) {
+    rejects_fabric(
+        [bad](auto& c) { c.interconnect_bytes_per_cycle = bad; });
+  }
+  for (const double bad : {-1.0, -1e30, kNan, kInf}) {
+    rejects_fabric([bad](auto& c) { c.dispatch_cycles = bad; });
+    rejects_fabric([bad](auto& c) { c.uncore_power_mw = bad; });
+  }
+  for (const double bad : {0.999, 0.0, -2.0, kNan, kInf}) {
+    rejects_fabric([bad](auto& c) { c.slow_cu_penalty = bad; });
+  }
+
+  // Boundary values stay legal: zero dispatch (the integration test's
+  // compute-only fabric), a penalty of exactly 1, and zero energies and
+  // powers. The run then reports finite, positive cycles.
+  scf::FabricConfig edge;
+  edge.dispatch_cycles = 0.0;
+  edge.slow_cu_penalty = 1.0;
+  edge.uncore_power_mw = 0.0;
+  edge.cu.fma_energy_pj = 0.0;
+  edge.cu.static_power_mw = 0.0;
+  const scf::ScalableComputeFabric fabric(edge);
+  const auto stats = fabric.run_trace(scf::kernel_trace({}));
+  EXPECT_GT(stats.cycles, 0u);
+  EXPECT_TRUE(std::isfinite(stats.energy_pj));
+  scf::HeteroFabricConfig hetero_edge;
+  hetero_edge.dispatch_cycles = 0.0;
+  hetero_edge.slow_cu_penalty = 1.0;
+  EXPECT_NO_THROW(scf::HeterogeneousFabric{hetero_edge});
 }
 
 TEST(Robustness, TransformerShapeMismatchesThrow) {

@@ -16,13 +16,7 @@ TransformerConfig bench_model() {
   return cfg;
 }
 
-std::vector<KernelCall> bench_trace() {
-  const auto cfg = bench_model();
-  const TransformerBlock block(cfg);
-  std::vector<KernelCall> trace;
-  block.forward(make_activations(cfg, 1), &trace);
-  return trace;
-}
+std::vector<KernelCall> bench_trace() { return kernel_trace(bench_model()); }
 
 TEST(Fabric, SingleKernelGemm) {
   const ScalableComputeFabric fabric;

@@ -14,12 +14,7 @@ TransformerConfig model() {
   return cfg;
 }
 
-std::vector<KernelCall> trace() {
-  const TransformerBlock block(model());
-  std::vector<KernelCall> out;
-  block.forward(make_activations(model(), 1), &out);
-  return out;
-}
+std::vector<KernelCall> trace() { return kernel_trace(model()); }
 
 TEST(VectorCu, ConfigShape) {
   const auto vec = vector_cu_config();

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "core/rng.hpp"
+
 namespace icsc::scf {
 namespace {
 
@@ -102,6 +104,126 @@ TEST(Transformer, TraceGemmFlopsMatchAnalytic) {
     }
   }
   EXPECT_NEAR(gemm_flops, block.flops(), 1e-6);
+}
+
+struct GoldenCall {
+  KernelCall::Kind kind;
+  std::size_t m, k, n;
+  const char* label;
+};
+
+void expect_trace(const std::vector<KernelCall>& trace,
+                  const std::vector<GoldenCall>& golden) {
+  ASSERT_EQ(trace.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    SCOPED_TRACE("call " + std::to_string(i) + " (" + golden[i].label + ")");
+    EXPECT_EQ(trace[i].kind, golden[i].kind);
+    EXPECT_EQ(trace[i].m, golden[i].m);
+    EXPECT_EQ(trace[i].k, golden[i].k);
+    EXPECT_EQ(trace[i].n, golden[i].n);
+    EXPECT_EQ(trace[i].label, golden[i].label);
+  }
+}
+
+TEST(Transformer, KernelTraceGolden) {
+  // The full kernel list the fabric models consume, pinned for the default
+  // block and for the 8-head 256x512 block of the Fig. 8 study.
+  using K = KernelCall::Kind;
+  const auto trace_of = [](const TransformerConfig& cfg) {
+    std::vector<KernelCall> trace;
+    TransformerBlock(cfg).forward(make_activations(cfg, 1), &trace);
+    return trace;
+  };
+  expect_trace(trace_of(TransformerConfig{}),
+               {{K::kGemm, 128, 256, 256, "q_proj"},
+                {K::kGemm, 128, 256, 256, "k_proj"},
+                {K::kGemm, 128, 256, 256, "v_proj"},
+                {K::kGemm, 128, 64, 128, "attn_scores_h0"},
+                {K::kSoftmax, 16384, 0, 0, "softmax_h0"},
+                {K::kGemm, 128, 128, 64, "attn_context_h0"},
+                {K::kGemm, 128, 64, 128, "attn_scores_h1"},
+                {K::kSoftmax, 16384, 0, 0, "softmax_h1"},
+                {K::kGemm, 128, 128, 64, "attn_context_h1"},
+                {K::kGemm, 128, 64, 128, "attn_scores_h2"},
+                {K::kSoftmax, 16384, 0, 0, "softmax_h2"},
+                {K::kGemm, 128, 128, 64, "attn_context_h2"},
+                {K::kGemm, 128, 64, 128, "attn_scores_h3"},
+                {K::kSoftmax, 16384, 0, 0, "softmax_h3"},
+                {K::kGemm, 128, 128, 64, "attn_context_h3"},
+                {K::kGemm, 128, 256, 256, "out_proj"},
+                {K::kResidualAdd, 32768, 0, 0, "residual1"},
+                {K::kLayerNorm, 32768, 0, 0, "ln1"},
+                {K::kGemm, 128, 256, 1024, "ffn_up"},
+                {K::kGelu, 131072, 0, 0, "gelu"},
+                {K::kGemm, 128, 1024, 256, "ffn_down"},
+                {K::kResidualAdd, 32768, 0, 0, "residual2"},
+                {K::kLayerNorm, 32768, 0, 0, "ln2"}});
+
+  TransformerConfig large;
+  large.seq_len = 256;
+  large.d_model = 512;
+  large.heads = 8;
+  large.d_ff = 2048;
+  expect_trace(trace_of(large),
+               {{K::kGemm, 256, 512, 512, "q_proj"},
+                {K::kGemm, 256, 512, 512, "k_proj"},
+                {K::kGemm, 256, 512, 512, "v_proj"},
+                {K::kGemm, 256, 64, 256, "attn_scores_h0"},
+                {K::kSoftmax, 65536, 0, 0, "softmax_h0"},
+                {K::kGemm, 256, 256, 64, "attn_context_h0"},
+                {K::kGemm, 256, 64, 256, "attn_scores_h1"},
+                {K::kSoftmax, 65536, 0, 0, "softmax_h1"},
+                {K::kGemm, 256, 256, 64, "attn_context_h1"},
+                {K::kGemm, 256, 64, 256, "attn_scores_h2"},
+                {K::kSoftmax, 65536, 0, 0, "softmax_h2"},
+                {K::kGemm, 256, 256, 64, "attn_context_h2"},
+                {K::kGemm, 256, 64, 256, "attn_scores_h3"},
+                {K::kSoftmax, 65536, 0, 0, "softmax_h3"},
+                {K::kGemm, 256, 256, 64, "attn_context_h3"},
+                {K::kGemm, 256, 64, 256, "attn_scores_h4"},
+                {K::kSoftmax, 65536, 0, 0, "softmax_h4"},
+                {K::kGemm, 256, 256, 64, "attn_context_h4"},
+                {K::kGemm, 256, 64, 256, "attn_scores_h5"},
+                {K::kSoftmax, 65536, 0, 0, "softmax_h5"},
+                {K::kGemm, 256, 256, 64, "attn_context_h5"},
+                {K::kGemm, 256, 64, 256, "attn_scores_h6"},
+                {K::kSoftmax, 65536, 0, 0, "softmax_h6"},
+                {K::kGemm, 256, 256, 64, "attn_context_h6"},
+                {K::kGemm, 256, 64, 256, "attn_scores_h7"},
+                {K::kSoftmax, 65536, 0, 0, "softmax_h7"},
+                {K::kGemm, 256, 256, 64, "attn_context_h7"},
+                {K::kGemm, 256, 512, 512, "out_proj"},
+                {K::kResidualAdd, 131072, 0, 0, "residual1"},
+                {K::kLayerNorm, 131072, 0, 0, "ln1"},
+                {K::kGemm, 256, 512, 2048, "ffn_up"},
+                {K::kGelu, 524288, 0, 0, "gelu"},
+                {K::kGemm, 256, 2048, 512, "ffn_down"},
+                {K::kResidualAdd, 131072, 0, 0, "residual2"},
+                {K::kLayerNorm, 131072, 0, 0, "ln2"}});
+}
+
+TEST(Transformer, KernelTraceFlopsMatchBlock) {
+  // The GEMM shapes of kernel_trace() against TransformerBlock::flops(),
+  // an independent closed form, over a seeded sweep of valid configs.
+  core::Rng rng(2024);
+  for (int trial = 0; trial < 64; ++trial) {
+    TransformerConfig cfg;
+    cfg.seq_len = static_cast<std::size_t>(rng.range(1, 96));
+    cfg.heads = static_cast<std::size_t>(rng.range(1, 8));
+    cfg.d_model = cfg.heads * static_cast<std::size_t>(rng.range(1, 24));
+    cfg.d_ff = static_cast<std::size_t>(rng.range(1, 160));
+    SCOPED_TRACE("seq " + std::to_string(cfg.seq_len) + ", d_model " +
+                 std::to_string(cfg.d_model) + ", heads " +
+                 std::to_string(cfg.heads) + ", d_ff " +
+                 std::to_string(cfg.d_ff));
+    double gemm_flops = 0.0;
+    for (const auto& call : kernel_trace(cfg)) {
+      if (call.kind == KernelCall::Kind::kGemm) {
+        gemm_flops += 2.0 * static_cast<double>(call.m) * call.k * call.n;
+      }
+    }
+    EXPECT_DOUBLE_EQ(gemm_flops, TransformerBlock(cfg).flops());
+  }
 }
 
 TEST(Transformer, FlopsScaleWithModel) {
