@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <string>
 
+#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/trace.hpp"
 #include "hetero/dna/prefilter.hpp"
@@ -21,10 +23,21 @@ int join_band(const ClusterParams& params) {
   return std::max(params.distance_threshold, 0);
 }
 
-/// Block size for the speculative candidate scan: large enough to keep the
-/// pool busy, small enough to bound wasted work past the first match.
-std::size_t scan_block() {
-  return std::max<std::size_t>(16, 8 * core::parallel_threads());
+/// Candidates per screen block. The survivors of a block run as one Myers
+/// batch: a larger block amortises the batch call over more lanes, a
+/// smaller one wastes fewer lanes past the first match.
+constexpr std::size_t kScanBlock = 64;
+
+/// Throws unless every read index of `cluster` addresses one of `reads`.
+void check_read_indices(const char* where, const Cluster& cluster,
+                        std::size_t reads) {
+  for (const std::size_t idx : cluster.read_indices) {
+    if (idx >= reads) {
+      throw core::Error(where, "read index out of range",
+                        "index " + std::to_string(idx) + " of " +
+                            std::to_string(reads) + " reads");
+    }
+  }
 }
 
 }  // namespace
@@ -35,12 +48,11 @@ ClusterResult cluster_reads(const std::vector<Read>& reads,
   ClusterResult result;
   auto& clusters = result.clusters;
   const int band = join_band(params);
-  const std::size_t block = scan_block();
   // Representative q-gram histograms, computed once per cluster (founding
   // read) instead of once per candidate pair.
   std::vector<std::vector<std::uint16_t>> rep_hists;
   // Scratch reused across candidate blocks.
-  std::vector<std::uint8_t> rejected;
+  std::array<bool, kScanBlock> rejected{};
   std::vector<const Strand*> survivors;
   std::vector<int> survivor_dist;
   for (std::size_t r = 0; r < reads.size(); ++r) {
@@ -49,36 +61,29 @@ ClusterResult cluster_reads(const std::vector<Read>& reads,
     // Match masks built once per read and reused across every candidate.
     const MyersPattern pattern(bases);
     bool assigned = false;
-    // The serial greedy scan joins the first cluster within threshold and
-    // stops. Here candidate blocks are screened in parallel, then folded
-    // in cluster order: counters are booked only up to and including the
-    // first match, so clusters AND work counters equal the serial scan's
-    // (speculative evaluations past the match are discarded).
+    // The greedy scan joins the first cluster within threshold and stops.
+    // Each block is screened whole, then folded in cluster order: counters
+    // are booked only up to and including the first match, so clusters AND
+    // work counters equal the one-candidate-at-a-time scan's (evaluations
+    // past the match are discarded).
     for (std::size_t base = 0; base < clusters.size() && !assigned;
-         base += block) {
-      const std::size_t count = std::min(block, clusters.size() - base);
-      // Stage 1 in parallel: lower-bound screens (d >= |len(a) - len(b)|
-      // and d >= L1(qgram hists) / (2q)); a bound beyond the band already
+         base += kScanBlock) {
+      const std::size_t count = std::min(kScanBlock, clusters.size() - base);
+      // Stage 1: lower-bound screens (d >= |len(a) - len(b)| and
+      // d >= L1(qgram hists) / (2q)); a bound beyond the band already
       // decides the banded-contract answer, exactly as the banded kernel
       // would have returned band + 1.
-      rejected.resize(count);
-      core::parallel_for(0, count, 1, [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) {
-          const Strand& rep = clusters[base + i].representative;
-          rejected[i] =
-              length_lower_bound(bases, rep) > band ||
-              qgram_histogram_lower_bound(read_hist, rep_hists[base + i],
-                                          kScreenQ) > band;
-        }
-      });
-      // Stage 2: one bit-parallel banded-Myers batch over the survivors,
-      // lanes spanning candidate representatives.
       survivors.clear();
       for (std::size_t i = 0; i < count; ++i) {
-        if (!rejected[i]) {
-          survivors.push_back(&clusters[base + i].representative);
-        }
+        const Strand& rep = clusters[base + i].representative;
+        rejected[i] =
+            length_lower_bound(bases, rep) > band ||
+            qgram_histogram_lower_bound(read_hist, rep_hists[base + i],
+                                        kScreenQ) > band;
+        if (!rejected[i]) survivors.push_back(&rep);
       }
+      // Stage 2: one bit-parallel banded-Myers batch over the survivors,
+      // lanes spanning candidate representatives.
       survivor_dist.resize(survivors.size());
       levenshtein_myers_banded_batch(pattern, survivors.data(),
                                      survivors.size(), band,
@@ -140,6 +145,20 @@ ClusterQuality evaluate_clusters(const ClusterResult& result,
                                  std::size_t source_strands) {
   ClusterQuality quality;
   if (result.clusters.empty() || source_strands == 0) return quality;
+  for (const auto& cluster : result.clusters) {
+    if (cluster.read_indices.empty()) {
+      throw core::Error("dna::evaluate_clusters", "empty cluster");
+    }
+    check_read_indices("dna::evaluate_clusters", cluster, reads.size());
+    for (const std::size_t idx : cluster.read_indices) {
+      if (reads[idx].origin >= source_strands) {
+        throw core::Error("dna::evaluate_clusters", "read origin out of range",
+                          "origin " + std::to_string(reads[idx].origin) +
+                              " of " + std::to_string(source_strands) +
+                              " source strands");
+      }
+    }
+  }
   std::vector<bool> covered(source_strands, false);
   std::size_t pure = 0;
   for (const auto& cluster : result.clusters) {
@@ -183,29 +202,52 @@ struct Votes {
         insertion_votes(n + 1, {0, 0, 0, 0}) {}
 };
 
-/// Aligns `read` to `medoid` by full DP and adds its votes.
-void vote_alignment(const Strand& medoid, const Strand& read, Votes& votes) {
-  const std::size_t n = medoid.size();
-  const std::size_t m = read.size();
-  // dp[i][j]: distance between medoid[0,i) and read[0,j).
-  std::vector<std::vector<int>> dp(n + 1, std::vector<int>(m + 1));
-  for (std::size_t i = 0; i <= n; ++i) dp[i][0] = static_cast<int>(i);
-  for (std::size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<int>(j);
-  for (std::size_t i = 1; i <= n; ++i) {
-    for (std::size_t j = 1; j <= m; ++j) {
-      const int sub = dp[i - 1][j - 1] + (medoid[i - 1] == read[j - 1] ? 0 : 1);
-      dp[i][j] = std::min({sub, dp[i - 1][j] + 1, dp[i][j - 1] + 1});
+/// Out-of-band DP value: larger than any edit distance, and safe to + 1.
+constexpr int kFar = std::numeric_limits<int>::max() / 2;
+
+/// Aligns `read` to `medoid` by DP restricted to |i - j| <= band, in `dp`
+/// (reused across calls), and adds its votes. With band >= d(medoid, read)
+/// the backtrace is the full DP's: every cell it visits has a prefix cost
+/// <= d, so it lies in the band and its banded value is exact; every
+/// predecessor test that succeeds in the full DP reads a value <= d, so
+/// that cell is in band and exact too; and a banded value is never below
+/// the full DP's, so a test that fails there fails here.
+void vote_alignment(const Strand& medoid, const Strand& read, int band,
+                    std::vector<int>& dp, Votes& votes) {
+  const auto n = static_cast<int>(medoid.size());
+  const auto m = static_cast<int>(read.size());
+  // Row i holds columns j in [i - band - 1, i + band + 1]; the two edge
+  // slots and every column outside [0, m] stay kFar.
+  const auto stride = static_cast<std::size_t>(2 * band + 3);
+  dp.assign((medoid.size() + 1) * stride, kFar);
+  // cell(i, j): distance between medoid[0,i) and read[0,j).
+  auto cell = [&](int i, int j) -> int& {
+    return dp[static_cast<std::size_t>(i) * stride +
+              static_cast<std::size_t>(j - i + band + 1)];
+  };
+  for (int i = 0; i <= n; ++i) {
+    const int lo = std::max(0, i - band);
+    const int hi = std::min(m, i + band);
+    for (int j = lo; j <= hi; ++j) {
+      if (i == 0 || j == 0) {
+        cell(i, j) = i + j;
+        continue;
+      }
+      const int sub =
+          cell(i - 1, j - 1) + (medoid[i - 1] == read[j - 1] ? 0 : 1);
+      cell(i, j) = std::min({sub, cell(i - 1, j) + 1, cell(i, j - 1) + 1});
     }
   }
   // Backtrace, preferring diagonal moves (keeps votes aligned on matches).
-  std::size_t i = n, j = m;
+  int i = n, j = m;
   while (i > 0 || j > 0) {
     if (i > 0 && j > 0 &&
-        dp[i][j] == dp[i - 1][j - 1] + (medoid[i - 1] == read[j - 1] ? 0 : 1)) {
+        cell(i, j) ==
+            cell(i - 1, j - 1) + (medoid[i - 1] == read[j - 1] ? 0 : 1)) {
       votes.base_votes[i - 1][static_cast<std::uint8_t>(read[j - 1])] += 1;
       --i;
       --j;
-    } else if (j > 0 && dp[i][j] == dp[i][j - 1] + 1) {
+    } else if (j > 0 && cell(i, j) == cell(i, j - 1) + 1) {
       // Read has an extra base: insertion in the gap before medoid position i.
       votes.insertion_votes[i][static_cast<std::uint8_t>(read[j - 1])] += 1;
       --j;
@@ -219,43 +261,53 @@ void vote_alignment(const Strand& medoid, const Strand& read, Votes& votes) {
 }  // namespace
 
 Strand call_consensus(const std::vector<Read>& reads, const Cluster& cluster) {
+  check_read_indices("dna::call_consensus", cluster, reads.size());
   const auto& members = cluster.read_indices;
   if (members.empty()) return {};
   if (members.size() == 1) return reads[members.front()].bases;
 
-  // Medoid: member with the minimum total distance to the others. The
-  // all-pairs totals are independent per candidate; the serial argmin over
-  // the ordered totals keeps the earliest minimum, as before.
-  const auto totals =
-      core::parallel_map(members.size(), 4, [&](std::size_t c) {
-        long total = 0;
-        for (const std::size_t other : members) {
-          if (other == members[c]) continue;
-          total +=
-              levenshtein_myers(reads[members[c]].bases, reads[other].bases);
-        }
-        return total;
-      });
-  std::size_t medoid_index = members.front();
+  // Exact pairwise distances, each unordered pair once: one Myers pattern
+  // per member against the later members. At a band >= the longest member
+  // the banded kernel never abandons, so every distance is exact.
+  const std::size_t k = members.size();
+  std::vector<const Strand*> strands(k);
+  std::size_t longest = 0;
+  for (std::size_t c = 0; c < k; ++c) {
+    strands[c] = &reads[members[c]].bases;
+    longest = std::max(longest, strands[c]->size());
+  }
+  std::vector<int> dist(k * k, 0);
+  for (std::size_t c = 0; c + 1 < k; ++c) {
+    int* row = dist.data() + c * k;
+    levenshtein_myers_banded_batch(MyersPattern(*strands[c]),
+                                   strands.data() + c + 1, k - c - 1,
+                                   static_cast<int>(longest), row + c + 1);
+    for (std::size_t o = c + 1; o < k; ++o) dist[o * k + c] = row[o];
+  }
+  // Medoid: member with the minimum total distance to the others; the
+  // argmin keeps the earliest minimum. A repeated index adds d = 0.
+  std::size_t medoid_pos = 0;
   long best_total = std::numeric_limits<long>::max();
-  for (std::size_t c = 0; c < members.size(); ++c) {
-    if (totals[c] < best_total) {
-      best_total = totals[c];
-      medoid_index = members[c];
+  for (std::size_t c = 0; c < k; ++c) {
+    long total = 0;
+    for (std::size_t o = 0; o < k; ++o) total += dist[c * k + o];
+    if (total < best_total) {
+      best_total = total;
+      medoid_pos = c;
     }
   }
-  const Strand& medoid = reads[medoid_index].bases;
+  const Strand& medoid = *strands[medoid_pos];
 
+  // Each member is aligned within its exact distance to the medoid.
   Votes votes(medoid.size());
-  int voters = 0;
-  for (const std::size_t idx : members) {
-    vote_alignment(medoid, reads[idx].bases, votes);
-    ++voters;
+  std::vector<int> dp;
+  for (std::size_t c = 0; c < k; ++c) {
+    vote_alignment(medoid, *strands[c], dist[c * k + medoid_pos], dp, votes);
   }
 
   Strand consensus;
   consensus.reserve(medoid.size());
-  const int majority = voters / 2 + 1;
+  const int majority = static_cast<int>(k) / 2 + 1;
   auto emit_insertions = [&](std::size_t gap) {
     const auto& iv = votes.insertion_votes[gap];
     const int total = iv[0] + iv[1] + iv[2] + iv[3];

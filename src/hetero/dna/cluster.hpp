@@ -43,9 +43,11 @@ struct ClusterResult {
 /// representative is within the threshold, else founds a new cluster.
 /// Pre-alignment filters ([33], [34]; hetero/dna/prefilter.hpp) -- length
 /// difference and q-gram lower bounds -- decide band-exceeding pairs
-/// without touching DP; the survivors of each candidate block run one
-/// bit-parallel banded Myers batch. Candidate blocks are screened in
-/// parallel, yet clusters and counters equal the serial scan's.
+/// without touching DP; the survivors of each fixed-size candidate block
+/// run one bit-parallel banded Myers batch. The scan is serial: one
+/// screen costs well under a microsecond, too little to pay for a pool
+/// dispatch. Work past a block's first match is discarded, so clusters
+/// and counters equal the one-candidate-at-a-time scan's.
 ClusterResult cluster_reads(const std::vector<Read>& reads,
                             const ClusterParams& params);
 
@@ -63,18 +65,26 @@ struct ClusterQuality {
   double origin_coverage = 0.0;
 };
 
+/// Throws core::Error if a cluster is empty, a read index is out of range
+/// or a member's origin is >= source_strands (unless there are no clusters
+/// or source_strands is 0, which give zero quality).
 ClusterQuality evaluate_clusters(const ClusterResult& result,
                                  const std::vector<Read>& reads,
                                  std::size_t source_strands);
 
 /// Alignment-based consensus: every member read is aligned to the medoid
-/// candidate and votes per medoid position (substitution votes, deletion
-/// votes, insertion votes after a position); the majority outcome at each
-/// position yields the consensus strand. Exact recovery is expected at low
-/// error rates with >= 3 member reads.
+/// (the member with the least total edit distance to the others, from one
+/// exact Myers pass per unordered pair) and votes per medoid position
+/// (substitution votes, deletion votes, insertion votes after a position);
+/// the majority outcome at each position yields the consensus strand.
+/// Each alignment runs in the band |i - j| <= d(member, medoid), which
+/// keeps the full DP's backtrace exactly. Exact recovery is expected at
+/// low error rates with >= 3 member reads. Throws core::Error if a read
+/// index is out of range.
 Strand call_consensus(const std::vector<Read>& reads, const Cluster& cluster);
 
-/// Convenience: consensus for every cluster.
+/// Consensus for every cluster, one cluster per pool task, in cluster
+/// order. Throws core::Error if a read index is out of range.
 std::vector<Strand> call_all_consensus(const std::vector<Read>& reads,
                                        const std::vector<Cluster>& clusters);
 

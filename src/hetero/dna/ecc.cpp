@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "core/error.hpp"
+
 namespace icsc::hetero::dna {
 
 std::uint8_t crc8(const std::vector<std::uint8_t>& bytes) {
@@ -82,6 +84,12 @@ EccDecodeResult decode_payload_ecc(const std::vector<Strand>& strands,
                                    std::size_t payload_bytes,
                                    std::size_t chunk_bytes,
                                    const EccParams& params) {
+  if (chunk_bytes == 0) {
+    throw core::Error("dna::decode_payload_ecc", "chunk_bytes must be > 0");
+  }
+  if (params.group_size == 0) {
+    throw core::Error("dna::decode_payload_ecc", "group_size must be > 0");
+  }
   const std::size_t chunks = (payload_bytes + chunk_bytes - 1) / chunk_bytes;
   const std::size_t groups =
       (chunks + params.group_size - 1) / params.group_size;

@@ -38,7 +38,9 @@ std::uint8_t crc8(const std::vector<std::uint8_t>& bytes);
 
 /// Decodes strands produced by encode_payload_ecc: reassembles data
 /// chunks, then repairs at most one missing chunk per parity group by
-/// XORing the group's surviving members with its parity.
+/// XORing the group's surviving members with its parity. Any strand set
+/// decodes to payload_bytes bytes; throws core::Error if chunk_bytes or
+/// params.group_size is 0.
 struct EccDecodeResult {
   std::vector<std::uint8_t> payload;
   std::size_t missing_before_repair = 0;

@@ -4,6 +4,8 @@
 #include <array>
 #include <stdexcept>
 
+#include "core/error.hpp"
+
 namespace icsc::hetero::dna {
 
 char base_to_char(Base b) {
@@ -164,6 +166,9 @@ OligoSet encode_payload(const std::vector<std::uint8_t>& payload,
 DecodeResult decode_payload(const std::vector<Strand>& strands,
                             std::size_t payload_bytes,
                             std::size_t chunk_bytes) {
+  if (chunk_bytes == 0) {
+    throw core::Error("dna::decode_payload", "chunk_bytes must be > 0");
+  }
   DecodeResult result;
   result.payload.assign(payload_bytes, 0);
   const std::size_t chunks = (payload_bytes + chunk_bytes - 1) / chunk_bytes;

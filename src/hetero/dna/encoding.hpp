@@ -60,7 +60,9 @@ OligoSet encode_payload(const std::vector<std::uint8_t>& payload,
                         std::size_t chunk_bytes);
 
 /// Inverse of encode_payload given perfectly recovered strands (consensus
-/// output). Missing/failed strands are zero-filled and reported.
+/// output). Missing/failed strands are zero-filled and reported. Any strand
+/// set decodes to payload_bytes bytes; throws core::Error if chunk_bytes
+/// is 0.
 struct DecodeResult {
   std::vector<std::uint8_t> payload;
   std::size_t missing_chunks = 0;

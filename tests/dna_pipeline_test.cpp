@@ -2,6 +2,7 @@
 // storage simulation (Sec. VI DNA experiments).
 #include <gtest/gtest.h>
 
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "hetero/dna/channel.hpp"
 #include "hetero/dna/cluster.hpp"
@@ -213,6 +214,107 @@ TEST(Consensus, MajorityFixesIndel) {
   Cluster cluster;
   for (std::size_t i = 0; i < reads.size(); ++i) cluster.read_indices.push_back(i);
   EXPECT_EQ(call_consensus(reads, cluster), truth);
+}
+
+/// FNV-1a over every strand's bases, each strand closed by a separator
+/// outside the base alphabet, so the digest pins bases, lengths and order.
+std::uint64_t strands_digest(const std::vector<Strand>& strands) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](std::uint8_t byte) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  };
+  for (const auto& strand : strands) {
+    for (const Base b : strand) mix(static_cast<std::uint8_t>(b));
+    mix(0xFF);
+  }
+  return h;
+}
+
+std::size_t total_bases(const std::vector<Strand>& strands) {
+  std::size_t total = 0;
+  for (const auto& strand : strands) total += strand.size();
+  return total;
+}
+
+/// Consensus on a 4-thread pool, checked equal to the serial call.
+std::vector<Strand> pooled_consensus(const std::vector<Read>& reads,
+                                     const std::vector<Cluster>& clusters) {
+  core::set_parallel_threads(4);  // real pool even on 1-core hosts
+  std::vector<Strand> serial;
+  {
+    core::ScopedSerial guard;
+    serial = call_all_consensus(reads, clusters);
+  }
+  auto pooled = call_all_consensus(reads, clusters);
+  core::set_parallel_threads(0);
+  EXPECT_EQ(pooled, serial);
+  return pooled;
+}
+
+TEST(Consensus, GoldenStrandsOnSeededClusters) {
+  // Pins call_all_consensus strand by strand (through a digest) on clusters
+  // cluster_reads forms at two thresholds, one with a burst-error channel.
+  struct Case {
+    double error_rate;
+    double burst_rate;
+    int threshold;
+    std::uint64_t seed;
+    std::size_t clusters;
+    std::size_t bases;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {0.01, 0.0, 10, 31, 24, 2591, 0x3bfceca7ab8d4e68ull},
+      {0.03, 0.0, 30, 37, 24, 2590, 0x39446a498197b023ull},
+      {0.01, 0.3, 10, 41, 39, 4221, 0xc34dda8e269f2e27ull},
+      {0.02, 0.3, 30, 43, 24, 2589, 0x3d8a8bce0a6939c3ull},
+  };
+  for (const auto& c : cases) {
+    icsc::core::Rng rng(c.seed);
+    std::vector<std::uint8_t> payload(384);
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng.below(256));
+    const auto set = encode_payload(payload, 16);
+    ChannelParams channel;
+    channel.substitution_rate = c.error_rate;
+    channel.insertion_rate = c.error_rate / 2;
+    channel.deletion_rate = c.error_rate / 2;
+    channel.burst_rate = c.burst_rate;
+    channel.seed = c.seed + 1;
+    const auto reads = simulate_channel(set.strands, channel);
+    ClusterParams params;
+    params.distance_threshold = c.threshold;
+    const auto clusters = cluster_reads(reads.reads, params).clusters;
+    const auto consensus = pooled_consensus(reads.reads, clusters);
+    EXPECT_EQ(consensus.size(), c.clusters) << "seed " << c.seed;
+    EXPECT_EQ(total_bases(consensus), c.bases) << "seed " << c.seed;
+    EXPECT_EQ(strands_digest(consensus), c.digest) << "seed " << c.seed;
+  }
+}
+
+TEST(Consensus, GoldenStrandsOnHandBuiltClusters) {
+  const auto base = make_read_set(128, 0.02, 6.0, 47);
+  std::vector<Read> reads = base.reads;
+  ASSERT_GT(reads.size(), 12u);
+  const std::size_t copy = reads.size();  // same bases as read 2
+  reads.push_back(reads[2]);
+  const std::size_t empty = reads.size();
+  reads.push_back(Read{});
+  const std::vector<Cluster> clusters = {
+      {{5}, {}},                      // a single member
+      {{3, 3, 7, 3}, {}},             // a repeated read index
+      {{2, copy, 9}, {}},             // two reads with identical bases
+      {{empty, 1, 4}, {}},            // an empty strand among reads
+      {{empty}, {}},                  // an empty strand alone
+      {{empty, empty, 6}, {}},        // the empty medoid
+      {{0, 1, 2, 8, 10, 11, 12}, {}}, // reads of different origins
+  };
+  const auto consensus = pooled_consensus(reads, clusters);
+  ASSERT_EQ(consensus.size(), clusters.size());
+  EXPECT_EQ(consensus[0], reads[5].bases);
+  EXPECT_TRUE(consensus[4].empty());
+  EXPECT_EQ(total_bases(consensus), 539u);
+  EXPECT_EQ(strands_digest(consensus), 0xbc11d905b971541bull);
 }
 
 TEST(AcceleratorModel, PublishedKpis) {

@@ -75,6 +75,55 @@ TEST(Robustness, ConsensusEmptyCluster) {
   EXPECT_TRUE(consensus.empty());
 }
 
+TEST(Robustness, ConsensusRejectsOutOfRangeReadIndex) {
+  std::vector<hetero::dna::Read> reads(3);
+  for (auto& read : reads) {
+    read.bases = hetero::dna::strand_from_string("ACGTACGT");
+  }
+  hetero::dna::Cluster cluster;
+  cluster.read_indices = {0, 3, 1};
+  EXPECT_THROW(hetero::dna::call_consensus(reads, cluster), core::Error);
+  EXPECT_THROW(hetero::dna::call_all_consensus(reads, {{{0, 1}, {}}, cluster}),
+               core::Error);
+  cluster.read_indices = {7};  // a single member is checked too
+  EXPECT_THROW(hetero::dna::call_consensus(reads, cluster), core::Error);
+  cluster.read_indices = {0, 2, 1};
+  EXPECT_EQ(hetero::dna::call_consensus(reads, cluster), reads[0].bases);
+}
+
+TEST(Robustness, EvaluateClustersRejectsOutOfRangeOrigin) {
+  std::vector<hetero::dna::Read> reads(3);
+  reads[0].origin = 0;
+  reads[1].origin = 1;
+  reads[2].origin = 2;
+  hetero::dna::ClusterResult result;
+  result.clusters = {{{0, 1}, {}}, {{2}, {}}};
+  EXPECT_THROW(hetero::dna::evaluate_clusters(result, reads, 2), core::Error);
+  const auto quality = hetero::dna::evaluate_clusters(result, reads, 3);
+  EXPECT_DOUBLE_EQ(quality.purity, 0.5);
+  result.clusters[1].read_indices = {3};  // read index out of range
+  EXPECT_THROW(hetero::dna::evaluate_clusters(result, reads, 3), core::Error);
+  result.clusters[1].read_indices.clear();  // empty cluster
+  EXPECT_THROW(hetero::dna::evaluate_clusters(result, reads, 3), core::Error);
+}
+
+TEST(Robustness, DnaDecodersRejectZeroSizes) {
+  EXPECT_THROW(hetero::dna::decode_payload({}, 16, 0), core::Error);
+  const auto set = hetero::dna::encode_payload_ecc(
+      std::vector<std::uint8_t>(40, 7), 16, hetero::dna::EccParams{});
+  hetero::dna::EccParams no_groups;
+  no_groups.group_size = 0;
+  EXPECT_THROW(hetero::dna::decode_payload_ecc(set.strands, 40, 16, no_groups),
+               core::Error);
+  EXPECT_THROW(hetero::dna::decode_payload_ecc(set.strands, 40, 0,
+                                               hetero::dna::EccParams{}),
+               core::Error);
+  EXPECT_EQ(hetero::dna::decode_payload_ecc(set.strands, 40, 16,
+                                            hetero::dna::EccParams{})
+                .payload,
+            std::vector<std::uint8_t>(40, 7));
+}
+
 TEST(Robustness, SoftmaxExtremeLogits) {
   const std::vector<float> logits{-1e30F, 1e30F, 0.0F};
   const auto exact = approx::softmax_exact(logits);
