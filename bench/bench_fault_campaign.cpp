@@ -6,14 +6,8 @@
 // in front of the outer ECC. Every sweep is a seeded FaultCampaign, and the
 // IMC rows carry the serial-vs-parallel bit-identity check that gates the
 // whole framework.
-// Campaign sizes route through the service degradation-tier profiles
-// (service/degrade.hpp): `--tier=full|reduced|minimal` runs the same sweeps
-// at a cheaper operating point, exactly as the campaign service would under
-// queue pressure. The default (full) is the identity profile, so default
-// output stays bit-identical to the pre-tier bench.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,21 +18,16 @@
 #include "core/sampling.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
-#include "core/service.hpp"
 #include "core/table.hpp"
 #include "core/tensor.hpp"
 #include "hetero/dna/storage_sim.hpp"
 #include "imc/crossbar.hpp"
 #include "scf/fabric.hpp"
 #include "scf/hetero_fabric.hpp"
-#include "service/degrade.hpp"
 
 namespace {
 
 using namespace icsc;
-
-// Degradation tier the sweeps run at (--tier=..., default full).
-core::DegradeTier g_tier = core::DegradeTier::kFull;
 
 // --early-stop: replace the sweeps with the statistical-acceleration study
 // (CI early stopping vs the exhaustive oracle, Neyman stratification, and
@@ -105,7 +94,7 @@ void print_imc_sweep() {
   if (core::parallel_threads() <= 1) core::set_parallel_threads(4);
   std::printf("\n=== IMC: stuck-at sweep, raw vs retry+remap (%zu threads) "
               "===\n", core::parallel_threads());
-  const std::size_t kTrials = service::scaled_trials(8, g_tier);
+  const std::size_t kTrials = 8;
   const std::size_t kSpares = 6;
   const int kRetries = 2;
   const double rates[] = {0.0, 0.002, 0.005, 0.01, 0.02, 0.03};
@@ -155,10 +144,9 @@ void print_imc_sweep() {
   }
   std::printf(
       "JSON {\"bench\":\"fault_imc_summary\",\"monotone_raw\":%s,"
-      "\"remap_always_improves\":%s,\"spares\":%zu,\"retries\":%d,"
-      "\"tier\":\"%s\"}\n",
+      "\"remap_always_improves\":%s,\"spares\":%zu,\"retries\":%d}\n",
       monotone ? "true" : "false", always_improves ? "true" : "false",
-      kSpares, kRetries, core::degrade_tier_name(g_tier));
+      kSpares, kRetries);
 }
 
 // ---------------------------------------------------------------------------
@@ -227,10 +215,7 @@ void print_dna_sweep() {
     params.channel.burst_rate = 0.01;
     params.reread.max_passes = 1;
     const auto single = hetero::dna::run_archival_sim(params);
-    // Degraded tiers cap the re-read budget (the pipeline's dominant
-    // cost); at kFull the cap is 4 and this is the historical value.
-    params.reread.max_passes =
-        std::min(4, service::tier_profile(g_tier).dna_max_passes);
+    params.reread.max_passes = 4;
     const auto retried = hetero::dna::run_archival_sim(params);
     std::printf(
         "JSON {\"bench\":\"fault_dna\",\"dropout_rate\":%s,"
@@ -422,17 +407,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--early-stop") {
       g_early_stop = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    } else if (arg.rfind("--tier=", 0) == 0) {
-      const auto tier = service::parse_tier(arg.substr(7));
-      if (!tier) {
-        std::fprintf(stderr, "unknown tier '%s' (full|reduced|minimal)\n",
-                     arg.c_str() + 7);
-        return 2;
-      }
-      g_tier = *tier;
       // Consume the flag so google-benchmark doesn't reject it.
       for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
       --argc;

@@ -33,16 +33,10 @@
 #include "hetero/dna/storage_sim.hpp"
 #include "hls/dse.hpp"
 #include "hls/ir.hpp"
-#include "service/degrade.hpp"
 
 namespace {
 
 using namespace icsc;
-
-// Degradation tier the shared workloads run at (--tier=..., default full).
-// kFull is the identity profile, so the CI reference/victim/resume digests
-// are untouched by the tier routing.
-core::DegradeTier g_tier = core::DegradeTier::kFull;
 
 // ---------------------------------------------------------------------------
 // Micro timings: the durability primitives must stay cheap enough to sit
@@ -90,14 +84,12 @@ hls::DseConfig dse_config() {
   hls::DseConfig config;
   config.iterations = 256;
   config.checkpoint_every = 8;
-  config.space = service::strided_space(
-      config.space, service::tier_profile(g_tier).dse_grid_stride);
   return config;
 }
 
 hls::Kernel dse_kernel() { return hls::make_fir_kernel(8); }
 
-std::size_t campaign_trials() { return service::scaled_trials(32, g_tier); }
+constexpr std::size_t kCampaignTrials = 32;
 constexpr std::uint64_t kCampaignSeed = 0x5E5111E4CE;
 
 core::TrialResult campaign_trial(std::uint64_t seed, std::size_t index) {
@@ -116,8 +108,7 @@ hetero::dna::ArchivalSimParams archival_params() {
   params.channel.mean_coverage = 3.0;
   params.channel.dropout_rate = 0.03;
   params.channel.burst_rate = 0.01;
-  params.reread.max_passes =
-      std::min(3, service::tier_profile(g_tier).dna_max_passes);
+  params.reread.max_passes = 3;
   return params;
 }
 
@@ -211,7 +202,7 @@ hls::DseResult run_dse(const std::string& checkpoint, std::size_t budget) {
 
 core::CampaignRunOutcome run_campaign(const std::string& checkpoint,
                                       std::size_t budget) {
-  const core::FaultCampaign campaign(kCampaignSeed, campaign_trials());
+  const core::FaultCampaign campaign(kCampaignSeed, kCampaignTrials);
   core::CampaignRunOptions options;
   options.checkpoint_path = checkpoint;
   options.checkpoint_every = 4;
@@ -301,11 +292,7 @@ bool smoke_dse_kill_resume(const std::string& dir) {
     resume.checkpoint_path = ckpt;
     const hls::DseResult resumed = strategy(resume);
 
-    // A tier-strided grid can shrink below the 30% kill budget, in which
-    // case the "victim" legitimately completes in one shot and only the
-    // resume + bit-identity half of the contract applies.
-    const bool expect_partial = victim.unit_budget < total;
-    const bool ok = (!expect_partial || !partial.completed) &&
+    const bool ok = !partial.completed &&
                     partial.feasible == partial.evaluated.size() &&
                     resumed.completed && resumed.resumed_units > 0 &&
                     digest_dse(reference) == digest_dse(resumed);
@@ -318,7 +305,7 @@ bool smoke_dse_kill_resume(const std::string& dir) {
         digest_dse(reference), digest_dse(resumed), ok ? "true" : "false");
     all = all && report((std::string("dse_") + name).c_str(), ok);
   };
-  // The exhaustive unit count follows the (tier-strided) sweep grid.
+  // The exhaustive unit count follows the sweep grid.
   const hls::DseSpace space = dse_config().space;
   const std::size_t grid_points =
       space.unroll_factors.size() * space.alu_counts.size() *
@@ -403,26 +390,26 @@ bool smoke_dse_watcher_cancel() {
 }
 
 bool smoke_campaign_kill_resume(const std::string& dir) {
-  const core::FaultCampaign campaign(kCampaignSeed, campaign_trials());
+  const core::FaultCampaign campaign(kCampaignSeed, kCampaignTrials);
   const std::vector<core::TrialResult> reference = campaign.run(campaign_trial);
   const std::string ckpt = dir + "/campaign.ckpt";
-  const auto partial = run_campaign(ckpt, campaign_trials() * 3 / 10);
+  const auto partial = run_campaign(ckpt, kCampaignTrials * 3 / 10);
   const auto resumed = run_campaign(ckpt, 0);
   const bool ok = !partial.completed &&
-                  partial.results.size() < campaign_trials() &&
+                  partial.results.size() < kCampaignTrials &&
                   resumed.completed && resumed.resumed_trials > 0 &&
                   core::campaign_results_identical(reference, resumed.results);
   std::printf(
       "JSON {\"bench\":\"resilience_campaign\",\"trials\":%zu,"
       "\"kill_after\":%zu,\"resumed_trials\":%zu,\"digest\":\"%08x\","
       "\"bit_identical\":%s}\n",
-      campaign_trials(), partial.results.size(), resumed.resumed_trials,
+      kCampaignTrials, partial.results.size(), resumed.resumed_trials,
       digest_campaign(resumed.results), ok ? "true" : "false");
   return report("campaign_kill_resume", ok);
 }
 
 bool smoke_campaign_deadline() {
-  const core::FaultCampaign campaign(kCampaignSeed, campaign_trials());
+  const core::FaultCampaign campaign(kCampaignSeed, kCampaignTrials);
   core::CampaignRunOptions options;
   options.deadline = core::Deadline::after(0.0);
   const auto partial = campaign.run(campaign_trial, options);
@@ -468,22 +455,6 @@ int run_smoke() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --tier= first: it composes with every mode below.
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--tier=", 0) == 0) {
-      const auto tier = service::parse_tier(arg.substr(7));
-      if (!tier) {
-        std::fprintf(stderr, "unknown tier '%s' (full|reduced|minimal)\n",
-                     arg.c_str() + 7);
-        return 2;
-      }
-      g_tier = *tier;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    }
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -54,6 +55,30 @@ inline void require_positive(const std::string& where, const char* field,
   char got[40];
   std::snprintf(got, sizeof got, "got %g", value);
   throw Error(where, std::string(field) + " must be finite and > 0", got);
+}
+
+/// Checked double -> uint64_t conversion for modelled counts such as
+/// cycles. The cast is undefined outside [0, 2^64), and a finite but
+/// extreme config value (a 1e30-cycle dispatch, a 1e-300 B/cycle link)
+/// reaches that, so this throws Error(where, "<what> must be finite and in
+/// [0, 2^64)", "got <value>") instead.
+inline std::uint64_t to_u64(const char* where, const char* what,
+                            double value) {
+  if (value >= 0.0 && value < 0x1p64) {  // false for NaN
+    return static_cast<std::uint64_t>(value);
+  }
+  char got[40];
+  std::snprintf(got, sizeof got, "got %g", value);
+  throw Error(where, std::string(what) + " must be finite and in [0, 2^64)",
+              got);
+}
+
+/// a + b for modelled counts: throws Error(where, "<what> overflows
+/// uint64") instead of wrapping around.
+inline std::uint64_t add_u64(const char* where, const char* what,
+                             std::uint64_t a, std::uint64_t b) {
+  if (a <= UINT64_MAX - b) return a + b;
+  throw Error(where, std::string(what) + " overflows uint64");
 }
 
 }  // namespace icsc::core

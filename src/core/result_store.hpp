@@ -5,7 +5,7 @@
 // fingerprint-keyed, append-only, CRC-framed log on disk that survives
 // kill -9, torn writes, injected I/O errors, and bit-flips, so a second
 // identical exploration -- in the same process, a later run, or another
-// service instance on the same scratch volume -- costs ~zero.
+// process sharing the store directory -- costs ~zero.
 //
 // On-disk format: one file `store.log` under the store directory, a
 // sequence of CRC frames (layout in core/frame.hpp) tagged "RST1" |
@@ -31,7 +31,7 @@
 // Eviction: when the log outgrows `max_bytes` (or holds more than
 // `max_records` live records) compaction keeps the most-recently-used
 // records -- last-lookup order, insertion order for never-read ones -- and
-// drops the rest, bounding disk use for long-lived service scratch dirs.
+// drops the rest, bounding disk use for long-lived store directories.
 //
 // Observability: hits/misses/quarantines/appends/evictions are exported
 // through core/trace counters (result_store.*) and via stats().

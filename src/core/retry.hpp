@@ -5,23 +5,18 @@
 // pulse budget (Sec. IV), the DNA pipeline puts starved strands back on
 // the sequencer for another pass (Sec. VI), and fault campaigns re-issue
 // work displaced by injected faults. This header centralizes the loop
-// shape those call sites previously duplicated: bounded attempts,
-// multiplicative (exponential) budget escalation, and optional seeded
-// jitter. Everything is deterministic -- the jitter for retry round r is a
-// stateless hash of (seed, r), never a draw from a shared RNG -- so
-// retried runs stay bit-reproducible under the thread pool.
+// shape those call sites previously duplicated: bounded attempts and
+// multiplicative (exponential) budget escalation. Nothing is drawn from a
+// shared RNG, so retried runs stay bit-reproducible under the thread pool.
 //
 // Observability: every loop exports core/trace counters -- retry.attempts
-// (each attempt), retry.retries (rounds after the first), retry.give_ups
-// (loops that exhausted their policy), retry.elapsed_capped (loops the
-// max-elapsed cap refused) -- so a backoff storm shows up in the p99
-// aggregate table instead of hiding inside sleeping clients.
+// (each attempt), retry.retries (rounds after the first) and
+// retry.give_ups (loops that exhausted their policy) -- so a retry storm
+// shows up in the p99 aggregate table.
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 
-#include "core/fault.hpp"
 #include "core/trace.hpp"
 
 namespace icsc::core {
@@ -29,51 +24,9 @@ namespace icsc::core {
 /// Bounded-attempt policy with exponential budget escalation. `max_retries`
 /// counts *extra* attempts after the first, so the default policy performs
 /// exactly one attempt (every pre-existing call site's seed behaviour).
-///
-/// The delay-schedule fields drive callers that *sleep* between attempts
-/// (e.g. resubmitting to an overloaded service). They are inert by default
-/// (base_delay_seconds == 0 -> no delays, no elapsed cap), so every
-/// pre-existing deterministic call site is bit-identical.
 struct RetryPolicy {
-  int max_retries = 0;     // retry rounds after the first attempt
-  double backoff = 2.0;    // budget multiplier per retry round
-  double jitter = 0.0;     // fractional spread in [0, 1): scale *= 1 +- jitter
-  std::uint64_t seed = 0;  // jitter stream; unused when jitter == 0
-
-  // --- delay schedule (inert unless base_delay_seconds > 0) --------------
-  /// First-retry delay; 0 disables the schedule entirely.
-  double base_delay_seconds = 0.0;
-  /// Per-delay cap.
-  double max_delay_seconds = 60.0;
-  /// Cap on the *cumulative scheduled delay*: once the sum of delays for
-  /// rounds 1..r would exceed it, round r (and everything after) is
-  /// refused. Deterministic by construction -- the cap is evaluated on the
-  /// schedule, not on measured wall-clock -- so capped runs stay
-  /// bit-reproducible. 0 disables the cap.
-  double max_elapsed_seconds = 0.0;
-  /// Decorrelated jitter (the AWS "decorrelated jitter" scheme): the delay
-  /// chain d_1 = base, d_r = min(cap, uniform(base, 3 * d_{r-1})), with
-  /// each uniform drawn statelessly from (seed, r). Deterministic for a
-  /// given seed, decorrelated across rounds and across seeds -- colliding
-  /// clients that seed differently spread out instead of retrying in
-  /// lockstep. false keeps the deterministic exponential schedule.
-  bool decorrelated = false;
-
-  /// Budget multiplier for retry round r >= 1 (round 0, the first attempt,
-  /// always has scale 1). backoff^r, widened deterministically into
-  /// [backoff^r * (1 - jitter), backoff^r * (1 + jitter)) by a stateless
-  /// hash of (seed, r).
-  double budget_scale(int retry) const {
-    if (retry <= 0) return 1.0;
-    double scale = std::pow(backoff, retry);
-    if (jitter > 0.0) {
-      const double u =
-          fault_uniform(seed ^ 0x52'E7'24'11ULL,
-                        static_cast<std::uint64_t>(retry));
-      scale *= 1.0 - jitter + 2.0 * jitter * u;
-    }
-    return scale;
-  }
+  int max_retries = 0;   // retry rounds after the first attempt
+  double backoff = 2.0;  // budget multiplier per retry round
 
   /// Escalates an integer budget by one backoff step with ceiling rounding
   /// -- the cumulative update rule of the IMC program-and-verify retry
@@ -82,53 +35,6 @@ struct RetryPolicy {
   int escalate(int budget) const {
     return static_cast<int>(std::ceil(budget * backoff));
   }
-
-  /// Scheduled sleep before retry round r >= 1, in seconds (0 for the
-  /// first attempt or when the schedule is disabled). Deterministic mode:
-  /// base * backoff^(r-1), widened by `jitter` exactly like budget_scale.
-  /// Decorrelated mode: the stateless-seeded decorrelated-jitter chain
-  /// documented on the field. Both are capped at max_delay_seconds.
-  double delay_seconds(int retry) const {
-    if (retry <= 0 || base_delay_seconds <= 0.0) return 0.0;
-    if (!decorrelated) {
-      double delay = base_delay_seconds * std::pow(backoff, retry - 1);
-      if (jitter > 0.0) {
-        const double u = fault_uniform(seed ^ 0x52'E7'24'11ULL,
-                                       static_cast<std::uint64_t>(retry));
-        delay *= 1.0 - jitter + 2.0 * jitter * u;
-      }
-      return std::min(delay, max_delay_seconds);
-    }
-    double previous = base_delay_seconds;
-    for (int r = 2; r <= retry; ++r) {
-      const double u = fault_uniform(seed ^ 0xDE'C0'44'E1ULL,
-                                     static_cast<std::uint64_t>(r));
-      previous = std::min(
-          max_delay_seconds,
-          base_delay_seconds + u * (3.0 * previous - base_delay_seconds));
-    }
-    return std::min(previous, max_delay_seconds);
-  }
-
-  /// Cumulative scheduled delay before retry round r (sum of
-  /// delay_seconds(1..r)).
-  double elapsed_before(int retry) const {
-    double total = 0.0;
-    for (int r = 1; r <= retry; ++r) total += delay_seconds(r);
-    return total;
-  }
-
-  /// True when retry round r may proceed: attempts not exhausted AND the
-  /// cumulative scheduled delay through round r stays within
-  /// max_elapsed_seconds (when set).
-  bool allow_retry(int retry) const {
-    if (retry > max_retries) return false;
-    if (max_elapsed_seconds > 0.0 &&
-        elapsed_before(retry) > max_elapsed_seconds) {
-      return false;
-    }
-    return true;
-  }
 };
 
 /// Outcome of a retry_until() loop.
@@ -136,11 +42,6 @@ struct RetryStats {
   int attempts = 0;    // total attempts performed (>= 1 unless max_retries < 0)
   int retries = 0;     // attempts - 1, capped at policy.max_retries
   bool succeeded = false;
-  /// Sum of the scheduled delays actually taken (sleeping overload only).
-  double scheduled_delay_seconds = 0.0;
-  /// True when the loop stopped because max_elapsed_seconds refused the
-  /// next round, not because max_retries ran out.
-  bool elapsed_capped = false;
 };
 
 /// Runs `attempt(retry)` -- retry 0 is the first try -- until it returns
@@ -153,43 +54,6 @@ RetryStats retry_until(const RetryPolicy& policy, Fn&& attempt) {
   RetryStats stats;
   for (int retry = 0; retry <= policy.max_retries; ++retry) {
     if (retry > 0) {
-      ++stats.retries;
-      ICSC_TRACE_COUNT("retry.retries", 1);
-    }
-    ++stats.attempts;
-    ICSC_TRACE_COUNT("retry.attempts", 1);
-    if (attempt(retry)) {
-      stats.succeeded = true;
-      break;
-    }
-  }
-  if (!stats.succeeded) ICSC_TRACE_COUNT("retry.give_ups", 1);
-  return stats;
-}
-
-/// Sleeping variant for real-time call sites (service resubmission,
-/// overload backoff): before retry round r it checks policy.allow_retry(r)
-/// -- honouring both max_retries and the max-elapsed cap -- and hands
-/// policy.delay_seconds(r) to `sleep` (signature void(double seconds)).
-/// Injecting the sleeper keeps tests instant and deterministic; production
-/// callers pass something like
-///   [](double s){ std::this_thread::sleep_for(std::chrono::duration<double>(s)); }
-template <typename Fn, typename SleepFn>
-RetryStats retry_until(const RetryPolicy& policy, Fn&& attempt,
-                       SleepFn&& sleep) {
-  RetryStats stats;
-  for (int retry = 0;; ++retry) {
-    if (retry > 0) {
-      if (!policy.allow_retry(retry)) {
-        stats.elapsed_capped = retry <= policy.max_retries;
-        if (stats.elapsed_capped) ICSC_TRACE_COUNT("retry.elapsed_capped", 1);
-        break;
-      }
-      const double delay = policy.delay_seconds(retry);
-      if (delay > 0.0) {
-        sleep(delay);
-        stats.scheduled_delay_seconds += delay;
-      }
       ++stats.retries;
       ICSC_TRACE_COUNT("retry.retries", 1);
     }

@@ -394,8 +394,8 @@ std::size_t load_dse_snapshot(const std::string& path,
 
 // ---------------------------------------------------------------------------
 // Cross-run result store tier (core/result_store.hpp). A *completed* run
-// is stored under its fingerprint; a later identical run -- any process,
-// any service instance on the same scratch volume -- is served from disk
+// is stored under its fingerprint; a later identical run -- in this or
+// any other process sharing the store directory -- is served from disk
 // without touching the unroll/schedule/bind/estimate pipeline. The
 // payload reuses the snapshot field codec, so stored results round-trip
 // every f64 bit-exactly.

@@ -311,20 +311,8 @@ void Crossbar::mvm_finish(std::span<double> currents) {
 
 std::vector<double> Crossbar::matvec_raw(std::span<const float> x,
                                          double t_seconds) {
-  std::vector<double> currents(out_dim_);
-  matvec_raw_into(x, currents, t_seconds);
-  return currents;
-}
-
-void Crossbar::matvec_raw_into(std::span<const float> x, std::span<double> out,
-                               double t_seconds) {
-  if (out.size() != out_dim_) {
-    throw core::Error("imc::Crossbar::matvec_raw_into",
-                      "output length mismatch",
-                      "got " + std::to_string(out.size()) + ", expected " +
-                          std::to_string(out_dim_));
-  }
   mvm_periphery(x);
+  std::vector<double> out(out_dim_);
   // Bitline by bitline, rows ascending, G+ before G-: the read order fixes
   // the RNG stream, which is part of the contract.
   for (std::size_t o = 0; o < out_dim_; ++o) {
@@ -350,27 +338,6 @@ void Crossbar::matvec_raw_into(std::span<const float> x, std::span<double> out,
     out[o] = acc;
   }
   mvm_finish(out);
-}
-
-std::vector<double> Crossbar::matvec_raw_batch(std::span<const float> xs,
-                                               std::size_t count,
-                                               double t_seconds) {
-  if (count == 0) {
-    throw core::Error("imc::Crossbar::matvec_raw_batch",
-                      "count must be >= 1");
-  }
-  if (xs.size() != count * in_dim_) {
-    throw core::Error("imc::Crossbar::matvec_raw_batch",
-                      "input batch length mismatch",
-                      "got " + std::to_string(xs.size()) + ", expected " +
-                          std::to_string(count * in_dim_));
-  }
-  std::vector<double> out(count * out_dim_);
-  const std::span<double> out_span(out);
-  for (std::size_t v = 0; v < count; ++v) {
-    matvec_raw_into(xs.subspan(v * in_dim_, in_dim_),
-                    out_span.subspan(v * out_dim_, out_dim_), t_seconds);
-  }
   return out;
 }
 

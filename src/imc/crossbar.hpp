@@ -102,26 +102,6 @@ public:
   std::vector<double> matvec_raw(std::span<const float> x,
                                  double t_seconds = 1.0);
 
-  /// matvec_raw writing into a caller-provided buffer of cols() doubles
-  /// (overwritten, not accumulated) -- the allocation-free form batch and
-  /// service callers scatter from. Energy, RNG stream and results are
-  /// bit-identical to matvec_raw. Throws on an out-span length mismatch.
-  void matvec_raw_into(std::span<const float> x, std::span<double> out,
-                       double t_seconds = 1.0);
-
-  /// Batched raw MVMs: `xs` holds `count` input vectors of length rows(),
-  /// row-major; the result holds the `count` raw outputs of cols() each,
-  /// row-major. Equivalent to calling matvec_raw on each vector in order
-  /// (the analog read stream is stateful, so vectors are serialised) --
-  /// same RNG draw order, same per-pass read-energy charges, no ADC
-  /// energy -- but each output is written in place (no per-vector
-  /// allocation) and the periphery scratch is reused across the batch.
-  /// `count == 0` is rejected explicitly: a batch with no vectors is a
-  /// caller bug, not an empty result.
-  std::vector<double> matvec_raw_batch(std::span<const float> xs,
-                                       std::size_t count,
-                                       double t_seconds = 1.0);
-
   /// The shared-full-scale signed quantiser the ADC stage applies; exposed
   /// so accumulation architectures can digitise deferred sums identically.
   static double adc_quantize(double value, double full_scale, int bits);

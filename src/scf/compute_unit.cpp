@@ -63,8 +63,11 @@ CuRunStats ComputeUnit::run_gemm(std::size_t m, std::size_t k,
       std::max(static_cast<double>(compute_cycles_per_tile),
                dma_cycles_per_tile);
   const std::size_t tiles = m_tiles * n_tiles;
-  stats.cycles = static_cast<std::uint64_t>(paced * static_cast<double>(tiles)) +
-                 static_cast<std::uint64_t>(dma_cycles_per_tile);  // prologue
+  const char* where = "scf::ComputeUnit::run_gemm";
+  stats.cycles = core::add_u64(
+      where, "cycles",
+      core::to_u64(where, "cycles", paced * static_cast<double>(tiles)),
+      core::to_u64(where, "prologue cycles", dma_cycles_per_tile));
 
   stats.flops = 2ull * m * k * n;
   const double ideal_cycles =
@@ -95,8 +98,9 @@ CuRunStats ComputeUnit::run_elementwise(std::size_t elements,
   CuRunStats stats;
   if (elements == 0) return stats;
   const double total_ops = static_cast<double>(elements) * ops_per_element;
-  stats.cycles = static_cast<std::uint64_t>(
-      std::ceil(total_ops / static_cast<double>(config_.cores)));
+  stats.cycles =
+      core::to_u64("scf::ComputeUnit::run_elementwise", "cycles",
+                   std::ceil(total_ops / static_cast<double>(config_.cores)));
   stats.flops = static_cast<std::uint64_t>(
       static_cast<double>(elements) * flops_per_element);
   stats.energy_pj = total_ops * config_.core_op_energy_pj;

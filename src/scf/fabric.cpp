@@ -60,6 +60,7 @@ ScalableComputeFabric::ScalableComputeFabric(FabricConfig config)
 }
 
 FabricRunStats ScalableComputeFabric::run_kernel(const KernelCall& call) const {
+  const char* where = "scf::ScalableComputeFabric::run_kernel";
   FabricRunStats stats;
   const int total = health_.total_cus;
   const int live = health_.active_cus;
@@ -88,10 +89,11 @@ FabricRunStats ScalableComputeFabric::run_kernel(const KernelCall& call) const {
                static_cast<double>(call.m) * call.n);
     const double transfer_cycles = bytes / config_.interconnect_bytes_per_cycle;
     // Double-buffered against compute: the slower one paces the kernel.
-    stats.cycles = static_cast<std::uint64_t>(
+    stats.cycles = core::to_u64(
+        where, "cycles",
         std::max(static_cast<double>(cu_stats.cycles) * pace,
                  transfer_cycles) +
-        config_.dispatch_cycles);
+            config_.dispatch_cycles);
     stats.flops = 2ull * call.m * call.k * call.n;
     stats.energy_pj = cu_stats.energy_pj * cus *
                       (static_cast<double>(call.m) /
@@ -103,9 +105,11 @@ FabricRunStats ScalableComputeFabric::run_kernel(const KernelCall& call) const {
     const std::size_t share =
         (call.m + static_cast<std::size_t>(cus) - 1) / cus;
     const auto cu_stats = cu_.run_elementwise(share, cost.ops, cost.flops);
-    stats.cycles = static_cast<std::uint64_t>(
-                       static_cast<double>(cu_stats.cycles) * pace) +
-                   static_cast<std::uint64_t>(config_.dispatch_cycles);
+    stats.cycles = core::add_u64(
+        where, "cycles",
+        core::to_u64(where, "cycles",
+                     static_cast<double>(cu_stats.cycles) * pace),
+        core::to_u64(where, "dispatch_cycles", config_.dispatch_cycles));
     stats.flops = static_cast<std::uint64_t>(
         static_cast<double>(call.m) * cost.flops);
     stats.energy_pj = static_cast<double>(call.m) * cost.ops *
@@ -131,7 +135,8 @@ FabricRunStats ScalableComputeFabric::run_trace(
   FabricRunStats total;
   for (const auto& call : trace) {
     const auto stats = run_kernel(call);
-    total.cycles += stats.cycles;
+    total.cycles = core::add_u64("scf::ScalableComputeFabric::run_trace",
+                                 "cycles", total.cycles, stats.cycles);
     total.flops += stats.flops;
     total.energy_pj += stats.energy_pj;
     total.completed = total.completed && stats.completed;

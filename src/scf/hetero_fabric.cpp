@@ -46,6 +46,7 @@ HeterogeneousFabric::HeterogeneousFabric(HeteroFabricConfig config)
 }
 
 FabricRunStats HeterogeneousFabric::run_kernel(const KernelCall& call) const {
+  const char* where = "scf::HeterogeneousFabric::run_kernel";
   FabricRunStats stats;
   const bool gemm = call.kind == KernelCall::Kind::kGemm;
   // Route to the preferred pool; when it has no survivors and
@@ -82,10 +83,11 @@ FabricRunStats HeterogeneousFabric::run_kernel(const KernelCall& call) const {
                static_cast<double>(call.m) * call.n);
     const double transfer_cycles =
         bytes / config_.interconnect_bytes_per_cycle;
-    stats.cycles = static_cast<std::uint64_t>(
+    stats.cycles = core::to_u64(
+        where, "cycles",
         std::max(static_cast<double>(cu_stats.cycles) * pace,
                  transfer_cycles) +
-        config_.dispatch_cycles);
+            config_.dispatch_cycles);
     stats.flops = 2ull * call.m * call.k * call.n;
     stats.energy_pj = cu_stats.energy_pj * cus *
                       (static_cast<double>(call.m) /
@@ -96,9 +98,11 @@ FabricRunStats HeterogeneousFabric::run_kernel(const KernelCall& call) const {
     const std::size_t share =
         (call.m + static_cast<std::size_t>(cus) - 1) / cus;
     const auto cu_stats = unit.run_elementwise(share, cost.ops, cost.flops);
-    stats.cycles = static_cast<std::uint64_t>(
-                       static_cast<double>(cu_stats.cycles) * pace) +
-                   static_cast<std::uint64_t>(config_.dispatch_cycles);
+    stats.cycles = core::add_u64(
+        where, "cycles",
+        core::to_u64(where, "cycles",
+                     static_cast<double>(cu_stats.cycles) * pace),
+        core::to_u64(where, "dispatch_cycles", config_.dispatch_cycles));
     stats.flops = static_cast<std::uint64_t>(
         static_cast<double>(call.m) * cost.flops);
     stats.energy_pj = static_cast<double>(call.m) * cost.ops *
@@ -122,7 +126,8 @@ FabricRunStats HeterogeneousFabric::run_trace(
   FabricRunStats total;
   for (const auto& call : trace) {
     const auto stats = run_kernel(call);
-    total.cycles += stats.cycles;
+    total.cycles = core::add_u64("scf::HeterogeneousFabric::run_trace",
+                                 "cycles", total.cycles, stats.cycles);
     total.flops += stats.flops;
     total.energy_pj += stats.energy_pj;
     total.completed = total.completed && stats.completed;

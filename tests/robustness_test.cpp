@@ -820,6 +820,27 @@ TEST(Robustness, ScfHardwareConfigValidationThrows) {
   EXPECT_NO_THROW(scf::HeterogeneousFabric{hetero_edge});
 }
 
+TEST(Robustness, ScfCycleCountOverflowThrows) {
+  // Finite but extreme values pass validate() and push a kernel's cycle
+  // count past 2^64, where the double -> uint64 cast is undefined; a
+  // 1e19-cycle dispatch fits one kernel but overflows the trace sum. Both
+  // fabrics throw instead of reporting a small, wrong count.
+  const auto trace = scf::kernel_trace({});
+  const auto overflows = [&trace](auto edit) {
+    scf::FabricConfig fabric;
+    edit(fabric);
+    EXPECT_THROW(scf::ScalableComputeFabric{fabric}.run_trace(trace),
+                 core::Error);
+    scf::HeteroFabricConfig hetero;
+    edit(hetero);
+    EXPECT_THROW(scf::HeterogeneousFabric{hetero}.run_trace(trace),
+                 core::Error);
+  };
+  overflows([](auto& c) { c.dispatch_cycles = 1e30; });
+  overflows([](auto& c) { c.interconnect_bytes_per_cycle = 1e-300; });
+  overflows([](auto& c) { c.dispatch_cycles = 1e19; });
+}
+
 TEST(Robustness, TransformerShapeMismatchesThrow) {
   scf::TransformerConfig config;
   config.seq_len = 8;
