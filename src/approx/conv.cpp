@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "approx/conv_kernels.hpp"
 #include "core/aligned.hpp"
+#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/simd.hpp"
 #include "core/trace.hpp"
@@ -15,6 +16,16 @@
 namespace icsc::approx {
 
 namespace {
+
+/// Throws core::Error unless `input` is a [channels, h, w] feature map.
+void require_feature_map(const FeatureMap& input, std::size_t channels,
+                         const char* where) {
+  if (input.rank() != 3 || input.dim(0) != channels) {
+    throw core::Error(where, "input must be [in_channels, h, w]",
+                      "got " + core::shape_to_string(input.shape()) +
+                          ", in_channels " + std::to_string(channels));
+  }
+}
 
 float quantize_runtime(float v, int int_bits, int frac_bits) {
   const double scale = static_cast<double>(std::int64_t{1} << frac_bits);
@@ -105,8 +116,7 @@ void book_conv_macs(std::size_t cout, std::size_t h, std::size_t w,
 FeatureMap ConvLayer::apply(const FeatureMap& input, const QuantConfig& config,
                             core::OpCounter* ops) const {
   ICSC_TRACE_SPAN("conv/apply");
-  assert(input.rank() == 3);
-  assert(input.dim(0) == in_channels());
+  require_feature_map(input, in_channels(), "approx::ConvLayer::apply");
   const std::size_t cin = in_channels();
   const std::size_t cout = out_channels();
   const std::size_t h = input.dim(1);
@@ -157,8 +167,8 @@ FeatureMap ConvLayer::apply_reference(const FeatureMap& input,
                                       const QuantConfig& config,
                                       core::OpCounter* ops) const {
   ICSC_TRACE_SPAN("conv/apply_reference");
-  assert(input.rank() == 3);
-  assert(input.dim(0) == in_channels());
+  require_feature_map(input, in_channels(),
+                      "approx::ConvLayer::apply_reference");
   const std::size_t cin = in_channels();
   const std::size_t cout = out_channels();
   const std::size_t h = input.dim(1);
@@ -415,6 +425,7 @@ void tconv_phase_row(const FeatureMap& input, const core::TensorF& k_weights,
 core::Image TconvLayer::apply_exact(const FeatureMap& input,
                                     const QuantConfig& config,
                                     core::OpCounter* ops) const {
+  require_feature_map(input, in_channels(), "approx::TconvLayer::apply_exact");
   return apply_foveated(input, FovealRegion::full(input.dim(1), input.dim(2)),
                         config, ops);
 }
@@ -424,8 +435,8 @@ core::Image TconvLayer::apply_foveated(const FeatureMap& input,
                                        const QuantConfig& config,
                                        core::OpCounter* ops) const {
   ICSC_TRACE_SPAN("htconv/apply_foveated");
-  assert(input.rank() == 3);
-  assert(input.dim(0) == in_channels());
+  require_feature_map(input, in_channels(),
+                      "approx::TconvLayer::apply_foveated");
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);
   const std::size_t t = kernel();
@@ -553,8 +564,8 @@ core::Image TconvLayer::apply_foveated_reference(const FeatureMap& input,
                                                  const QuantConfig& config,
                                                  core::OpCounter* ops) const {
   ICSC_TRACE_SPAN("htconv/apply_foveated_reference");
-  assert(input.rank() == 3);
-  assert(input.dim(0) == in_channels());
+  require_feature_map(input, in_channels(),
+                      "approx::TconvLayer::apply_foveated_reference");
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);
   const std::size_t t = kernel();

@@ -50,7 +50,8 @@ struct ConvLayer {
 
   /// Fast path: im2col row panels + register-blocked accumulation
   /// (conv_kernels.hpp). Bit-identical to `apply_reference` -- the per-output
-  /// (ic, u, v) accumulation order is preserved exactly.
+  /// (ic, u, v) accumulation order is preserved exactly. Both applies throw
+  /// core::Error unless `input` is [in_channels(), h, w].
   FeatureMap apply(const FeatureMap& input, const QuantConfig& config,
                    core::OpCounter* ops = nullptr) const;
 
@@ -95,6 +96,8 @@ struct TconvLayer {
 
   /// Conventional TCONV: all four output phases computed accurately.
   /// MACs counted as 4 * t^2 * Cin per LR pixel (the Fig. 3 loop bounds).
+  /// All three applies throw core::Error unless `input` is
+  /// [in_channels(), h, w].
   core::Image apply_exact(const FeatureMap& input, const QuantConfig& config,
                           core::OpCounter* ops = nullptr) const;
 

@@ -184,6 +184,24 @@ void tap_panel_axpy_f32_f64(const float* const* rows, const double* weights,
   }
 }
 
+void panel_axpy_f32(const float* w, const float* x, std::size_t ldx,
+                    std::size_t taps, float* acc, std::size_t n) {
+  switch (active_isa()) {
+#if defined(__x86_64__) || defined(__i386__)
+    case Isa::kAvx2:
+      return avx2::panel_axpy_f32(w, x, ldx, taps, acc, n);
+    case Isa::kSse4:
+      return sse4::panel_axpy_f32(w, x, ldx, taps, acc, n);
+#endif
+#if defined(__aarch64__)
+    case Isa::kNeon:
+      return neon::panel_axpy_f32(w, x, ldx, taps, acc, n);
+#endif
+    default:
+      return scalar_impl::panel_axpy_f32(w, x, ldx, taps, acc, n);
+  }
+}
+
 void quantize_fixed_f32(float* data, std::size_t n, int int_bits,
                         int frac_bits) {
   switch (active_isa()) {

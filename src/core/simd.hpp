@@ -61,7 +61,7 @@ Isa resolve_isa(const char* env_value);
 std::string cpu_features();
 
 // ---------------------------------------------------------------------------
-// Floating-point panel primitives (conv / htconv).
+// Floating-point panel primitives (conv / htconv, transformer GEMM).
 // ---------------------------------------------------------------------------
 
 /// acc[i] += w * double(x[i]) for i in [0, n). One widening convert, one
@@ -77,6 +77,16 @@ void axpy_f32_f64(double w, const float* x, double* acc, std::size_t n);
 /// instead of once per tap.
 void tap_panel_axpy_f32_f64(const float* const* rows, const double* weights,
                             std::size_t taps, double* acc, std::size_t n);
+
+/// fp32 panel accumulation: acc[j] += w[t] * x[t * ldx + j] for j in
+/// [0, n), over taps t ascending, one IEEE float multiply then one add per
+/// tap per column (never an FMA). Accumulators stay in registers across the
+/// tap loop, as in tap_panel_axpy_f32_f64. With acc zeroed and x a [taps, n]
+/// matrix of row stride ldx, one call is a GEMM row acc = w x whose every
+/// output sums its products in order from 0.0F -- the transformer's
+/// tensor-engine GEMM (scf/transformer).
+void panel_axpy_f32(const float* w, const float* x, std::size_t ldx,
+                    std::size_t taps, float* acc, std::size_t n);
 
 /// In-place fixed-point quantisation of a float buffer: each element is
 /// scaled by 2^frac_bits, rounded half away from zero, clamped to the

@@ -16,6 +16,8 @@
   void tap_panel_axpy_f32_f64(const float* const* rows,                      \
                               const double* weights, std::size_t taps,       \
                               double* acc, std::size_t n);                   \
+  void panel_axpy_f32(const float* w, const float* x, std::size_t ldx,       \
+                      std::size_t taps, float* acc, std::size_t n);          \
   void quantize_fixed_f32(float* data, std::size_t n, int int_bits,          \
                           int frac_bits);                                    \
   void qtap_exact(const std::int32_t* x, std::int32_t w, int loa_bits,       \

@@ -92,6 +92,14 @@ inline void tap_panel_axpy_f32_f64(const float* const* rows,
   }
 }
 
+inline void panel_axpy_f32(const float* w, const float* x, std::size_t ldx,
+                           std::size_t taps, float* acc, std::size_t n) {
+  for (std::size_t t = 0; t < taps; ++t) {
+    const float* row = x + t * ldx;
+    for (std::size_t j = 0; j < n; ++j) acc[j] += w[t] * row[j];
+  }
+}
+
 inline void quantize_fixed_f32(float* data, std::size_t n, int int_bits,
                                int frac_bits) {
   const double scale = static_cast<double>(std::int64_t{1} << frac_bits);

@@ -5,7 +5,7 @@
 // need shapes, element access, and a handful of elementwise helpers.
 //
 // Error contract: constructors, reshaped(), the elementwise operators, and
-// the matvec/matmul helpers throw icsc::core::Error (with the offending
+// the matvec helper throw icsc::core::Error (with the offending
 // shapes in the message) on shape or size mismatches; they never assert or
 // silently read out of bounds. Multi-index operator() stays debug-assert
 // only -- it is the hot path.
@@ -190,30 +190,6 @@ std::vector<T> matvec(const Tensor<T>& a, std::span<const T> x) {
     y[i] = acc;
   }
   return y;
-}
-
-/// Dense GEMM: C = A B with A [m, k] and B [k, n].
-template <typename T>
-Tensor<T> matmul(const Tensor<T>& a, const Tensor<T>& b) {
-  if (a.rank() != 2 || b.rank() != 2) {
-    throw Error("core::matmul", "operands must be rank-2",
-                shape_to_string(a.shape()) + " x " +
-                    shape_to_string(b.shape()));
-  }
-  if (a.dim(1) != b.dim(0)) {
-    throw Error("core::matmul", "inner dimension mismatch",
-                shape_to_string(a.shape()) + " x " +
-                    shape_to_string(b.shape()));
-  }
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  Tensor<T> c({m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const T apk = a(i, p);
-      for (std::size_t j = 0; j < n; ++j) c(i, j) += apk * b(p, j);
-    }
-  }
-  return c;
 }
 
 using TensorF = Tensor<float>;

@@ -1,105 +1,118 @@
 #include "scf/transformer.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <iterator>
+#include <span>
 #include <utility>
 
 #include "core/bfloat16.hpp"
 #include "core/error.hpp"
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
+#include "core/simd.hpp"
 
 namespace icsc::scf {
 
 namespace {
 
-void round_tensor_bf16(core::TensorF& t, bool enabled) {
-  if (!enabled) return;
-  t.transform([](float v) { return core::bf16_round(v); });
+/// bf16 storage rounding of one value when enabled; identity on the fp32
+/// path.
+float round_storage(float v, bool bf16) {
+  return bf16 ? core::bf16_round(v) : v;
 }
 
-/// C = A B^T with A [m, k], B [n, k] (weight layout), fp32 accumulation.
-core::TensorF gemm_bt(const core::TensorF& a, const core::TensorF& b,
-                      bool bf16) {
-  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
-  assert(b.dim(1) == k);
-  core::TensorF c({m, n});
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      float acc = 0.0F;  // fp32 accumulator, as in the tensor engine
-      for (std::size_t p = 0; p < k; ++p) acc += a(i, p) * b(j, p);
-      c(i, j) = acc;
+/// Multiply-accumulates per pool chunk: enough work to repay one chunk
+/// claim, small enough to spread a 64-row GEMM over the pool.
+constexpr std::size_t kChunkMacs = std::size_t{64} * 1024;
+
+/// Rows per pool chunk for rows of `macs_per_row` multiply-accumulates.
+std::size_t row_grain(std::size_t macs_per_row) {
+  return std::max<std::size_t>(1, kChunkMacs / macs_per_row);
+}
+
+/// One GEMM output row c[0, n) = a[0, k) B, for B [k, n] with row stride
+/// ldb. Each output sums its k products in order from 0.0F in fp32, as the
+/// tensor engine accumulates, then takes the storage rounding.
+void gemm_row(const float* a, const float* b, std::size_t ldb, std::size_t k,
+              float* c, std::size_t n, bool bf16) {
+  std::fill_n(c, n, 0.0F);
+  core::simd::panel_axpy_f32(a, b, ldb, k, c, n);
+  for (std::size_t j = 0; j < n; ++j) c[j] = round_storage(c[j], bf16);
+}
+
+/// Softmax of one attention row in place, then the storage rounding.
+void softmax_row(std::span<float> row, bool bf16,
+                 TransformerConfig::SoftmaxFn override_fn) {
+  if (override_fn != nullptr) {
+    const auto probs = override_fn(row);
+    if (probs.size() != row.size()) {
+      throw core::Error("scf::TransformerBlock::forward",
+                        "softmax_override must return one value per logit",
+                        std::to_string(probs.size()) + " for " +
+                            std::to_string(row.size()));
     }
-  }
-  round_tensor_bf16(c, bf16);
-  return c;
-}
-
-/// C = A B with A [m, k], B [k, n].
-core::TensorF gemm(const core::TensorF& a, const core::TensorF& b, bool bf16) {
-  auto c = core::matmul(a, b);
-  round_tensor_bf16(c, bf16);
-  return c;
-}
-
-void softmax_rows(core::TensorF& t, bool bf16,
-                  TransformerConfig::SoftmaxFn override_fn) {
-  const std::size_t rows = t.dim(0), cols = t.dim(1);
-  for (std::size_t r = 0; r < rows; ++r) {
-    if (override_fn != nullptr) {
-      const auto probs = override_fn(
-          std::span<const float>(&t(r, 0), cols));
-      for (std::size_t c = 0; c < cols; ++c) t(r, c) = probs[c];
-      continue;
-    }
-    float peak = t(r, 0);
-    for (std::size_t c = 1; c < cols; ++c) peak = std::max(peak, t(r, c));
+    std::copy(probs.begin(), probs.end(), row.begin());
+  } else {
+    float peak = row[0];
+    for (const float v : row) peak = std::max(peak, v);
     float sum = 0.0F;
-    for (std::size_t c = 0; c < cols; ++c) {
-      t(r, c) = std::exp(t(r, c) - peak);
-      sum += t(r, c);
+    for (auto& v : row) {
+      v = std::exp(v - peak);
+      sum += v;
     }
-    for (std::size_t c = 0; c < cols; ++c) t(r, c) /= sum;
+    for (auto& v : row) v /= sum;
   }
-  round_tensor_bf16(t, bf16);
+  for (auto& v : row) v = round_storage(v, bf16);
 }
 
-void layer_norm(core::TensorF& t, const std::vector<float>& gain,
-                const std::vector<float>& bias, bool bf16) {
-  const std::size_t rows = t.dim(0), cols = t.dim(1);
-  for (std::size_t r = 0; r < rows; ++r) {
-    float mean = 0.0F;
-    for (std::size_t c = 0; c < cols; ++c) mean += t(r, c);
-    mean /= static_cast<float>(cols);
-    float var = 0.0F;
-    for (std::size_t c = 0; c < cols; ++c) {
-      const float d = t(r, c) - mean;
-      var += d * d;
-    }
-    var /= static_cast<float>(cols);
-    const float inv = 1.0F / std::sqrt(var + 1e-5F);
-    for (std::size_t c = 0; c < cols; ++c) {
-      t(r, c) = (t(r, c) - mean) * inv * gain[c] + bias[c];
-    }
+/// row = layer_norm(row + residual) in place, with the storage rounding
+/// after the residual add and after the norm.
+void residual_layer_norm(std::span<float> row, const float* residual,
+                         const std::vector<float>& gain,
+                         const std::vector<float>& bias, bool bf16) {
+  const std::size_t cols = row.size();
+  float mean = 0.0F;
+  for (std::size_t c = 0; c < cols; ++c) {
+    row[c] = round_storage(row[c] + residual[c], bf16);
+    mean += row[c];
   }
-  round_tensor_bf16(t, bf16);
+  mean /= static_cast<float>(cols);
+  float var = 0.0F;
+  for (const float v : row) {
+    const float d = v - mean;
+    var += d * d;
+  }
+  var /= static_cast<float>(cols);
+  const float inv = 1.0F / std::sqrt(var + 1e-5F);
+  for (std::size_t c = 0; c < cols; ++c) {
+    row[c] = round_storage((row[c] - mean) * inv * gain[c] + bias[c], bf16);
+  }
 }
 
-void gelu(core::TensorF& t, bool bf16) {
-  t.transform([](float v) {
+/// GELU in place, then the storage rounding.
+void gelu(std::span<float> row, bool bf16) {
+  for (auto& v : row) {
     // tanh approximation, as hardware GELU units implement it.
     const float inner = 0.7978845608F * (v + 0.044715F * v * v * v);
-    return 0.5F * v * (1.0F + std::tanh(inner));
-  });
-  round_tensor_bf16(t, bf16);
+    v = round_storage(0.5F * v * (1.0F + std::tanh(inner)), bf16);
+  }
 }
 
-core::TensorF random_weights(std::size_t out, std::size_t in, core::Rng& rng) {
-  core::TensorF w({out, in});
+/// Draws an [out, in] weight matrix (the draw order is part of the seeded
+/// contract), takes the storage rounding, and packs it [in, out] as the
+/// right operand of gemm_row().
+core::TensorF packed_weights(std::size_t out, std::size_t in, core::Rng& rng,
+                             bool bf16) {
+  core::TensorF packed({in, out});
   const double sigma = 1.0 / std::sqrt(static_cast<double>(in));
-  for (auto& v : w.data()) v = static_cast<float>(rng.normal(0.0, sigma));
-  return w;
+  for (std::size_t o = 0; o < out; ++o) {
+    for (std::size_t i = 0; i < in; ++i) {
+      const auto v = static_cast<float>(rng.normal(0.0, sigma));
+      packed(i, o) = round_storage(v, bf16);
+    }
+  }
+  return packed;
 }
 
 }  // namespace
@@ -160,21 +173,18 @@ TransformerBlock::TransformerBlock(const TransformerConfig& config)
     : config_(config) {
   config.validate();
   core::Rng rng(config.seed);
-  wq_ = random_weights(config.d_model, config.d_model, rng);
-  wk_ = random_weights(config.d_model, config.d_model, rng);
-  wv_ = random_weights(config.d_model, config.d_model, rng);
-  wo_ = random_weights(config.d_model, config.d_model, rng);
-  w1_ = random_weights(config.d_ff, config.d_model, rng);
-  w2_ = random_weights(config.d_model, config.d_ff, rng);
-  ln1_gain_.assign(config.d_model, 1.0F);
-  ln1_bias_.assign(config.d_model, 0.0F);
-  ln2_gain_.assign(config.d_model, 1.0F);
-  ln2_bias_.assign(config.d_model, 0.0F);
-  if (config.use_bf16) {
-    for (auto* w : {&wq_, &wk_, &wv_, &wo_, &w1_, &w2_}) {
-      round_tensor_bf16(*w, true);
-    }
-  }
+  const std::size_t d = config.d_model;
+  const bool bf16 = config.use_bf16;
+  wq_ = packed_weights(d, d, rng, bf16);
+  wk_ = packed_weights(d, d, rng, bf16);
+  wv_ = packed_weights(d, d, rng, bf16);
+  wo_ = packed_weights(d, d, rng, bf16);
+  w1_ = packed_weights(config.d_ff, d, rng, bf16);
+  w2_ = packed_weights(d, config.d_ff, rng, bf16);
+  ln1_gain_.assign(d, 1.0F);
+  ln1_bias_.assign(d, 0.0F);
+  ln2_gain_.assign(d, 1.0F);
+  ln2_bias_.assign(d, 0.0F);
 }
 
 core::TensorF TransformerBlock::forward(const core::TensorF& input,
@@ -191,51 +201,61 @@ core::TensorF TransformerBlock::forward(const core::TensorF& input,
                           ", want " + core::shape_to_string({s, d}));
   }
 
-  core::TensorF x = input;
-  round_tensor_bf16(x, bf16);
+  // Rounded input, then Q, K and V in columns [0, d), [d, 2d) and [2d, 3d)
+  // of qkv. K is also packed [d, s], so head h's K^T is the [dh, s] row
+  // block at row h * dh; Q and V are read in place.
+  core::TensorF x({s, d});
+  core::TensorF qkv({s, 3 * d});
+  core::TensorF k_t({d, s});
+  core::parallel_for(0, s, row_grain(3 * d * d),
+                     [&](std::size_t begin, std::size_t end) {
+    for (std::size_t r = begin; r < end; ++r) {
+      for (std::size_t c = 0; c < d; ++c) {
+        x(r, c) = round_storage(input(r, c), bf16);
+      }
+      gemm_row(&x(r, 0), &wq_(0, 0), d, d, &qkv(r, 0), d, bf16);
+      gemm_row(&x(r, 0), &wk_(0, 0), d, d, &qkv(r, d), d, bf16);
+      gemm_row(&x(r, 0), &wv_(0, 0), d, d, &qkv(r, 2 * d), d, bf16);
+      for (std::size_t c = 0; c < d; ++c) k_t(c, r) = qkv(r, d + c);
+    }
+  });
 
-  // QKV projections.
-  const auto q = gemm_bt(x, wq_, bf16);
-  const auto k_mat = gemm_bt(x, wk_, bf16);
-  const auto v = gemm_bt(x, wv_, bf16);
-
-  // Attention per head.
+  // Attention. A (head, query row) pair needs only its head's K^T and V,
+  // so the pairs fan out over the pool and run their two GEMM rows inline:
+  // a nested parallel_for on the calling thread would fan out again.
   core::TensorF context({s, d});
   const float scale = 1.0F / std::sqrt(static_cast<float>(dh));
-  for (std::size_t head = 0; head < h; ++head) {
-    const std::size_t off = head * dh;
-    core::TensorF qh({s, dh}), kh({s, dh}), vh({s, dh});
-    for (std::size_t r = 0; r < s; ++r) {
-      for (std::size_t c = 0; c < dh; ++c) {
-        qh(r, c) = q(r, off + c);
-        kh(r, c) = k_mat(r, off + c);
-        vh(r, c) = v(r, off + c);
-      }
+  core::parallel_for(0, h * s, row_grain(2 * s * dh),
+                     [&](std::size_t begin, std::size_t end) {
+    std::vector<float> scores(s);
+    for (std::size_t pair = begin; pair < end; ++pair) {
+      const std::size_t off = pair / s * dh;
+      const std::size_t r = pair % s;
+      gemm_row(&qkv(r, off), &k_t(off, 0), s, dh, scores.data(), s, bf16);
+      for (auto& v : scores) v = round_storage(v * scale, bf16);
+      softmax_row(scores, bf16, config_.softmax_override);
+      gemm_row(scores.data(), &qkv(0, 2 * d + off), 3 * d, s, &context(r, off),
+               dh, bf16);
     }
-    auto scores = gemm_bt(qh, kh, bf16);  // [s, s]
-    scores *= scale;
-    round_tensor_bf16(scores, bf16);
-    softmax_rows(scores, bf16, config_.softmax_override);
-    const auto ctx = gemm(scores, vh, bf16);  // [s, dh]
-    for (std::size_t r = 0; r < s; ++r) {
-      for (std::size_t c = 0; c < dh; ++c) context(r, off + c) = ctx(r, c);
+  });
+
+  // Output projection, residual + layer norm, FFN, residual + layer norm:
+  // every step is row-local, so the rows fan out over the pool once.
+  const std::size_t ff = config_.d_ff;
+  core::TensorF out({s, d});
+  core::parallel_for(0, s, row_grain(d * d + 2 * d * ff),
+                     [&](std::size_t begin, std::size_t end) {
+    std::vector<float> attn(d), hidden(ff);
+    for (std::size_t r = begin; r < end; ++r) {
+      gemm_row(&context(r, 0), &wo_(0, 0), d, d, attn.data(), d, bf16);
+      residual_layer_norm(attn, &x(r, 0), ln1_gain_, ln1_bias_, bf16);
+      gemm_row(attn.data(), &w1_(0, 0), ff, d, hidden.data(), ff, bf16);
+      gelu(hidden, bf16);
+      gemm_row(hidden.data(), &w2_(0, 0), d, ff, &out(r, 0), d, bf16);
+      residual_layer_norm(std::span<float>(&out(r, 0), d), attn.data(),
+                          ln2_gain_, ln2_bias_, bf16);
     }
-  }
-
-  auto attn_out = gemm_bt(context, wo_, bf16);
-
-  // Residual + layer norm.
-  attn_out += x;
-  round_tensor_bf16(attn_out, bf16);
-  layer_norm(attn_out, ln1_gain_, ln1_bias_, bf16);
-
-  // FFN.
-  auto hidden = gemm_bt(attn_out, w1_, bf16);  // [s, d_ff]
-  gelu(hidden, bf16);
-  auto out = gemm_bt(hidden, w2_, bf16);  // [s, d]
-  out += attn_out;
-  round_tensor_bf16(out, bf16);
-  layer_norm(out, ln2_gain_, ln2_bias_, bf16);
+  });
   if (trace) {
     auto calls = kernel_trace(config_);
     trace->insert(trace->end(), std::make_move_iterator(calls.begin()),

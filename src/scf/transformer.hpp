@@ -31,6 +31,9 @@ struct TransformerConfig {
   /// Optional replacement for the attention softmax -- the hook through
   /// which the Sec. V approximate softmax ([18]) plugs into the Sec. VII
   /// transformer (e.g. icsc::approx::softmax_approx wrapped in a lambda).
+  /// forward() calls it once per attention row from several pool threads
+  /// at once, so it must be safe to call concurrently, and it must return
+  /// one probability per logit.
   using SoftmaxFn = std::vector<float> (*)(std::span<const float>);
   SoftmaxFn softmax_override = nullptr;
 
@@ -79,7 +82,10 @@ public:
   explicit TransformerBlock(const TransformerConfig& config);
 
   /// Runs the block on input [seq_len, d_model]; returns same shape.
-  /// Throws core::Error on any other input shape.
+  /// Rows fan out over the core/parallel pool and every GEMM row runs on
+  /// core::simd::panel_axpy_f32, so the output bits depend on neither the
+  /// thread count nor the SIMD ISA. Throws core::Error on any other input
+  /// shape, or when softmax_override returns a row of another length.
   /// Appends kernel_trace(config()) to `trace` when non-null.
   core::TensorF forward(const core::TensorF& input,
                         std::vector<KernelCall>* trace = nullptr) const;
@@ -91,8 +97,9 @@ public:
 
 private:
   TransformerConfig config_;
+  // Packed [in, out] after the bf16 rounding: the right operand of x W.
   core::TensorF wq_, wk_, wv_, wo_;   // [d_model, d_model]
-  core::TensorF w1_, w2_;             // FFN [d_ff, d_model], [d_model, d_ff]
+  core::TensorF w1_, w2_;             // FFN [d_model, d_ff], [d_ff, d_model]
   std::vector<float> ln1_gain_, ln1_bias_, ln2_gain_, ln2_bias_;
 };
 

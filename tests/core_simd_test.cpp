@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "approx/approx_arith.hpp"
@@ -116,6 +119,112 @@ TEST(SimdEquivalence, AxpyF32F64MatchesScalarBitwise) {
       axpy_f32_f64(w, x.data(), acc.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         EXPECT_EQ(want[i], acc[i]) << isa_name(isa) << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+/// Uniform in [-limit, limit], except for the IEEE corner cases: one draw
+/// in 32 is a signed zero or a subnormal, and one in 32 an infinity or a
+/// NaN.
+template <typename T>
+T value_or_corner(Rng& rng, double limit) {
+  using Limits = std::numeric_limits<T>;
+  const T sign = rng.below(2) ? T(1) : T(-1);
+  switch (rng.below(64)) {
+    case 0: return sign * Limits::infinity();
+    case 1: return Limits::quiet_NaN();
+    case 2: return sign * T(0);
+    case 3:
+      return sign * Limits::denorm_min() * static_cast<T>(1 + rng.below(4096));
+    default: return static_cast<T>(rng.uniform(-limit, limit));
+  }
+}
+
+/// Bitwise equality, except that any NaN matches any NaN: a NaN's payload
+/// depends on which operand the hardware propagates, which the scalar
+/// compiler is free to swap.
+template <typename T>
+bool same_bits(T a, T b) {
+  using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<Bits>(a) == std::bit_cast<Bits>(b);
+}
+
+// Four full tiles of the widest ISA plus three tail elements: AVX2 holds
+// 8 f32 and 4 f64 lanes, and the panel kernels tile 4 vectors wide.
+constexpr std::size_t kMaxF32Width = 4 * 8 + 3;
+constexpr std::size_t kMaxF64Width = 4 * 4 + 3;
+
+TEST(SimdEquivalence, PanelAxpyF32MatchesScalarBitwise) {
+  IsaGuard guard;
+  Rng rng(108);
+  for (std::size_t n = 0; n <= kMaxF32Width; ++n) {
+    for (std::size_t taps = 0; taps <= 9; ++taps) {
+      for (const std::size_t pad : {std::size_t{0}, std::size_t{5}}) {
+        const std::size_t ldx = n + pad;  // strided rows when pad > 0
+        std::vector<float> w(taps), x(taps * ldx), acc0(n);
+        for (auto& v : w) v = value_or_corner<float>(rng, 3.0);
+        for (auto& v : x) v = value_or_corner<float>(rng, 2.0);
+        for (auto& v : acc0) v = value_or_corner<float>(rng, 10.0);
+
+        std::vector<float> want = acc0;
+        for (std::size_t t = 0; t < taps; ++t) {
+          for (std::size_t j = 0; j < n; ++j) {
+            want[j] += w[t] * x[t * ldx + j];
+          }
+        }
+        for (const Isa isa : supported_isas()) {
+          set_active_isa(isa);
+          std::vector<float> acc = acc0;
+          panel_axpy_f32(w.data(), x.data(), ldx, taps, acc.data(), n);
+          for (std::size_t j = 0; j < n; ++j) {
+            EXPECT_TRUE(same_bits(want[j], acc[j]))
+                << isa_name(isa) << " n=" << n << " taps=" << taps
+                << " ldx=" << ldx << " j=" << j << ": " << want[j] << " vs "
+                << acc[j];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdEquivalence, TapPanelAxpyF32F64MatchesScalarBitwise) {
+  IsaGuard guard;
+  Rng rng(109);
+  for (std::size_t n = 0; n <= kMaxF64Width; ++n) {
+    for (std::size_t taps = 0; taps <= 9; ++taps) {
+      for (const std::size_t pad : {std::size_t{0}, std::size_t{3}}) {
+        const std::size_t stride = n + pad;  // strided rows when pad > 0
+        std::vector<float> panel(taps * stride);
+        std::vector<const float*> rows(taps);
+        std::vector<double> weights(taps), acc0(n);
+        for (auto& v : panel) v = value_or_corner<float>(rng, 2.0);
+        for (std::size_t t = 0; t < taps; ++t) {
+          rows[t] = panel.data() + t * stride;
+        }
+        for (auto& v : weights) v = value_or_corner<double>(rng, 3.0);
+        for (auto& v : acc0) v = value_or_corner<double>(rng, 10.0);
+
+        std::vector<double> want = acc0;
+        for (std::size_t t = 0; t < taps; ++t) {
+          for (std::size_t c = 0; c < n; ++c) {
+            want[c] += weights[t] * static_cast<double>(rows[t][c]);
+          }
+        }
+        for (const Isa isa : supported_isas()) {
+          set_active_isa(isa);
+          std::vector<double> acc = acc0;
+          tap_panel_axpy_f32_f64(rows.data(), weights.data(), taps,
+                                 acc.data(), n);
+          for (std::size_t c = 0; c < n; ++c) {
+            EXPECT_TRUE(same_bits(want[c], acc[c]))
+                << isa_name(isa) << " n=" << n << " taps=" << taps
+                << " stride=" << stride << " c=" << c << ": " << want[c]
+                << " vs " << acc[c];
+          }
+        }
       }
     }
   }

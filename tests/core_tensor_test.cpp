@@ -85,23 +85,6 @@ TEST(Tensor, MatvecMatchesManual) {
   EXPECT_FLOAT_EQ(y[1], -2.0F);
 }
 
-TEST(Tensor, MatmulIdentity) {
-  TensorF a({2, 2}, std::vector<float>{1, 2, 3, 4});
-  TensorF eye({2, 2}, std::vector<float>{1, 0, 0, 1});
-  EXPECT_EQ(matmul(a, eye), a);
-  EXPECT_EQ(matmul(eye, a), a);
-}
-
-TEST(Tensor, MatmulRectangular) {
-  TensorF a({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
-  TensorF b({3, 1}, std::vector<float>{1, 1, 1});
-  const auto c = matmul(a, b);
-  EXPECT_EQ(c.dim(0), 2u);
-  EXPECT_EQ(c.dim(1), 1u);
-  EXPECT_FLOAT_EQ(c(0, 0), 6.0F);
-  EXPECT_FLOAT_EQ(c(1, 0), 15.0F);
-}
-
 TEST(Tensor, EqualityIncludesShape) {
   TensorF a({2, 3}, 1.0F);
   TensorF b({3, 2}, 1.0F);

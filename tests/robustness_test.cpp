@@ -197,6 +197,50 @@ TEST(Robustness, ConvLayerOnTinyImages) {
   for (const float v : out.data()) EXPECT_FALSE(std::isnan(v));
 }
 
+TEST(Robustness, ConvLayerInputShapeThrows) {
+  // A feature map with the wrong rank or channel count would index past
+  // the input; every entry point rejects it in every build type.
+  approx::ConvLayer conv;
+  conv.weights = core::TensorF({2, 3, 3, 3}, 0.1F);  // 3 in, 2 out channels
+  conv.bias = {0.0F, 0.0F};
+  approx::TconvLayer tconv;
+  tconv.weights = core::TensorF({3, 4, 4}, 0.1F);  // 3 in channels
+  const approx::QuantConfig quant;
+  const auto fovea = approx::FovealRegion::full(6, 6);
+  const std::vector<approx::FeatureMap> bad = {
+      approx::FeatureMap({2, 6, 6}, 0.5F),     // too few channels
+      approx::FeatureMap({4, 6, 6}, 0.5F),     // too many channels
+      approx::FeatureMap({3, 36}, 0.5F),       // rank 2
+      approx::FeatureMap({1, 3, 6, 6}, 0.5F),  // rank 4
+  };
+  const auto expect_shape_error = [](const auto& call, const char* where) {
+    try {
+      call();
+      ADD_FAILURE() << where << " accepted a bad input";
+    } catch (const core::Error& e) {
+      EXPECT_EQ(e.where(), where);
+    }
+  };
+  for (const auto& input : bad) {
+    SCOPED_TRACE(core::shape_to_string(input.shape()));
+    expect_shape_error([&] { conv.apply(input, quant); },
+                       "approx::ConvLayer::apply");
+    expect_shape_error([&] { conv.apply_reference(input, quant); },
+                       "approx::ConvLayer::apply_reference");
+    expect_shape_error([&] { tconv.apply_exact(input, quant); },
+                       "approx::TconvLayer::apply_exact");
+    expect_shape_error([&] { tconv.apply_foveated(input, fovea, quant); },
+                       "approx::TconvLayer::apply_foveated");
+    expect_shape_error(
+        [&] { tconv.apply_foveated_reference(input, fovea, quant); },
+        "approx::TconvLayer::apply_foveated_reference");
+  }
+  // The matching shape still runs.
+  const approx::FeatureMap good({3, 6, 6}, 0.5F);
+  EXPECT_EQ(conv.apply(good, quant).shape(), (core::Shape{2, 6, 6}));
+  EXPECT_EQ(tconv.apply_foveated(good, fovea, quant).height(), 12u);
+}
+
 TEST(Robustness, FovealRegionDegenerate) {
   approx::FovealRegion zero = approx::FovealRegion::centered(10, 10, 0.0);
   int inside = 0;
@@ -699,13 +743,11 @@ TEST(Robustness, TensorShapeMismatchesThrowStructuredErrors) {
   EXPECT_THROW(a += b, core::Error);
   EXPECT_THROW(a -= b, core::Error);
   const std::vector<float> x(5, 1.0F);
-  EXPECT_THROW(core::matvec(a, std::span<const float>(x)), core::Error);
-  EXPECT_THROW(core::matmul(a, a), core::Error);
   try {
-    core::matmul(a, a);
-    FAIL() << "matmul must throw on inner-dimension mismatch";
+    core::matvec(a, std::span<const float>(x));
+    FAIL() << "matvec must throw on a vector length mismatch";
   } catch (const core::Error& e) {
-    EXPECT_EQ(e.where(), "core::matmul");
+    EXPECT_EQ(e.where(), "core::matvec");
     EXPECT_NE(std::string(e.what()).find("[2, 3]"), std::string::npos);
   }
 }
@@ -856,6 +898,13 @@ TEST(Robustness, TransformerShapeMismatchesThrow) {
   EXPECT_EQ(scf::max_abs_diff(y, y), 0.0F);
   EXPECT_THROW(scf::max_abs_diff(y, core::TensorF({8, 15})), core::Error);
   EXPECT_THROW(scf::max_abs_diff(y, core::TensorF({16, 8})), core::Error);
+  // A softmax override must return one probability per logit; a short
+  // row would leave the attention row reading past its end.
+  auto short_softmax = config;
+  short_softmax.softmax_override = [](std::span<const float> logits) {
+    return std::vector<float>(logits.size() - 1, 0.0F);
+  };
+  EXPECT_THROW(scf::TransformerBlock(short_softmax).forward(x), core::Error);
 }
 
 }  // namespace

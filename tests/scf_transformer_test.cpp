@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "core/parallel.hpp"
 #include "core/rng.hpp"
+#include "core/simd.hpp"
 
 namespace icsc::scf {
 namespace {
@@ -232,6 +240,94 @@ TEST(Transformer, FlopsScaleWithModel) {
   big.d_model = 64;
   big.d_ff = 128;
   EXPECT_GT(TransformerBlock(big).flops(), 2.0 * TransformerBlock(small).flops());
+}
+
+/// FNV-1a over the bit patterns of every output element, row-major.
+std::uint64_t output_bits(const core::TensorF& t) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float v : t.data()) {
+    h ^= std::bit_cast<std::uint32_t>(v);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// A stand-in attention softmax for the override hook: base-2 exponent,
+/// so its bits differ from the built-in softmax's.
+std::vector<float> softmax_base2(std::span<const float> logits) {
+  float peak = logits[0];
+  for (const float v : logits) peak = std::max(peak, v);
+  std::vector<float> out(logits.size());
+  float sum = 0.0F;
+  for (std::size_t i = 0; i < logits.size(); ++i) {
+    out[i] = std::exp2(logits[i] - peak);
+    sum += out[i];
+  }
+  for (auto& v : out) v /= sum;
+  return out;
+}
+
+struct GoldenForward {
+  const char* name;
+  TransformerConfig config;
+  std::uint64_t bits;  // output_bits of forward(make_activations(config, 1))
+};
+
+std::vector<GoldenForward> golden_forwards() {
+  const auto block = [](std::size_t s, std::size_t d, std::size_t heads,
+                        std::size_t ff, bool bf16) {
+    TransformerConfig cfg;
+    cfg.seq_len = s;
+    cfg.d_model = d;
+    cfg.heads = heads;
+    cfg.d_ff = ff;
+    cfg.use_bf16 = bf16;
+    return cfg;
+  };
+  TransformerConfig overridden = block(24, 48, 2, 80, true);
+  overridden.softmax_override = softmax_base2;
+  return {{"e2ebench shape, bf16", block(64, 128, 4, 512, true),
+           0xba22811334cba325ULL},
+          {"e2ebench shape, fp32", block(64, 128, 4, 512, false),
+           0x8605fa089c67ee9fULL},
+          {"odd shape, fp32", block(17, 36, 3, 50, false),
+           0xcc1d445253f96d7fULL},
+          {"softmax override, bf16", overridden, 0x55c5fe2a42fb3d25ULL}};
+}
+
+void expect_golden_bits(const std::string& where) {
+  for (const auto& golden : golden_forwards()) {
+    const TransformerBlock block(golden.config);
+    const auto y = block.forward(make_activations(golden.config, 1));
+    EXPECT_EQ(output_bits(y), golden.bits)
+        << where << ", " << golden.name << ": got 0x" << std::hex
+        << output_bits(y);
+  }
+}
+
+TEST(Transformer, ForwardBitsGolden) {
+  // Output bits of four blocks, pinned: every GEMM output sums its k
+  // products in order from 0.0F in fp32, so no loop order, vector width
+  // or thread count may move a bit. The softmax and GELU also feed the
+  // bits through libm's expf, exp2f and tanhf; the pins are glibc's.
+  expect_golden_bits("default ISA and pool");
+}
+
+TEST(Transformer, ForwardBitsIndependentOfIsaAndThreads) {
+  core::set_parallel_threads(4);
+  for (const auto isa : {core::simd::Isa::kScalar, core::simd::Isa::kSse4,
+                         core::simd::Isa::kAvx2, core::simd::Isa::kNeon}) {
+    if (!core::simd::isa_supported(isa)) continue;
+    core::simd::set_active_isa(isa);
+    const std::string name = core::simd::isa_name(isa);
+    {
+      core::ScopedSerial serial;
+      expect_golden_bits(name + ", serial");
+    }
+    expect_golden_bits(name + ", 4-thread pool");
+  }
+  core::simd::set_active_isa(core::simd::detected_isa());
+  core::set_parallel_threads(0);
 }
 
 TEST(Transformer, AttentionMixesSequencePositions) {
