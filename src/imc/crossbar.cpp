@@ -38,6 +38,20 @@ int round_budget(const ProgramVerifyConfig& config) {
 
 }  // namespace
 
+void CrossbarConfig::validate() const {
+  const std::string where = "imc::CrossbarConfig";
+  const auto require_bits = [&](const char* field, int bits) {
+    if (bits <= 0 || (bits >= 2 && bits <= 31)) return;
+    throw core::Error(where,
+                      std::string(field) + " must be <= 0 (ideal) or in [2, 31]",
+                      "got " + std::to_string(bits));
+  };
+  require_bits("dac_bits", dac_bits);
+  require_bits("adc_bits", adc_bits);
+  core::require_at_least(where, "ir_drop_per_row", ir_drop_per_row, 0.0);
+  core::require_at_least(where, "adc_energy_pj", adc_energy_pj, 0.0);
+}
+
 CrossbarHealth& CrossbarHealth::operator+=(const CrossbarHealth& other) {
   total_sites += other.total_sites;
   stuck_sites += other.stuck_sites;
@@ -59,6 +73,7 @@ Crossbar::Crossbar(const core::TensorF& weights, const CrossbarConfig& config)
       config_(config),
       rng_(config.seed),
       injector_(config.faults, config.seed) {
+  config_.validate();
   if (weights.rank() != 2) {
     throw core::Error("imc::Crossbar", "weights must be rank-2",
                       "got shape " + core::shape_to_string(weights.shape()));

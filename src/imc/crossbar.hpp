@@ -55,6 +55,12 @@ struct CrossbarConfig {
   /// defects, so tiled MVMs degrade gracefully instead of silently
   /// corrupting outputs. 0 disables remapping.
   std::size_t spare_columns = 0;
+
+  /// Throws core::Error unless dac_bits and adc_bits are each <= 0 (ideal)
+  /// or in [2, 31] (1 bit leaves the signed quantiser no level, 32 overflows
+  /// its level count), and ir_drop_per_row and adc_energy_pj are finite and
+  /// >= 0.
+  void validate() const;
 };
 
 /// Reliability census of one programmed crossbar (and, via TiledMatvec,
@@ -78,8 +84,8 @@ struct CrossbarHealth {
 /// One programmed crossbar holding an [out, in] weight matrix.
 ///
 /// Error contract: the constructor throws icsc::core::Error when `weights`
-/// is not rank-2 or is empty; matvec/matvec_raw throw when the input
-/// length does not match the programmed row count.
+/// is not rank-2 or is empty, or config.validate() does; matvec/matvec_raw
+/// throw when the input length does not match the programmed row count.
 class Crossbar {
 public:
   /// Programs `weights` (arbitrary scale) into conductances. The weight

@@ -1,14 +1,29 @@
 #include "imc/dimc.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <string>
+
+#include "core/error.hpp"
 
 namespace icsc::imc {
 
+namespace {
+
+/// The [out, in] shape of a weight matrix; throws core::Error unless
+/// `weights` is rank-2.
+const core::Shape& matrix_shape(const core::TensorF& weights) {
+  if (weights.rank() != 2) {
+    throw core::Error("imc::DimcMacro", "weights must be rank-2",
+                      "got shape " + core::shape_to_string(weights.shape()));
+  }
+  return weights.shape();
+}
+
+}  // namespace
+
 DimcMacro::DimcMacro(const core::TensorF& weights, const DimcConfig& config)
-    : config_(config), q_weights_({weights.dim(0), weights.dim(1)}) {
-  assert(weights.rank() == 2);
+    : config_(config), q_weights_(matrix_shape(weights)) {
   float w_max = 0.0F;
   for (const float w : weights.data()) w_max = std::max(w_max, std::abs(w));
   const double levels = (1 << (config_.weight_bits - 1)) - 1;
@@ -20,7 +35,11 @@ DimcMacro::DimcMacro(const core::TensorF& weights, const DimcConfig& config)
 }
 
 std::vector<float> DimcMacro::matvec(std::span<const float> x) {
-  assert(x.size() == q_weights_.dim(1));
+  if (x.size() != q_weights_.dim(1)) {
+    throw core::Error("imc::DimcMacro::matvec", "input length mismatch",
+                      "got " + std::to_string(x.size()) + ", expected " +
+                          std::to_string(q_weights_.dim(1)));
+  }
   const std::size_t out = q_weights_.dim(0);
   const std::size_t in = q_weights_.dim(1);
   double x_max = 0.0;

@@ -31,6 +31,10 @@ struct DimcConfig {
 /// Exact quantised matvec as executed by a DIMC macro: weights and inputs
 /// are uniformly quantised to the configured widths, the arithmetic is
 /// bit-true integer, and the result is returned de-quantised.
+///
+/// Error contract: the constructor throws icsc::core::Error when `weights`
+/// is not rank-2; matvec throws when the input length does not match the
+/// weight columns.
 class DimcMacro {
 public:
   DimcMacro(const core::TensorF& weights, const DimcConfig& config);

@@ -8,6 +8,20 @@
 
 namespace icsc::imc {
 
+void TileConfig::validate() const {
+  const std::string where = "imc::TileConfig";
+  core::require_at_least(where, "tile_rows", static_cast<double>(tile_rows), 1);
+  core::require_at_least(where, "tile_cols", static_cast<double>(tile_cols), 1);
+  core::require_at_least(where, "accumulate_energy_pj", accumulate_energy_pj,
+                         0.0);
+  core::require_at_least(where, "noc_energy_pj", noc_energy_pj, 0.0);
+  core::require_at_least(where, "tile_mvm_ns", tile_mvm_ns, 0.0);
+  core::require_at_least(where, "noc_hop_ns", noc_hop_ns, 0.0);
+  core::require_at_least(where, "analog_hop_noise_rel", analog_hop_noise_rel,
+                         0.0);
+  crossbar.validate();
+}
+
 TiledMatvec::TiledMatvec(const core::TensorF& weights, const TileConfig& config)
     : in_dim_(weights.rank() == 2 ? weights.dim(1) : 0),
       out_dim_(weights.rank() == 2 ? weights.dim(0) : 0),
@@ -16,33 +30,38 @@ TiledMatvec::TiledMatvec(const core::TensorF& weights, const TileConfig& config)
     throw core::Error("imc::TiledMatvec", "weights must be non-empty rank-2",
                       "got shape " + core::shape_to_string(weights.shape()));
   }
-  if (config.tile_rows == 0 || config.tile_cols == 0) {
-    throw core::Error("imc::TiledMatvec", "tile geometry must be non-zero",
-                      std::to_string(config.tile_rows) + "x" +
-                          std::to_string(config.tile_cols));
-  }
+  config.validate();
   row_tiles_ = (in_dim_ + config.tile_rows - 1) / config.tile_rows;
   const std::size_t col_tiles =
       (out_dim_ + config.tile_cols - 1) / config.tile_cols;
-  std::uint64_t tile_seed = config.crossbar.seed;
+  tiles_.reserve(col_tiles * row_tiles_);
   for (std::size_t ct = 0; ct < col_tiles; ++ct) {
     const std::size_t col_begin = ct * config.tile_cols;
     const std::size_t col_end = std::min(out_dim_, col_begin + config.tile_cols);
     for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
       const std::size_t row_begin = rt * config.tile_rows;
       const std::size_t row_end = std::min(in_dim_, row_begin + config.tile_rows);
-      core::TensorF slice({col_end - col_begin, row_end - row_begin});
-      for (std::size_t o = col_begin; o < col_end; ++o) {
-        for (std::size_t i = row_begin; i < row_end; ++i) {
-          slice(o - col_begin, i - row_begin) = weights(o, i);
+      tiles_.push_back(TileSlot{row_begin, row_end, col_begin, col_end, {}});
+    }
+  }
+  // Every tile programs on the pool into its own slot, from its own
+  // device population: tile t is seeded crossbar.seed + 1 + t.
+  core::parallel_for(0, tiles_.size(), 1, [&](std::size_t begin,
+                                              std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
+      auto& slot = tiles_[t];
+      core::TensorF slice(
+          {slot.col_end - slot.col_begin, slot.row_end - slot.row_begin});
+      for (std::size_t o = slot.col_begin; o < slot.col_end; ++o) {
+        for (std::size_t i = slot.row_begin; i < slot.row_end; ++i) {
+          slice(o - slot.col_begin, i - slot.row_begin) = weights(o, i);
         }
       }
       CrossbarConfig xcfg = config.crossbar;
-      xcfg.seed = ++tile_seed;  // independent device populations per tile
-      tiles_.push_back(TileSlot{row_begin, row_end, col_begin, col_end,
-                                Crossbar(slice, xcfg)});
+      xcfg.seed = config.crossbar.seed + 1 + t;
+      slot.crossbar.emplace(slice, xcfg);
     }
-  }
+  });
 }
 
 std::vector<float> TiledMatvec::matvec(std::span<const float> x,
@@ -57,75 +76,64 @@ std::vector<float> TiledMatvec::matvec(std::span<const float> x,
   std::vector<float> y(out_dim_, 0.0F);
   double energy_before = total_energy_pj();
 
-  // Column strips (the tiles_ groups of row_tiles_ consecutive slots) are
-  // independent: disjoint output ranges, per-tile device RNGs, per-tile
-  // energy ledgers. They fan out over the shared pool; within a strip the
-  // row tiles still chain serially in rt order, so every per-tile RNG draw
-  // sequence and float accumulation order matches the serial code and the
-  // MVM output is bit-identical.
-  const std::size_t strips = row_tiles_ == 0 ? 0 : tiles_.size() / row_tiles_;
-  if (config_.analog_accumulation) {
-    // Charge-domain accumulation across the row tiles of each column
-    // strip; a single ADC conversion per output ([11]). The shared hop-RNG
-    // draws are made serially up front in the exact order the serial strip
-    // loop would make them, then consumed read-only by the strip tasks.
-    std::vector<std::vector<double>> hop_noise(strips);
-    for (std::size_t s = 0; s < strips; ++s) {
-      const auto& strip_head = tiles_[s * row_tiles_];
-      const std::size_t strip_outputs =
-          strip_head.col_end - strip_head.col_begin;
-      hop_noise[s].reserve((row_tiles_ - 1) * strip_outputs);
-      for (std::size_t rt = 1; rt < row_tiles_; ++rt) {
-        for (std::size_t o = 0; o < strip_outputs; ++o) {
-          hop_noise[s].push_back(
-              hop_rng_.normal(0.0, config_.analog_hop_noise_rel));
-        }
+  // Every tile reads on the pool: ADC'd on the digital path, raw bitline
+  // sums under analog accumulation. A read touches only its own tile's
+  // device stream, scratch, energy ledger and census.
+  const bool analog = config_.analog_accumulation;
+  std::vector<std::vector<float>> digitised(analog ? 0 : tiles_.size());
+  std::vector<std::vector<double>> raw(analog ? tiles_.size() : 0);
+  core::parallel_for(0, tiles_.size(), 1, [&](std::size_t begin,
+                                              std::size_t end) {
+    for (std::size_t t = begin; t < end; ++t) {
+      auto& slot = tiles_[t];
+      const auto slice =
+          x.subspan(slot.row_begin, slot.row_end - slot.row_begin);
+      if (analog) {
+        raw[t] = slot.crossbar->matvec_raw(slice, t_seconds);
+      } else {
+        digitised[t] = slot.crossbar->matvec(slice, t_seconds);
       }
     }
-    core::parallel_for(0, strips, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
-        const std::size_t first = s * row_tiles_;
-        auto& strip_head = tiles_[first];
-        const std::size_t strip_outputs =
-            strip_head.col_end - strip_head.col_begin;
-        std::vector<double> acc(strip_outputs, 0.0);
-        std::size_t noise_cursor = 0;
-        for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-          auto& slot = tiles_[first + rt];
-          const auto raw = slot.crossbar.matvec_raw(
-              x.subspan(slot.row_begin, slot.row_end - slot.row_begin),
-              t_seconds);
-          for (std::size_t o = 0; o < raw.size(); ++o) {
-            // Each extra chained tile adds a small charge-transfer error.
-            const double hop =
-                rt == 0 ? 0.0 : hop_noise[s][noise_cursor++];
-            acc[o] += raw[o] * (1.0 + hop);
-          }
-        }
-        double fs = 0.0;
-        for (const double v : acc) fs = std::max(fs, std::abs(v));
+  });
+
+  // One serial fold, column strip by column strip (the tiles_ groups of
+  // row_tiles_ consecutive slots), row tiles in order: the same float sums
+  // and hop draws as a one-thread run, whatever ran the reads.
+  const std::size_t strips = tiles_.size() / row_tiles_;
+  if (analog) {
+    // Charge-domain accumulation across the row tiles of each column
+    // strip; a single ADC conversion per output ([11]).
+    for (std::size_t s = 0; s < strips; ++s) {
+      const std::size_t first = s * row_tiles_;
+      auto& strip_head = tiles_[first];
+      const std::size_t strip_outputs =
+          strip_head.col_end - strip_head.col_begin;
+      std::vector<double> acc(strip_outputs, 0.0);
+      for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
+        const auto& bitlines = raw[first + rt];
         for (std::size_t o = 0; o < strip_outputs; ++o) {
-          y[strip_head.col_begin + o] =
-              static_cast<float>(Crossbar::adc_quantize(
-                  acc[o], fs, config_.crossbar.adc_bits));
+          // Each extra chained tile adds a small charge-transfer error.
+          const double hop =
+              rt == 0 ? 0.0
+                      : hop_rng_.normal(0.0, config_.analog_hop_noise_rel);
+          acc[o] += bitlines[o] * (1.0 + hop);
         }
-        strip_head.crossbar.charge_adc(strip_outputs);
       }
-    });
+      double fs = 0.0;
+      for (const double v : acc) fs = std::max(fs, std::abs(v));
+      for (std::size_t o = 0; o < strip_outputs; ++o) {
+        y[strip_head.col_begin + o] = static_cast<float>(
+            Crossbar::adc_quantize(acc[o], fs, config_.crossbar.adc_bits));
+      }
+      strip_head.crossbar->charge_adc(strip_outputs);
+    }
   } else {
-    core::parallel_for(0, strips, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t s = begin; s < end; ++s) {
-        for (std::size_t rt = 0; rt < row_tiles_; ++rt) {
-          auto& slot = tiles_[s * row_tiles_ + rt];
-          const auto piece = slot.crossbar.matvec(
-              x.subspan(slot.row_begin, slot.row_end - slot.row_begin),
-              t_seconds);
-          for (std::size_t o = 0; o < piece.size(); ++o) {
-            y[slot.col_begin + o] += piece[o];
-          }
-        }
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      const std::size_t col_begin = tiles_[t].col_begin;
+      for (std::size_t o = 0; o < digitised[t].size(); ++o) {
+        y[col_begin + o] += digitised[t][o];
       }
-    });
+    }
     // Digital accumulation of row-tile partial sums + NoC transport of
     // each partial-output vector to the accumulating tile.
     const double partials =
@@ -142,13 +150,13 @@ std::vector<float> TiledMatvec::matvec(std::span<const float> x,
 
 CrossbarHealth TiledMatvec::health() const {
   CrossbarHealth total;
-  for (const auto& slot : tiles_) total += slot.crossbar.health();
+  for (const auto& slot : tiles_) total += slot.crossbar->health();
   return total;
 }
 
 double TiledMatvec::total_energy_pj() const {
   double total = digital_energy_.total_pj();
-  for (const auto& slot : tiles_) total += slot.crossbar.energy().total_pj();
+  for (const auto& slot : tiles_) total += slot.crossbar->energy().total_pj();
   return total;
 }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -39,16 +40,27 @@ struct TileConfig {
   /// cost of a small accumulation error per hop.
   bool analog_accumulation = false;
   double analog_hop_noise_rel = 0.002;  // per extra tile chained
+
+  /// Throws core::Error unless tile_rows and tile_cols are >= 1, the hop
+  /// noise, energies and latencies are finite and >= 0, and
+  /// crossbar.validate() passes.
+  void validate() const;
 };
 
 /// One weight matrix mapped onto a grid of crossbar tiles.
 ///
 /// Error contract: the constructor throws icsc::core::Error when `weights`
-/// is not a non-empty rank-2 tensor or the tile geometry is degenerate;
-/// matvec throws on an input-length mismatch. Fault injection configured
-/// in `config.crossbar.faults` flows through to every tile (each tile gets
-/// an independent fault stream keyed by its seed); `health()` aggregates
-/// the per-tile reliability census.
+/// is not a non-empty rank-2 tensor or config.validate() does; matvec
+/// throws on an input-length mismatch. Fault injection configured in
+/// `config.crossbar.faults` flows through to every tile (each tile gets an
+/// independent fault stream keyed by its seed); `health()` aggregates the
+/// per-tile reliability census.
+///
+/// The tile is the unit of pool work: the constructor programs every tile
+/// concurrently and matvec reads every tile concurrently. Each tile owns
+/// its device stream, energy ledger and census, and the partial sums fold
+/// serially in strip and row-tile order, so results do not depend on the
+/// thread count.
 class TiledMatvec {
 public:
   TiledMatvec(const core::TensorF& weights, const TileConfig& config);
@@ -74,7 +86,7 @@ private:
   struct TileSlot {
     std::size_t row_begin, row_end;  // input slice
     std::size_t col_begin, col_end;  // output slice
-    Crossbar crossbar;
+    std::optional<Crossbar> crossbar;  // set once the tile is programmed
   };
 
   std::size_t in_dim_ = 0;

@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "core/parallel.hpp"
 #include "imc/pipeline.hpp"
 #include "imc/tile.hpp"
 
@@ -84,35 +83,6 @@ TEST(AnalogAccumulation, EndToEndDnnAccuracyHolds) {
   config.tile_rows = 8;  // force multi-tile strips on the 16-input layer
   const auto point = run_imc_experiment(config, 1.0, 42);
   EXPECT_GT(point.imc_accuracy, point.software_accuracy - 0.05);
-}
-
-TEST(TiledMatvec, ParallelStripsBitIdenticalToSerial) {
-  // Column strips run on the thread pool; per-tile device RNGs and the
-  // pre-drawn hop noise must make the MVM bit-identical to an inline run.
-  core::set_parallel_threads(4);
-  for (const bool analog : {false, true}) {
-    const auto w = random_weights(96, 64, 21);  // 2 col strips x 4 row tiles
-    TileConfig config = split_config(analog);
-    config.tile_rows = 16;
-    config.tile_cols = 48;
-    TiledMatvec serial_tiles(w, config);
-    TiledMatvec parallel_tiles(w, config);
-    std::vector<float> x(64);
-    core::Rng rng(23);
-    for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    std::vector<float> serial_y;
-    {
-      core::ScopedSerial guard;
-      serial_y = serial_tiles.matvec(x);
-    }
-    const auto parallel_y = parallel_tiles.matvec(x);
-    ASSERT_EQ(serial_y.size(), parallel_y.size());
-    for (std::size_t o = 0; o < serial_y.size(); ++o) {
-      EXPECT_EQ(serial_y[o], parallel_y[o]) << "analog=" << analog << " o=" << o;
-    }
-    EXPECT_EQ(serial_tiles.mvm_energy_pj(), parallel_tiles.mvm_energy_pj());
-  }
-  core::set_parallel_threads(0);
 }
 
 TEST(AnalogAccumulation, HopNoiseGrowsWithChainLength) {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <ostream>
+#include <string>
 
+#include "core/parallel.hpp"
 #include "imc/tile.hpp"
 
 namespace icsc::imc {
@@ -15,6 +20,152 @@ core::TensorF random_weights(std::size_t out, std::size_t in,
   core::TensorF w({out, in});
   for (auto& v : w.data()) v = static_cast<float>(rng.normal(0.0, 0.5));
   return w;
+}
+
+/// FNV-1a over the bit patterns of every output element.
+std::uint64_t output_bits(std::span<const float> y) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float v : y) {
+    h ^= std::bit_cast<std::uint32_t>(v);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string census(const CrossbarHealth& h) {
+  return "sites=" + std::to_string(h.total_sites) +
+         " stuck=" + std::to_string(h.stuck_sites) +
+         " drift=" + std::to_string(h.drift_sites) +
+         " unrepairable=" + std::to_string(h.unrepairable_sites) +
+         " repaired=" + std::to_string(h.repaired_cells) +
+         " unverified=" + std::to_string(h.unverified_cells) +
+         " rounds=" + std::to_string(h.retry_rounds) +
+         " wasted=" + std::to_string(h.wasted_pulses) +
+         " bad_cols=" + std::to_string(h.bad_columns) +
+         " remapped=" + std::to_string(h.remapped_columns) +
+         " transients=" + std::to_string(h.transient_hits);
+}
+
+/// What one TiledMatvec computes: its programming, three successive reads,
+/// and the energy and census they leave behind.
+struct TiledRun {
+  std::uint64_t pulses = 0;              // programming pulses, all tiles
+  std::array<std::uint64_t, 3> reads{};  // output_bits of each matvec
+  std::uint64_t energy_bits = 0;         // total_energy_pj() after the reads
+  std::string census;
+
+  bool operator==(const TiledRun&) const = default;
+};
+
+void PrintTo(const TiledRun& run, std::ostream* os) {
+  *os << "pulses " << run.pulses << std::hex << ", reads 0x" << run.reads[0]
+      << " 0x" << run.reads[1] << " 0x" << run.reads[2] << ", energy 0x"
+      << run.energy_bits << std::dec << ", census \"" << run.census << "\"";
+}
+
+struct TiledCase {
+  const char* name;
+  std::size_t out, in;
+  TileConfig config;
+  double t_seconds;
+  TiledRun golden;
+};
+
+TiledRun run_tiled(const TiledCase& c) {
+  const auto w = random_weights(c.out, c.in, 31);
+  TiledMatvec tiled(w, c.config);
+  TiledRun run;
+  // Before any read the energy is exactly pulses x energy per pulse.
+  run.pulses = static_cast<std::uint64_t>(std::llround(
+      tiled.total_energy_pj() / c.config.crossbar.device.program_energy_pj));
+  core::Rng rng(37);
+  for (auto& read : run.reads) {
+    std::vector<float> x(c.in);
+    for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    read = output_bits(tiled.matvec(x, c.t_seconds));
+  }
+  run.energy_bits = std::bit_cast<std::uint64_t>(tiled.total_energy_pj());
+  run.census = census(tiled.health());
+  return run;
+}
+
+std::vector<TiledCase> tiled_cases() {
+  // A ragged 3 x 3 PCM grid (90 inputs on 32-row tiles, 70 outputs on
+  // 24-column tiles) with every fault kind, repair retries and two spare
+  // columns, read after drift.
+  TileConfig faulty;
+  faulty.tile_rows = 32;
+  faulty.tile_cols = 24;
+  faulty.crossbar.device = pcm_spec();
+  faulty.crossbar.seed = 77;
+  faulty.crossbar.faults.stuck_at_rate = 0.002;
+  faulty.crossbar.faults.drift_rate = 0.02;
+  faulty.crossbar.faults.transient_rate = 0.01;
+  faulty.crossbar.programming.max_pulses = 2;  // so retries repair cells
+  faulty.crossbar.repair.max_retries = 1;
+  faulty.crossbar.spare_columns = 2;
+  // Analog accumulation over a 4-row-tile chain in two ragged strips.
+  TileConfig chained;
+  chained.tile_rows = 16;
+  chained.tile_cols = 12;
+  chained.analog_accumulation = true;
+  chained.analog_hop_noise_rel = 0.01;
+  return {
+      {"e2ebench 128x128", 128, 128, TileConfig{}, 1.0,
+       {82034,
+        {0xa03ffec01f84572fULL, 0x810229cde5e7e1c3ULL, 0x1a5f1670aab22cd3ULL},
+        0x412e0f807c84b5dcULL,
+        "sites=32768 stuck=0 drift=0 unrepairable=0 repaired=0 unverified=0 "
+        "rounds=0 wasted=0 bad_cols=0 remapped=0 transients=0"}},
+      {"e2ebench 10x128", 10, 128, TileConfig{}, 1.0,
+       {6513,
+        {0xf889f55bd22549d6ULL, 0x4485c7caded417aaULL, 0xa490de50ee134654ULL},
+        0x40f317c24dd2f1aaULL,
+        "sites=2560 stuck=0 drift=0 unrepairable=0 repaired=0 unverified=0 "
+        "rounds=0 wasted=0 bad_cols=0 remapped=0 transients=0"}},
+      {"ragged faulty PCM", 70, 90, faulty, 1e4,
+       {38085,
+        {0x34bf11ac940dca0dULL, 0xd289ce3ac18a1e00ULL, 0x9882f7c1352bdddeULL},
+        0x412d1246b851eb86ULL,
+        "sites=13628 stuck=32 drift=261 unrepairable=32 repaired=5514 "
+        "unverified=618 rounds=6164 wasted=96 bad_cols=31 remapped=17 "
+        "transients=7"}},
+      {"analog accumulation", 20, 64, chained, 1.0,
+       {6705,
+        {0x5d7dde496dfb07c0ULL, 0x81bbb071a1bf5484ULL, 0x1e00c1ea5b926b17ULL},
+        0x40f3a7024dd2f1aaULL,
+        "sites=2560 stuck=0 drift=0 unrepairable=0 repaired=0 unverified=0 "
+        "rounds=0 wasted=0 bad_cols=0 remapped=0 transients=0"}},
+  };
+}
+
+void expect_golden_runs(const std::string& where) {
+  for (const auto& c : tiled_cases()) {
+    const TiledRun run = run_tiled(c);
+    EXPECT_EQ(run, c.golden) << where << ", " << c.name;
+  }
+}
+
+TEST(TiledMatvec, ProgramAndReadBitsGolden) {
+  // Programming and reads of four tile grids, pinned: every tile draws
+  // from its own seeded stream in a fixed cell order, and the partial sums
+  // and hop noise fold in strip and row-tile order, so no thread count may
+  // move a bit, a pulse or a census count.
+  expect_golden_runs("default pool");
+}
+
+TEST(TiledMatvec, BitsIndependentOfThreadCount) {
+  // Builds and reads each grid inline, then on 2 and 4 threads, so both
+  // programming and reads run on the pool.
+  {
+    core::ScopedSerial serial;
+    expect_golden_runs("serial");
+  }
+  for (const std::size_t threads : {2, 4}) {
+    core::set_parallel_threads(threads);
+    expect_golden_runs(std::to_string(threads) + " threads");
+  }
+  core::set_parallel_threads(0);
 }
 
 TEST(TiledMatvec, TileGridCoversMatrix) {

@@ -24,6 +24,8 @@
 #include "hls/dse.hpp"
 #include "hls/scheduling.hpp"
 #include "imc/crossbar.hpp"
+#include "imc/dimc.hpp"
+#include "imc/tile.hpp"
 #include "scf/compute_unit.hpp"
 #include "scf/fabric.hpp"
 #include "scf/hetero_fabric.hpp"
@@ -768,6 +770,66 @@ TEST(Robustness, ImcValidationThrows) {
   imc::Crossbar xbar(w, imc::CrossbarConfig{});
   const std::vector<float> wrong(3, 1.0F);
   EXPECT_THROW(xbar.matvec(std::span<const float>(wrong)), core::Error);
+
+  // A 1-bit converter leaves the signed quantiser no level (0/0 would make
+  // every output NaN) and 32 bits overflow its level count; crossbars
+  // reject them, also as the crossbar nested in a tile config.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto rejects_crossbar = [&w](auto edit) {
+    imc::CrossbarConfig config;
+    edit(config);
+    EXPECT_THROW(imc::Crossbar(w, config), core::Error);
+    imc::TileConfig tiles;
+    tiles.crossbar = config;
+    EXPECT_THROW(imc::TiledMatvec(w, tiles), core::Error);
+  };
+  for (const int bad : {1, 32, 40}) {
+    rejects_crossbar([bad](imc::CrossbarConfig& c) { c.dac_bits = bad; });
+    rejects_crossbar([bad](imc::CrossbarConfig& c) { c.adc_bits = bad; });
+  }
+  for (const double bad : {-1e-4, kNan, kInf}) {
+    rejects_crossbar([bad](imc::CrossbarConfig& c) { c.ir_drop_per_row = bad; });
+    rejects_crossbar([bad](imc::CrossbarConfig& c) { c.adc_energy_pj = bad; });
+  }
+  for (const int ok : {-1, 0, 2, 31}) {  // <= 0 is an ideal converter
+    imc::CrossbarConfig config;
+    config.dac_bits = ok;
+    config.adc_bits = ok;
+    imc::Crossbar ideal_or_wide(w, config);
+    for (const float y : ideal_or_wide.matvec(std::vector<float>(4, 0.5F))) {
+      EXPECT_TRUE(std::isfinite(y)) << "bits " << ok;
+    }
+  }
+
+  const auto rejects_tiles = [&w](auto edit) {
+    imc::TileConfig config;
+    edit(config);
+    EXPECT_THROW(imc::TiledMatvec(w, config), core::Error);
+  };
+  rejects_tiles([](imc::TileConfig& c) { c.tile_rows = 0; });
+  rejects_tiles([](imc::TileConfig& c) { c.tile_cols = 0; });
+  for (const double bad : {-0.5, kNan, kInf}) {
+    rejects_tiles([bad](imc::TileConfig& c) { c.analog_hop_noise_rel = bad; });
+    rejects_tiles([bad](imc::TileConfig& c) { c.accumulate_energy_pj = bad; });
+    rejects_tiles([bad](imc::TileConfig& c) { c.noc_energy_pj = bad; });
+    rejects_tiles([bad](imc::TileConfig& c) { c.tile_mvm_ns = bad; });
+    rejects_tiles([bad](imc::TileConfig& c) { c.noc_hop_ns = bad; });
+  }
+}
+
+TEST(Robustness, DimcMacroShapeThrows) {
+  // Checked in every build, NDEBUG included: a rank-1 tensor must not
+  // reach dim(1) in the member initializer, and a short input must not be
+  // read past its end.
+  EXPECT_THROW(imc::DimcMacro(core::TensorF({3}), imc::DimcConfig{}),
+               core::Error);
+  EXPECT_THROW(imc::DimcMacro(core::TensorF({2, 2, 2}), imc::DimcConfig{}),
+               core::Error);
+  imc::DimcMacro dimc(core::TensorF({2, 4}, 0.5F), imc::DimcConfig{});
+  EXPECT_THROW(dimc.matvec(std::vector<float>(3, 1.0F)), core::Error);
+  EXPECT_THROW(dimc.matvec(std::vector<float>(5, 1.0F)), core::Error);
+  EXPECT_EQ(dimc.matvec(std::vector<float>(4, 1.0F)).size(), 2u);
 }
 
 TEST(Robustness, TransformerConfigValidationThrows) {
