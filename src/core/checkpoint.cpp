@@ -29,7 +29,7 @@ std::optional<std::vector<std::uint8_t>> read_if_present(
     throw Error("core::checkpoint", what, path + ": " + std::strerror(errno));
   }
   try {
-    auto bytes = frame::read_from(fd, 0, path);
+    auto bytes = frame::read_from(fd, path);
     ::close(fd);
     return bytes;
   } catch (...) {
@@ -210,7 +210,7 @@ RunJournal::RunJournal(const std::string& path, std::uint32_t kind)
                 path + ": " + std::strerror(errno));
   }
   try {
-    const std::vector<std::uint8_t> bytes = frame::read_from(fd_, 0, path);
+    const std::vector<std::uint8_t> bytes = frame::read_from(fd_, path);
     frame::ScanResult scan;
     recovered_ = scan_journal(bytes, kind, path, &scan);
     skipped_ = scan.skipped_regions;

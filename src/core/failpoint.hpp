@@ -1,13 +1,13 @@
 // Deterministic failpoint injection for durability code paths.
 //
 // The crash-safety claims in this framework -- "a process killed mid-save
-// leaves the previous snapshot intact", "the store never serves a corrupt
+// leaves the previous snapshot intact", "a journal never replays a corrupt
 // record" -- are only worth stating if they are *tested* at every I/O
 // boundary, not just at the handful a SIGKILL bench happens to land on.
 // This header provides named failpoints: sites compiled into the I/O paths
-// of core/checkpoint and core/result_store that can be armed to fire a
-// fault on a specific hit of a specific site, chosen deterministically
-// from a seed. Supported faults:
+// of core/checkpoint that can be armed to fire a fault on a specific hit
+// of a specific site, chosen deterministically from a seed. Supported
+// faults:
 //
 //   kShortWrite -- the write persists only a prefix of the requested bytes
 //                  and the process then "dies" (torn frame on disk).
@@ -21,9 +21,9 @@
 //
 // Determinism contract: a schedule is (site, hit index, action) derived
 // statelessly from a seed over the site universe observed in a recording
-// run, so every one of the ~1000 torture schedules is reproducible from
-// its seed alone. With nothing armed, every wrapper is a plain passthrough
-// behind one relaxed atomic load -- production builds pay ~nothing.
+// run, so every torture schedule is reproducible from its seed alone.
+// With nothing armed, every wrapper is a plain passthrough behind one
+// relaxed atomic load -- production builds pay ~nothing.
 //
 // Thread safety: arming/disarming and hit accounting are mutex-guarded;
 // the fast path (nothing armed, no crash pending) is lock-free.

@@ -127,7 +127,6 @@ ScanResult scan(const std::vector<std::uint8_t>& bytes, std::uint32_t magic,
     while (next + kHeaderSize <= bytes.size() && !valid_at(next)) ++next;
     if (next + kHeaderSize > bytes.size()) break;
     ++result.skipped_regions;
-    result.skipped_bytes += next - cursor;
     cursor = next;
   }
   return result;
@@ -144,9 +143,8 @@ void write_frame(const char* site, int fd, const Tag& tag, const void* payload,
   write_all(site, fd, payload, size, path);
 }
 
-std::vector<std::uint8_t> read_from(int fd, std::uint64_t offset,
-                                    const std::string& path) {
-  if (::lseek(fd, static_cast<off_t>(offset), SEEK_SET) < 0) {
+std::vector<std::uint8_t> read_from(int fd, const std::string& path) {
+  if (::lseek(fd, 0, SEEK_SET) < 0) {
     throw Error("core::frame", "seek failed",
                 path + ": " + std::strerror(errno));
   }

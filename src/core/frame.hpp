@@ -1,8 +1,7 @@
 // The CRC frame under every durable file in the framework: snapshots and
-// run journals (core/checkpoint) and the result-store log
-// (core/result_store). This header is the one place the layout is written
-// down; each caller owns only its tag contents, its payload cap and what
-// it does with a bad frame.
+// run journals (core/checkpoint). This header is the one place the layout
+// is written down; each caller owns only its tag contents, its payload cap
+// and what it does with a bad frame.
 //
 // A frame is a 32-byte header, then the payload. Integers are little-endian
 // byte by byte, so files are portable across compilers and architectures:
@@ -15,7 +14,6 @@
 // Caller tags:
 //   snapshot      "ICSCSNAP" | u32 kind | u32 version   (one frame per file)
 //   run journal   u32 "JRNL" | u32 kind | u64 seq
-//   result store  u32 "RST1" | u32 schema_version | u64 fingerprint
 //
 // The file helpers' writes, file fsyncs and renames go through failpoint
 // sites the caller names (core/failpoint.hpp).
@@ -44,7 +42,7 @@ void store_u64(std::uint8_t* at, std::uint64_t value);
 std::uint32_t load_u32(const std::uint8_t* at);
 std::uint64_t load_u64(const std::uint8_t* at);
 
-/// The tag both logs use: u32 magic | u32 word | u64 id.
+/// The run-journal tag: u32 magic | u32 word | u64 id.
 Tag log_tag(std::uint32_t magic, std::uint32_t word, std::uint64_t id);
 
 /// A frame inside a byte buffer; the pointers alias the buffer.
@@ -74,7 +72,6 @@ Status parse(const std::vector<std::uint8_t>& bytes, std::size_t at,
 struct ScanResult {
   std::size_t valid_end = 0;        // one past the last frame visited
   std::size_t skipped_regions = 0;  // corrupt regions resynced past
-  std::size_t skipped_bytes = 0;
 };
 
 /// Forward scan of a log whose tags start with u32 `magic`: calls `visit`
@@ -91,9 +88,8 @@ ScanResult scan(const std::vector<std::uint8_t>& bytes, std::uint32_t magic,
 void write_frame(const char* site, int fd, const Tag& tag, const void* payload,
                  std::size_t size, const std::string& path);
 
-/// Reads `fd` from `offset` to the end of the file.
-std::vector<std::uint8_t> read_from(int fd, std::uint64_t offset,
-                                    const std::string& path);
+/// Reads the whole file behind `fd`, from byte 0 to the end.
+std::vector<std::uint8_t> read_from(int fd, const std::string& path);
 
 /// Atomically replaces `path`: `fill(fd, tmp_path)` writes the new
 /// contents to `path`.tmp, which is fsynced, renamed over `path` and made

@@ -1,7 +1,6 @@
 #include "core/pareto.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 
 #include "core/error.hpp"
@@ -9,7 +8,10 @@
 namespace icsc::core {
 
 bool dominates(const std::vector<double>& a, const std::vector<double>& b) {
-  assert(a.size() == b.size());
+  if (a.size() != b.size()) {
+    throw Error("core::dominates", "objective vectors differ in arity",
+                std::to_string(a.size()) + " vs " + std::to_string(b.size()));
+  }
   bool strictly_better = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i] > b[i]) return false;

@@ -18,10 +18,12 @@ struct ParetoPoint {
 };
 
 /// True if a dominates b: a is <= in every objective and < in at least one.
+/// Throws core::Error when a and b differ in arity.
 bool dominates(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Returns the non-dominated subset, preserving input order. Duplicate
 /// objective vectors are all kept (they do not dominate each other).
+/// Throws core::Error when two points differ in arity.
 std::vector<ParetoPoint> pareto_front(const std::vector<ParetoPoint>& points);
 
 /// 2-D hypervolume (area dominated) with respect to a reference point that

@@ -8,11 +8,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <utility>
 
 #include "core/checkpoint.hpp"
+#include "core/error.hpp"
 #include "core/fault.hpp"
 #include "core/parallel.hpp"
-#include "core/result_store.hpp"
 #include "core/rng.hpp"
 #include "core/trace.hpp"
 #include "hls/pipelining.hpp"
@@ -392,80 +394,6 @@ std::size_t load_dse_snapshot(const std::string& path,
   return static_cast<std::size_t>(units_done);
 }
 
-// ---------------------------------------------------------------------------
-// Cross-run result store tier (core/result_store.hpp). A *completed* run
-// is stored under its fingerprint; a later identical run -- in this or
-// any other process sharing the store directory -- is served from disk
-// without touching the unroll/schedule/bind/estimate pipeline. The
-// payload reuses the snapshot field codec, so stored results round-trip
-// every f64 bit-exactly.
-
-constexpr std::uint32_t kDseStoreSchemaVersion = 1;
-
-std::vector<std::uint8_t> encode_store_payload(std::size_t units_done,
-                                               const DseResult& result) {
-  core::SnapshotWriter w;
-  w.put_u64(units_done);
-  w.put_u64(result.evaluations);
-  w.put_u64(result.feasible);
-  w.put_u64(result.evaluated.size());
-  for (const auto& point : result.evaluated) put_point(w, point);
-  return w.payload();
-}
-
-/// Serves a completed run from the store, if present. On a hit, `result`
-/// carries the stored payload bit-identically; the Pareto front is
-/// recomputed from the identical points, so it matches too.
-bool store_lookup(const DseConfig& config, std::uint64_t fingerprint,
-                  DseResult& result) {
-  if (!config.result_store) return false;
-  ICSC_TRACE_SPAN("dse/store_lookup");
-  auto payload =
-      config.result_store->lookup(fingerprint, kDseStoreSchemaVersion);
-  if (!payload) return false;
-  try {
-    core::SnapshotReader r(std::move(*payload), kDseStoreSchemaVersion);
-    DseResult served;
-    served.resumed_units = static_cast<std::size_t>(r.get_u64());
-    served.evaluations = static_cast<std::size_t>(r.get_u64());
-    served.feasible = static_cast<std::size_t>(r.get_u64());
-    const std::uint64_t points = r.get_u64();
-    served.evaluated.reserve(static_cast<std::size_t>(points));
-    for (std::uint64_t i = 0; i < points; ++i) {
-      served.evaluated.push_back(get_point(r));
-    }
-    if (!r.done() || served.feasible != served.evaluated.size()) {
-      return false;  // malformed payload: fall back to a normal run
-    }
-    served.completed = true;
-    served.served_from_store = true;
-    served.front = to_pareto(served.evaluated);
-    result = std::move(served);
-    ICSC_TRACE_COUNT("dse/store_hits", 1);
-    return true;
-  } catch (const core::Error&) {
-    // A CRC-clean frame that does not decode is a schema drift the
-    // version tag failed to capture; treat it as a miss rather than fail
-    // the exploration.
-    return false;
-  }
-}
-
-/// Stores a completed run's payload (no-op for partials or when no store
-/// is configured). Store I/O failures must not fail the exploration that
-/// just finished -- the result is still correct -- so errors only count.
-void store_put(const DseConfig& config, std::uint64_t fingerprint,
-               std::size_t units_done, const DseResult& result) {
-  if (!config.result_store || !result.completed) return;
-  ICSC_TRACE_SPAN("dse/store_put");
-  try {
-    config.result_store->put(fingerprint, kDseStoreSchemaVersion,
-                             encode_store_payload(units_done, result));
-  } catch (const core::Error&) {
-    ICSC_TRACE_COUNT("dse/store_put_failures", 1);
-  }
-}
-
 /// Resilient driver shared by the candidate-list strategies (exhaustive,
 /// random): evaluates `candidates` in checkpoint-sized blocks on the pool,
 /// folding each block back in candidate order, honouring deadline/cancel
@@ -476,9 +404,6 @@ DseResult run_candidates(const Kernel& body, const DseConfig& config,
                          std::uint64_t fingerprint, bool prewarm = false) {
   ICSC_TRACE_SPAN("dse/run_candidates");
   DseResult result;
-  // Durable tier first: a completed identical run stored by any earlier
-  // process short-circuits the whole sweep.
-  if (store_lookup(config, fingerprint, result)) return result;
   std::size_t done = 0;
   bool snapshot_completed = false;
   const bool persist = !config.checkpoint_path.empty();
@@ -533,11 +458,25 @@ DseResult run_candidates(const Kernel& body, const DseConfig& config,
   }
   fold_cache_stats(result, cache.get());
   result.front = to_pareto(result.evaluated);
-  store_put(config, fingerprint, done, result);
   return result;
 }
 
 }  // namespace
+
+void DseConfig::validate() const {
+  const std::string where = "hls::DseConfig";
+  core::require_at_least(where, "iterations", iterations, 1);
+  for (const auto& [field, axis] :
+       {std::pair{"space.unroll_factors.size()", &space.unroll_factors},
+        std::pair{"space.alu_counts.size()", &space.alu_counts},
+        std::pair{"space.mul_counts.size()", &space.mul_counts},
+        std::pair{"space.mem_port_counts.size()", &space.mem_port_counts}}) {
+    core::require_at_least(where, field, static_cast<double>(axis->size()), 1);
+  }
+  for (const int unroll : space.unroll_factors) {
+    core::require_at_least(where, "each space.unroll_factors entry", unroll, 1);
+  }
+}
 
 std::vector<GridPoint> dse_grid(const DseSpace& space) {
   std::vector<GridPoint> grid;
@@ -564,6 +503,9 @@ DesignPoint evaluate_design(const Kernel& body, int unroll,
                             const ResourceBudget& budget,
                             const DseConfig& config) {
   ICSC_TRACE_SPAN("dse/evaluate");
+  core::require_at_least("hls::evaluate_design", "unroll", unroll, 1);
+  core::require_at_least("hls::evaluate_design", "config.iterations",
+                         config.iterations, 1);
   Candidate candidate;
   candidate.unroll = unroll;
   candidate.budget = budget;
@@ -573,6 +515,7 @@ DesignPoint evaluate_design(const Kernel& body, int unroll,
 }
 
 DseResult dse_exhaustive(const Kernel& body, const DseConfig& config) {
+  config.validate();
   // Materialise the full grid in canonical row-major order (dse_grid),
   // then fan the independent evaluations out.
   const std::vector<Candidate> grid = dse_grid(config.space);
@@ -584,6 +527,7 @@ DseResult dse_exhaustive(const Kernel& body, const DseConfig& config) {
 
 DseResult dse_random(const Kernel& body, const DseConfig& config,
                      std::size_t budget, std::uint64_t seed) {
+  config.validate();
   core::Rng rng(seed);
   const auto& space = config.space;
   // Pre-draw every trial's coordinates serially, in the same per-trial
@@ -607,6 +551,7 @@ DseResult dse_random(const Kernel& body, const DseConfig& config,
 DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
                          int restarts, std::uint64_t seed) {
   ICSC_TRACE_SPAN("dse/hill_climb");
+  config.validate();
   core::Rng rng(seed);
   const auto& space = config.space;
   DseResult result;
@@ -646,7 +591,6 @@ DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
   const std::size_t total = restarts > 0 ? static_cast<std::size_t>(restarts) : 0;
   const std::uint64_t fingerprint =
       run_fingerprint(body, config, kStrategyHillClimb, total, seed);
-  if (store_lookup(config, fingerprint, result)) return result;
   std::size_t done = 0;
   bool snapshot_completed = false;
   const bool persist = !config.checkpoint_path.empty();
@@ -656,7 +600,6 @@ DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
   }
   if (snapshot_completed) {
     result.front = to_pareto(result.evaluated);
-    store_put(config, fingerprint, done, result);
     return result;
   }
   // Replay the start-point draws of the checkpointed restarts so the RNG
@@ -753,7 +696,6 @@ DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
   result.completed = done == total && !cancelled;
   fold_cache_stats(result, cache.get());
   result.front = to_pareto(result.evaluated);
-  store_put(config, fingerprint, done, result);
   return result;
 }
 

@@ -19,17 +19,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/cancel.hpp"
 #include "core/pareto.hpp"
 #include "hls/estimate.hpp"
-
-namespace icsc::core {
-class ResultStore;
-}
 
 namespace icsc::hls {
 
@@ -99,21 +94,16 @@ struct DseConfig {
   /// and `false` restores the uncached seed path for A/B benchmarking.
   bool memoize = true;
 
-  // --- cross-run persistent memoization ------------------------------------
-  /// Durable tier above the per-run memo (core/result_store.hpp). When
-  /// set, every strategy consults the store first: a completed result
-  /// stored under this run's fingerprint (strategy, seed, kernel, device,
-  /// space, ...) is served from disk -- zero pipeline evaluations, payload
-  /// bit-identical to the run that stored it -- and a freshly *completed*
-  /// run is stored for future invocations (truncated partials never are).
-  /// Corrupt or schema-mismatched store records are quarantined by the
-  /// store itself and fall back to a normal run.
-  std::shared_ptr<core::ResultStore> result_store;
+  /// Throws core::Error unless `iterations` and every unroll factor are
+  /// >= 1 and all four space axes are non-empty. The three strategies call
+  /// it before any evaluation.
+  void validate() const;
 };
 
 /// Evaluates one (kernel, unroll, budget) configuration: schedules the
 /// unrolled body under the budget and rolls up iteration latency and area.
 /// Always uncached (the strategies go through the per-run memo instead).
+/// Throws core::Error unless `unroll` and `config.iterations` are >= 1.
 /// A degenerate estimate whose Fmax is zero, negative, or non-finite is
 /// marked infeasible explicitly (`cost.fits = false`, infinite latency)
 /// instead of silently dividing by it.
@@ -155,12 +145,6 @@ struct DseResult {
   /// exported as the `dse/cache_hits` / `dse/cache_misses` trace counters.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// True when the whole result was served from the cross-run result
-  /// store (DseConfig::result_store): the payload fields -- evaluated,
-  /// front, evaluations, feasible -- are bit-identical to the completed
-  /// run that stored them, no pipeline evaluation ran this invocation,
-  /// and resumed_units covers every unit.
-  bool served_from_store = false;
 };
 
 /// Exhaustive sweep of the whole space. Design points are evaluated in

@@ -23,7 +23,7 @@ namespace {
 class SetAssociativeCache {
 public:
   SetAssociativeCache(int lines, int line_bytes, int ways)
-      : line_bytes_(std::max(1, line_bytes)),
+      : line_bytes_(line_bytes),
         ways_(std::max(1, ways)),
         sets_(std::max(1, std::max(1, lines) / std::max(1, ways))),
         tags_(static_cast<std::size_t>(sets_) * ways_, -1),
@@ -77,8 +77,20 @@ struct Lane {
 
 }  // namespace
 
+void SpartaConfig::validate() const {
+  const std::string where = "hls::SpartaConfig";
+  core::require_at_least(where, "cache_line_bytes", cache_line_bytes, 1);
+  core::require_at_least(where, "mem_latency_cycles", mem_latency_cycles, 0);
+  core::require_at_least(where, "channel_gap_cycles", channel_gap_cycles, 0);
+  core::require_at_least(where, "cache_hit_latency", cache_hit_latency, 0);
+  core::require_at_least(where, "context_switch_cycles",
+                         context_switch_cycles, 0);
+  core::require_at_least(where, "scratchpad_latency", scratchpad_latency, 0);
+}
+
 SpartaStats simulate_sparta(const std::vector<SpartaTask>& tasks,
                             const SpartaConfig& config) {
+  config.validate();
   SpartaStats stats;
   const int lanes = std::max(1, config.lanes);
   const int contexts = std::max(1, config.contexts_per_lane);
@@ -284,7 +296,6 @@ using Signature = std::array<double, kSignatureDims>;
 Signature interval_signature(const std::vector<SpartaTask>& tasks,
                              std::size_t begin, std::size_t end,
                              const SpartaConfig& config) {
-  const int line_bytes = std::max(1, config.cache_line_bytes);
   double steps = 0.0;
   double accesses = 0.0;
   double scratch = 0.0;
@@ -299,7 +310,7 @@ Signature interval_signature(const std::vector<SpartaTask>& tasks,
       if (step.address < config.private_scratchpad_bytes) {
         scratch += 1.0;
       } else {
-        lines.insert(step.address / line_bytes);
+        lines.insert(step.address / config.cache_line_bytes);
       }
     }
   }
@@ -348,6 +359,7 @@ void check_sampling_config(const PhaseSamplingConfig& sampling) {
 SpartaStats sparta_isolated_reference(const std::vector<SpartaTask>& tasks,
                                       const SpartaConfig& config,
                                       std::size_t interval_tasks) {
+  config.validate();
   if (interval_tasks == 0) {
     throw core::Error("hls::sparta_isolated_reference",
                       "interval_tasks must be positive");
@@ -374,6 +386,7 @@ SpartaStats sparta_isolated_reference(const std::vector<SpartaTask>& tasks,
 PhaseSampleStats simulate_sparta_sampled(const std::vector<SpartaTask>& tasks,
                                          const SpartaConfig& config,
                                          const PhaseSamplingConfig& sampling) {
+  config.validate();
   check_sampling_config(sampling);
   PhaseSampleStats out;
   out.confidence = sampling.confidence;

@@ -63,6 +63,12 @@ struct SpartaConfig {
   /// cycles without touching the NoC or cache. 0 disables.
   std::int64_t private_scratchpad_bytes = 0;
   int scratchpad_latency = 1;
+
+  /// Throws core::Error unless cache_line_bytes is >= 1 and every latency
+  /// and gap (memory, channel, cache hit, context switch, scratchpad) is
+  /// >= 0. Lane, context, channel, line and way counts below 1 are clamped
+  /// to 1 by the simulator instead.
+  void validate() const;
 };
 
 struct SpartaStats {
@@ -81,7 +87,8 @@ struct SpartaStats {
   }
 };
 
-/// Runs the workload to completion; deterministic.
+/// Runs the workload to completion; deterministic. Throws core::Error when
+/// config.validate() does.
 SpartaStats simulate_sparta(const std::vector<SpartaTask>& tasks,
                             const SpartaConfig& config);
 
@@ -156,14 +163,16 @@ struct PhaseSampleStats {
 
 /// Phase-sampled SPARTA run. Deterministic: clustering, sample picks, and
 /// the resulting estimate are pure functions of (tasks, config, sampling
-/// config). Throws core::Error on a degenerate sampling config.
+/// config). Throws core::Error on a degenerate sampling config or when
+/// config.validate() does.
 PhaseSampleStats simulate_sparta_sampled(const std::vector<SpartaTask>& tasks,
                                          const SpartaConfig& config,
                                          const PhaseSamplingConfig& sampling);
 
 /// The exhaustive oracle of the phase-sampling estimator: every interval
 /// simulated in isolation, totals summed. The validation mode asserts this
-/// lands inside simulate_sparta_sampled's CI.
+/// lands inside simulate_sparta_sampled's CI. Throws core::Error when
+/// interval_tasks is 0 or config.validate() does.
 SpartaStats sparta_isolated_reference(const std::vector<SpartaTask>& tasks,
                                       const SpartaConfig& config,
                                       std::size_t interval_tasks);

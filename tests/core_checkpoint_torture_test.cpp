@@ -1,8 +1,7 @@
 // Seeded failpoint schedules for snapshots and run journals: the
-// checkpoint/* and journal/* sites, tortured the way
-// core_result_store_test tortures result_store/*. Each schedule arms one
-// deterministic fault, runs a campaign-shaped workload (per unit: append a
-// journal record, then save a snapshot) until its first failure -- a
+// checkpoint/* and journal/* sites. Each schedule arms one deterministic
+// fault, runs a campaign-shaped workload (per unit: append a journal
+// record, then save a snapshot) until its first failure -- a
 // campaign does not retry a failed durability call -- then "reboots"
 // (clear_crash) and checks the durability contract:
 //   * the reopened journal replays every acknowledged record, in order and

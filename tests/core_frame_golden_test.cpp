@@ -1,8 +1,7 @@
 // Golden on-disk bytes for every file written through the CRC frame
-// (core/frame.hpp): a snapshot, a run journal, and a result-store log
-// before and after compaction. Fixed inputs go in; each file's full bytes
-// are compared against committed hex, so a change to the header layout,
-// the CRC, a caller's tag fields or the compaction order fails here.
+// (core/frame.hpp): a snapshot and a run journal. Fixed inputs go in; each
+// file's full bytes are compared against committed hex, so a change to the
+// header layout, the CRC or a caller's tag fields fails here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +12,6 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
-#include "core/result_store.hpp"
 
 namespace icsc::core {
 namespace {
@@ -79,31 +77,6 @@ TEST_F(FrameGoldenTest, ThreeRecordJournalBytes) {
             // seq 2, u64 4 | "tail"
             "4a524e4c5445535402000000000000000c000000000000005196a025c4e833f9"
             "04000000000000007461696c");
-}
-
-TEST_F(FrameGoldenTest, StoreBytesBeforeAndAfterCompaction) {
-  ResultStoreConfig config;
-  config.dir = dir_ + "/store";
-  ResultStore store(config);
-  // Fingerprint 0x2222 goes in first and is then updated, so compaction
-  // (fingerprint order, live records only) both reorders and drops a frame.
-  store.put(0x2222, 2, std::vector<std::uint8_t>{1, 2, 3, 4});
-  store.put(0x1111, 2, std::vector<std::uint8_t>{5, 6, 7});
-  store.put(0x2222, 2, std::vector<std::uint8_t>{8, 9});
-  const std::string log = config.dir + "/store.log";
-  // "RST1" | schema version | fingerprint | size | payload CRC | header CRC
-  const std::string frame_5_6_7 =
-      "525354310200000011110000000000000300000000000000dc29b431ff401bd6"
-      "050607";
-  const std::string frame_8_9 =
-      "5253543102000000222200000000000002000000000000005320dcf0a8ff1175"
-      "0809";
-  EXPECT_EQ(file_hex(log),
-            "525354310200000022220000000000000400000000000000cdfb3cb64701ae87"
-            "01020304" +
-                frame_5_6_7 + frame_8_9);
-  store.compact();
-  EXPECT_EQ(file_hex(log), frame_5_6_7 + frame_8_9);
 }
 
 }  // namespace

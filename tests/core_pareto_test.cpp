@@ -13,6 +13,11 @@ TEST(Pareto, DominatesBasic) {
   EXPECT_TRUE(dominates({1, 2}, {2, 2}));
   EXPECT_FALSE(dominates({2, 2}, {2, 2}));  // equal does not dominate
   EXPECT_FALSE(dominates({1, 3}, {2, 2}));  // trade-off
+  // Mismatched arity throws in every build instead of reading past `b`.
+  EXPECT_THROW(dominates({1, 1, 1}, {2, 2}), core::Error);
+  EXPECT_THROW(dominates({1}, {2, 2}), core::Error);
+  EXPECT_THROW(pareto_front({{0, {1.0, 1.0, 1.0}}, {1, {2.0, 2.0}}}),
+               core::Error);
 }
 
 TEST(Pareto, FrontOfEmptySet) {

@@ -191,6 +191,11 @@ TEST_F(DseResumeTest, SnapshotFromADifferentRunIsRejected) {
   // Different kernel body as well.
   EXPECT_THROW((void)dse_random(make_dot_kernel(16), persisted, 24, 0xBEEF),
                core::Error);
+  // A different trial budget, and the same run with the loop pipelined.
+  EXPECT_THROW((void)dse_random(kernel_, persisted, 16, 0xBEEF), core::Error);
+  DseConfig pipelined = persisted;
+  pipelined.pipelined = true;
+  EXPECT_THROW((void)dse_random(kernel_, pipelined, 24, 0xBEEF), core::Error);
 }
 
 TEST_F(DseResumeTest, ExpiredDeadlineYieldsWellFormedEmptyPartial) {

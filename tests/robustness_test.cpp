@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
@@ -23,6 +24,7 @@
 #include "hetero/dna/storage_sim.hpp"
 #include "hls/dse.hpp"
 #include "hls/scheduling.hpp"
+#include "hls/sparta.hpp"
 #include "imc/crossbar.hpp"
 #include "imc/dimc.hpp"
 #include "imc/tile.hpp"
@@ -737,6 +739,91 @@ TEST(Robustness, DseNonFiniteEstimatesAreInfeasible) {
   const auto climbed = hls::dse_hill_climb(body, config, 2, 5);
   EXPECT_GT(climbed.evaluations, 0u);
   EXPECT_EQ(climbed.feasible, 0u);
+}
+
+TEST(Robustness, DseConfigValidationThrows) {
+  // An unroll factor of 0 divides by zero in the latency roll-up (SIGFPE),
+  // a negative unroll or trip count yields negative latencies that reach
+  // the Pareto front, and an empty axis makes the random and hill-climb
+  // draws index an empty vector. Every strategy rejects the config before
+  // any evaluation; evaluate_design, which takes its unroll as an argument
+  // and reads no space axis, rejects a bad unroll or trip count.
+  const hls::Kernel body = hls::make_fir_kernel(8);
+  const auto rejects = [&body](auto edit) {
+    hls::DseConfig config;
+    edit(config);
+    EXPECT_THROW(hls::dse_exhaustive(body, config), core::Error);
+    EXPECT_THROW(hls::dse_random(body, config, 8, 1), core::Error);
+    EXPECT_THROW(hls::dse_hill_climb(body, config, 2, 1), core::Error);
+  };
+  for (const int bad : {0, -2}) {
+    rejects([bad](hls::DseConfig& c) { c.space.unroll_factors = {bad}; });
+    rejects([bad](hls::DseConfig& c) { c.space.unroll_factors = {1, 4, bad}; });
+    EXPECT_THROW(hls::evaluate_design(body, bad, {}, hls::DseConfig{}),
+                 core::Error);
+  }
+  for (const int bad : {0, -100}) {
+    rejects([bad](hls::DseConfig& c) { c.iterations = bad; });
+    hls::DseConfig config;
+    config.iterations = bad;
+    EXPECT_THROW(hls::evaluate_design(body, 1, {}, config), core::Error);
+  }
+  rejects([](hls::DseConfig& c) { c.space.unroll_factors.clear(); });
+  rejects([](hls::DseConfig& c) { c.space.alu_counts.clear(); });
+  rejects([](hls::DseConfig& c) { c.space.mul_counts.clear(); });
+  rejects([](hls::DseConfig& c) { c.space.mem_port_counts.clear(); });
+
+  // The smallest legal config: one trip over a one-point space.
+  hls::DseConfig tiny;
+  tiny.iterations = 1;
+  tiny.space = {{1}, {1}, {1}, {1}};
+  EXPECT_EQ(hls::dse_exhaustive(body, tiny).evaluations, 1u);
+  EXPECT_EQ(hls::dse_random(body, tiny, 3, 1).evaluations, 3u);
+  EXPECT_GT(hls::dse_hill_climb(body, tiny, 1, 1).evaluations, 0u);
+  EXPECT_GT(hls::evaluate_design(body, 1, {}, tiny).total_latency_us, 0.0);
+}
+
+TEST(Robustness, SpartaConfigValidationThrows) {
+  // A zero line size divides by zero in the channel index (SIGFPE), a
+  // negative latency wraps SpartaStats::cycles to about 1.8e19, and a
+  // negative channel gap silently shortens the run. All three entry points
+  // reject them on entry.
+  const auto tasks = hls::make_spmv_tasks(core::make_rmat_graph(6, 4.0, 5));
+  const auto rejects = [&tasks](auto edit) {
+    hls::SpartaConfig config;
+    edit(config);
+    EXPECT_THROW(hls::simulate_sparta(tasks, config), core::Error);
+    EXPECT_THROW(hls::simulate_sparta_sampled(tasks, config, {}), core::Error);
+    EXPECT_THROW(hls::sparta_isolated_reference(tasks, config, 16),
+                 core::Error);
+  };
+  for (const int bad : {0, -64}) {
+    rejects([bad](hls::SpartaConfig& c) { c.cache_line_bytes = bad; });
+  }
+  for (const int bad : {-1, -500}) {
+    rejects([bad](hls::SpartaConfig& c) { c.mem_latency_cycles = bad; });
+    rejects([bad](hls::SpartaConfig& c) { c.channel_gap_cycles = bad; });
+    rejects([bad](hls::SpartaConfig& c) { c.cache_hit_latency = bad; });
+    rejects([bad](hls::SpartaConfig& c) { c.context_switch_cycles = bad; });
+    rejects([bad](hls::SpartaConfig& c) { c.scratchpad_latency = bad; });
+  }
+
+  // Zero latencies and gaps stay legal, and counts below 1 are clamped.
+  hls::SpartaConfig edge;
+  edge.lanes = 0;
+  edge.contexts_per_lane = 0;
+  edge.mem_channels = 0;
+  edge.cache_lines = 0;
+  edge.cache_ways = 0;
+  edge.cache_line_bytes = 1;
+  edge.mem_latency_cycles = 0;
+  edge.channel_gap_cycles = 0;
+  edge.cache_hit_latency = 0;
+  edge.context_switch_cycles = 0;
+  edge.scratchpad_latency = 0;
+  const auto stats = hls::simulate_sparta(tasks, edge);
+  EXPECT_EQ(stats.tasks_executed, tasks.size());
+  EXPECT_LT(stats.cycles, std::uint64_t{1} << 32);
 }
 
 TEST(Robustness, TensorShapeMismatchesThrowStructuredErrors) {
