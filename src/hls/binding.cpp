@@ -1,6 +1,11 @@
 #include "hls/binding.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <utility>
 
 namespace icsc::hls {
 
@@ -17,23 +22,24 @@ Binding bind_kernel(const Kernel& kernel, const Schedule& schedule) {
   const std::size_t n = kernel.size();
   binding.fu_instance.assign(n, -1);
 
-  // Left-edge per class: sort ops by start cycle, assign to the first
-  // instance whose last occupancy ends at or before this start.
-  for (const FuClass cls :
-       {FuClass::kAlu, FuClass::kMul, FuClass::kDiv, FuClass::kMemPort}) {
-    std::vector<std::size_t> members;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (op_fu_class(kernel.ops()[i].kind) == cls) members.push_back(i);
-    }
-    std::sort(members.begin(), members.end(), [&](std::size_t a, std::size_t b) {
-      if (schedule.start_cycle[a] != schedule.start_cycle[b]) {
-        return schedule.start_cycle[a] < schedule.start_cycle[b];
-      }
-      return a < b;
-    });
+  // Left-edge per class: sort ops by (start cycle, id), assign each to the
+  // first instance whose last occupancy ends at or before its start.
+  constexpr FuClass kClasses[] = {FuClass::kAlu, FuClass::kMul, FuClass::kDiv,
+                                  FuClass::kMemPort};
+  std::array<std::vector<std::pair<int, std::size_t>>, std::size(kClasses)>
+      members;  // per class: (start cycle, op id)
+  for (std::size_t i = 0; i < n; ++i) {
+    const FuClass cls = op_fu_class(kernel.ops()[i].kind);
+    if (cls == FuClass::kNone) continue;
+    members[static_cast<std::size_t>(cls) - 1].emplace_back(
+        schedule.start_cycle[i], i);
+  }
+  for (const FuClass cls : kClasses) {
+    auto& ops = members[static_cast<std::size_t>(cls) - 1];
+    if (ops.empty()) continue;
+    std::sort(ops.begin(), ops.end());
     std::vector<int> instance_free_at;
-    for (const std::size_t op_id : members) {
-      const int start = schedule.start_cycle[op_id];
+    for (const auto& [start, op_id] : ops) {
       const int end = start + occupancy_cycles(kernel.ops()[op_id].kind);
       int chosen = -1;
       for (std::size_t inst = 0; inst < instance_free_at.size(); ++inst) {
@@ -49,9 +55,7 @@ Binding bind_kernel(const Kernel& kernel, const Schedule& schedule) {
       instance_free_at[chosen] = end;
       binding.fu_instance[op_id] = chosen;
     }
-    if (!members.empty()) {
-      binding.instances[cls] = static_cast<int>(instance_free_at.size());
-    }
+    binding.instances[cls] = static_cast<int>(instance_free_at.size());
   }
 
   // Register estimate: a value is live from its finish until the last
@@ -63,16 +67,51 @@ Binding bind_kernel(const Kernel& kernel, const Schedule& schedule) {
           std::max(last_use[operand], schedule.start_cycle[i]);
     }
   }
-  std::map<int, int> delta;  // live-interval sweep
+  struct Interval {
+    int born, dies;
+  };
+  std::vector<Interval> live_ranges;
+  int lo = std::numeric_limits<int>::max();
+  int hi = std::numeric_limits<int>::min();
   for (std::size_t i = 0; i < n; ++i) {
     if (last_use[i] < 0) continue;
     const int born = schedule.start_cycle[i] + op_latency(kernel.ops()[i].kind);
     if (last_use[i] <= born) continue;
-    delta[born] += 1;
-    delta[last_use[i]] -= 1;
+    live_ranges.push_back({born, last_use[i]});
+    lo = std::min(lo, born);
+    hi = std::max(hi, last_use[i]);
+  }
+  if (live_ranges.empty()) return binding;
+
+  // Live-interval sweep along the cycle axis: +1 at each birth, -1 at each
+  // last use, the peak taken after all of a cycle's events. The axis is
+  // dense from the first birth to the last use, unless a hand-made schedule
+  // spreads its cycles far apart: then it holds only the cycles in use.
+  std::vector<int> cycles;
+  const bool sparse = std::int64_t{hi} - lo >=
+                      16 * static_cast<std::int64_t>(live_ranges.size()) + 64;
+  if (sparse) {
+    for (const Interval& r : live_ranges) {
+      cycles.push_back(r.born);
+      cycles.push_back(r.dies);
+    }
+    std::sort(cycles.begin(), cycles.end());
+    cycles.erase(std::unique(cycles.begin(), cycles.end()), cycles.end());
+  }
+  const auto slot = [&](int cycle) {
+    return sparse ? static_cast<std::size_t>(
+                        std::lower_bound(cycles.begin(), cycles.end(), cycle) -
+                        cycles.begin())
+                  : static_cast<std::size_t>(cycle - lo);
+  };
+  std::vector<int> delta(
+      sparse ? cycles.size() : static_cast<std::size_t>(hi - lo) + 1, 0);
+  for (const Interval& r : live_ranges) {
+    ++delta[slot(r.born)];
+    --delta[slot(r.dies)];
   }
   int live = 0;
-  for (const auto& [cycle, d] : delta) {
+  for (const int d : delta) {
     live += d;
     binding.max_live_values = std::max(binding.max_live_values, live);
   }

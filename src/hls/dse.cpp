@@ -63,11 +63,12 @@ struct EvalCore {
   double area_score = 0.0;
 };
 
-EvalCore evaluate_core(const Kernel& unrolled, int unroll,
-                       const ResourceBudget& budget, const DseConfig& config) {
+EvalCore evaluate_core(const Kernel& unrolled, const ListSchedulePlan& plan,
+                       int unroll, const ResourceBudget& budget,
+                       const DseConfig& config) {
   ICSC_TRACE_COUNT("dse/schedule_calls", 1);
   EvalCore out;
-  const Schedule schedule = schedule_list(unrolled, budget);
+  const Schedule schedule = schedule_list(unrolled, plan, budget);
   const Binding binding = bind_kernel(unrolled, schedule);
   out.cost = estimate_kernel(unrolled, schedule, binding, config.device);
   out.area_score = area_of(out.cost);
@@ -107,7 +108,8 @@ DesignPoint assemble_point(const Candidate& candidate, const EvalCore& core) {
 
 /// Per-run evaluation memo (DseConfig::memoize). Two levels, mirroring the
 /// pipeline's data dependences:
-///   unroll factor              -> unrolled Kernel (+ per-class occupancy)
+///   unroll factor              -> unrolled Kernel (+ per-class occupancy
+///                                 and its list-scheduling plan)
 ///   (unroll, effective budget) -> Schedule/Binding/CostReport/latency
 /// The effective budget clamps each class to the unrolled kernel's total
 /// occupancy cycles in that class. Clamping is an identity on the result:
@@ -155,7 +157,8 @@ class EvalCache {
     bool computed = false;
     std::call_once(design.once, [&] {
       design.core = evaluate_core(slot.unrolled(body_, candidate.unroll),
-                                  candidate.unroll, effective, config_);
+                                  slot.plan, candidate.unroll, effective,
+                                  config_);
       computed = true;
     });
     if (computed) {
@@ -179,6 +182,8 @@ class EvalCache {
     /// Total occupancy cycles per class {alu, mul, div, mem_port}: the
     /// clamp ceiling beyond which a budget cannot influence the schedule.
     std::array<int, 4> occupancy{1, 1, 1, 1};
+    /// Mobility and consumer lists, shared by every budget of this unroll.
+    ListSchedulePlan plan;
 
     const Kernel& unrolled(const Kernel& body, int) const {
       return use_body ? body : kernel;
@@ -205,6 +210,7 @@ class EvalCache {
       }
       const Kernel& unrolled = slot.unrolled(body_, factor);
       slot.occupancy = occupancy_totals(unrolled);
+      slot.plan = ListSchedulePlan(unrolled);
     });
     return slot;
   }
@@ -511,7 +517,8 @@ DesignPoint evaluate_design(const Kernel& body, int unroll,
   candidate.budget = budget;
   const Kernel unrolled = unroll > 1 ? unroll_kernel(body, unroll) : body;
   return assemble_point(candidate,
-                        evaluate_core(unrolled, unroll, budget, config));
+                        evaluate_core(unrolled, ListSchedulePlan(unrolled),
+                                      unroll, budget, config));
 }
 
 DseResult dse_exhaustive(const Kernel& body, const DseConfig& config) {

@@ -1,7 +1,9 @@
 #include "hls/ir.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <string>
+
+#include "core/error.hpp"
 
 namespace icsc::hls {
 
@@ -65,8 +67,13 @@ const char* op_name(OpKind kind) {
 }
 
 std::size_t Kernel::add_op(OpKind kind, std::vector<std::size_t> operands) {
-  for ([[maybe_unused]] const std::size_t operand : operands) {
-    assert(operand < ops_.size() && "operands must precede consumers");
+  for (const std::size_t operand : operands) {
+    if (operand >= ops_.size()) {
+      throw core::Error("hls::Kernel::add_op",
+                        "operands must precede consumers",
+                        name_ + ": operand " + std::to_string(operand) +
+                            " of op " + std::to_string(ops_.size()));
+    }
   }
   ops_.push_back(Op{kind, std::move(operands)});
   return ops_.size() - 1;

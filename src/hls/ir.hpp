@@ -46,6 +46,9 @@ class Kernel {
 public:
   explicit Kernel(std::string name) : name_(std::move(name)) {}
 
+  /// Appends an op and returns its id. Throws core::Error, storing nothing,
+  /// unless every operand is the id of an earlier op, so every kernel is a
+  /// DAG in topological order.
   std::size_t add_op(OpKind kind, std::vector<std::size_t> operands = {});
 
   // Builder conveniences.
@@ -74,7 +77,8 @@ public:
   /// Count of ops per functional-unit class.
   std::size_t count_class(FuClass cls) const;
 
-  /// Validates SSA ordering (every operand precedes its consumer).
+  /// Validates SSA ordering (every operand precedes its consumer), which
+  /// add_op enforces.
   bool is_well_formed() const;
 
 private:

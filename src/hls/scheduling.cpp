@@ -1,8 +1,15 @@
 #include "hls/scheduling.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
+#include <functional>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <string>
+#include <utility>
+
+#include "core/error.hpp"
 
 namespace icsc::hls {
 
@@ -32,9 +39,10 @@ Schedule schedule_asap(const Kernel& kernel) {
   return s;
 }
 
-Schedule schedule_alap(const Kernel& kernel, int deadline) {
-  assert(deadline >= kernel.critical_path());
-  Schedule s;
+namespace {
+
+/// ALAP start cycles against a deadline the caller has checked.
+std::vector<int> alap_starts(const Kernel& kernel, int deadline) {
   const std::size_t n = kernel.size();
   // finish-by constraint propagated backwards.
   std::vector<int> latest_start(n, std::numeric_limits<int>::max());
@@ -49,8 +57,22 @@ Schedule schedule_alap(const Kernel& kernel, int deadline) {
           std::min(latest_start[operand], latest_start[i] - op_lat);
     }
   }
-  s.start_cycle = std::move(latest_start);
-  for (std::size_t i = 0; i < n; ++i) {
+  return latest_start;
+}
+
+}  // namespace
+
+Schedule schedule_alap(const Kernel& kernel, int deadline) {
+  const int critical = kernel.critical_path();
+  if (deadline < critical) {
+    throw core::Error("hls::schedule_alap",
+                      "deadline must be at least the critical path",
+                      kernel.name() + ": deadline " + std::to_string(deadline) +
+                          " < " + std::to_string(critical));
+  }
+  Schedule s;
+  s.start_cycle = alap_starts(kernel, deadline);
+  for (std::size_t i = 0; i < kernel.size(); ++i) {
     s.makespan = std::max(s.makespan,
                           s.start_cycle[i] + op_latency(kernel.ops()[i].kind));
   }
@@ -58,13 +80,34 @@ Schedule schedule_alap(const Kernel& kernel, int deadline) {
 }
 
 std::vector<int> mobility(const Kernel& kernel) {
+  // The ASAP makespan is the critical path, so it is a valid deadline.
   const auto asap = schedule_asap(kernel);
-  const auto alap = schedule_alap(kernel, kernel.critical_path());
-  std::vector<int> out(kernel.size());
+  std::vector<int> out = alap_starts(kernel, asap.makespan);
   for (std::size_t i = 0; i < kernel.size(); ++i) {
-    out[i] = alap.start_cycle[i] - asap.start_cycle[i];
+    out[i] -= asap.start_cycle[i];
   }
   return out;
+}
+
+ListSchedulePlan::ListSchedulePlan(const Kernel& kernel)
+    : mobility_(hls::mobility(kernel)), consumer_begin_(kernel.size() + 1, 0) {
+  const auto& ops = kernel.ops();
+  for (const Op& op : ops) {
+    for (const std::size_t operand : op.operands) {
+      ++consumer_begin_[operand + 1];
+    }
+  }
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    consumer_begin_[i + 1] += consumer_begin_[i];
+  }
+  consumers_.resize(consumer_begin_.back());
+  std::vector<std::size_t> fill(consumer_begin_.begin(),
+                                consumer_begin_.end() - 1);
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    for (const std::size_t operand : ops[i].operands) {
+      consumers_[fill[operand]++] = i;
+    }
+  }
 }
 
 namespace {
@@ -75,65 +118,74 @@ int occupancy_cycles(OpKind kind) {
   return kind == OpKind::kDiv ? op_latency(OpKind::kDiv) : 1;
 }
 
+constexpr FuClass kFuClasses[] = {FuClass::kAlu, FuClass::kMul, FuClass::kDiv,
+                                  FuClass::kMemPort};
+
 }  // namespace
 
 Schedule schedule_list(const Kernel& kernel, const ResourceBudget& budget) {
+  return schedule_list(kernel, ListSchedulePlan(kernel), budget);
+}
+
+Schedule schedule_list(const Kernel& kernel, const ListSchedulePlan& plan,
+                       const ResourceBudget& budget) {
   const std::size_t n = kernel.size();
-  const auto mob = mobility(kernel);
+  if (plan.size() != n) {
+    throw core::Error("hls::schedule_list", "plan was built for another kernel",
+                      kernel.name());
+  }
+  const auto& ops = kernel.ops();
+  const std::vector<int>& mob = plan.mobility();
   Schedule s;
   s.start_cycle.assign(n, -1);
 
-  std::vector<int> remaining_deps(n, 0);
-  std::vector<std::vector<std::size_t>> consumers(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    remaining_deps[i] = static_cast<int>(kernel.ops()[i].operands.size());
-    for (const std::size_t operand : kernel.ops()[i].operands) {
-      consumers[operand].push_back(i);
-    }
-  }
-
-  // busy_until[class][unit] = first free cycle of each FU instance.
-  std::map<FuClass, std::vector<int>> busy;
-  for (const FuClass cls :
-       {FuClass::kAlu, FuClass::kMul, FuClass::kDiv, FuClass::kMemPort}) {
+  // busy[class - 1][unit] = first free cycle of each FU instance.
+  std::array<std::vector<int>, std::size(kFuClasses)> busy;
+  for (const FuClass cls : kFuClasses) {
     const int count = budget.of(cls);
-    busy[cls].assign(
+    busy[static_cast<std::size_t>(cls) - 1].assign(
         std::max(1, count == std::numeric_limits<int>::max() ? 1 : count), 0);
   }
 
+  std::vector<int> waiting(n);      // operands not yet scheduled
   std::vector<int> earliest(n, 0);  // dependence-ready cycle
-  std::vector<std::size_t> ready;
+  // Min-heap on (mobility, op id): op ids are unique, so it pops exactly
+  // the op a full sort of the ready list would put first.
+  using Entry = std::pair<int, std::size_t>;
+  std::vector<Entry> ready;
+  ready.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    if (remaining_deps[i] == 0) ready.push_back(i);
+    waiting[i] = static_cast<int>(ops[i].operands.size());
+    if (waiting[i] == 0) ready.emplace_back(mob[i], i);
   }
+  std::make_heap(ready.begin(), ready.end(), std::greater<>{});
 
-  std::size_t scheduled = 0;
-  while (scheduled < n) {
-    assert(!ready.empty() && "kernel must be a DAG");
-    // Least mobility first, then lowest id (deterministic).
-    std::sort(ready.begin(), ready.end(), [&](std::size_t a, std::size_t b) {
-      if (mob[a] != mob[b]) return mob[a] < mob[b];
-      return a < b;
-    });
-    const std::size_t op_id = ready.front();
-    ready.erase(ready.begin());
+  // Every kernel is a DAG in topological order (Kernel::add_op), so the
+  // heap drains only after all n ops are placed.
+  while (!ready.empty()) {
+    std::pop_heap(ready.begin(), ready.end(), std::greater<>{});
+    const std::size_t op_id = ready.back().second;
+    ready.pop_back();
 
-    const FuClass cls = op_fu_class(kernel.ops()[op_id].kind);
+    const OpKind kind = ops[op_id].kind;
+    const FuClass cls = op_fu_class(kind);
     int start = earliest[op_id];
     if (cls != FuClass::kNone) {
       // Earliest FU instance that is free at or before `start`.
-      auto& units = busy[cls];
+      auto& units = busy[static_cast<std::size_t>(cls) - 1];
       auto best = std::min_element(units.begin(), units.end());
       start = std::max(start, *best);
-      *best = start + occupancy_cycles(kernel.ops()[op_id].kind);
+      *best = start + occupancy_cycles(kind);
     }
     s.start_cycle[op_id] = start;
-    const int finish = start + op_latency(kernel.ops()[op_id].kind);
+    const int finish = start + op_latency(kind);
     s.makespan = std::max(s.makespan, finish);
-    ++scheduled;
-    for (const std::size_t consumer : consumers[op_id]) {
+    for (const std::size_t consumer : plan.consumers(op_id)) {
       earliest[consumer] = std::max(earliest[consumer], finish);
-      if (--remaining_deps[consumer] == 0) ready.push_back(consumer);
+      if (--waiting[consumer] == 0) {
+        ready.emplace_back(mob[consumer], consumer);
+        std::push_heap(ready.begin(), ready.end(), std::greater<>{});
+      }
     }
   }
   return s;

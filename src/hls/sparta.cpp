@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
+#include <bit>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <string>
 #include <unordered_set>
 
@@ -18,21 +17,41 @@ namespace icsc::hls {
 
 namespace {
 
+/// x / d and x % d for a divisor fixed for a whole run: a shift and a mask
+/// when d is a power of two, as the default line size, set count and
+/// channel count are.
+class Divisor {
+public:
+  explicit Divisor(std::uint64_t d)
+      : d_(d), shift_(std::countr_zero(d)), pow2_(std::has_single_bit(d)) {}
+
+  std::uint64_t quotient(std::uint64_t x) const {
+    return pow2_ ? x >> shift_ : x / d_;
+  }
+  std::uint64_t remainder(std::uint64_t x) const {
+    return pow2_ ? x & (d_ - 1) : x % d_;
+  }
+
+private:
+  std::uint64_t d_;
+  int shift_;
+  bool pow2_;
+};
+
 /// Set-associative LRU memory-side cache over line addresses (1 way =
 /// direct mapped).
 class SetAssociativeCache {
 public:
-  SetAssociativeCache(int lines, int line_bytes, int ways)
-      : line_bytes_(line_bytes),
-        ways_(std::max(1, ways)),
+  SetAssociativeCache(int lines, int ways)
+      : ways_(std::max(1, ways)),
         sets_(std::max(1, std::max(1, lines) / std::max(1, ways))),
+        set_of_(static_cast<std::uint64_t>(sets_)),
         tags_(static_cast<std::size_t>(sets_) * ways_, -1),
         age_(static_cast<std::size_t>(sets_) * ways_, 0) {}
 
-  bool access(std::int64_t address) {
-    const std::int64_t line = address / line_bytes_;
-    const std::size_t set =
-        static_cast<std::size_t>(line) % static_cast<std::size_t>(sets_);
+  /// Touches line index `line` (>= 0); true on a hit.
+  bool access(std::int64_t line) {
+    const std::size_t set = set_of_.remainder(static_cast<std::uint64_t>(line));
     const std::size_t base = set * static_cast<std::size_t>(ways_);
     ++clock_;
     for (int w = 0; w < ways_; ++w) {
@@ -52,28 +71,195 @@ public:
   }
 
 private:
-  int line_bytes_;
   int ways_;
   int sets_;
+  Divisor set_of_;
   std::vector<std::int64_t> tags_;
   std::vector<std::uint64_t> age_;
   std::uint64_t clock_ = 0;
 };
 
-struct Context {
-  std::vector<std::size_t> task_queue;  // indices into the task list
-  std::size_t current_task = 0;         // position within task_queue
-  std::size_t current_step = 0;         // position within the task
-  std::uint64_t ready_at = 0;           // cycle the context can run again
+/// ready_at of a context whose queue is done: never ready, never earliest.
+constexpr std::uint64_t kRetired = std::numeric_limits<std::uint64_t>::max();
 
-  bool done() const { return current_task >= task_queue.size(); }
+/// A hardware context walks its queue -- tasks `task`, `task + stride`, ...
+/// below `task_end` -- in place, `step` running over the current task.
+struct Context {
+  const TaskStep* step = nullptr;
+  const TaskStep* step_end = nullptr;
+  std::size_t task = 0;
+  std::size_t stride = 1;
+  std::size_t task_end = 0;
+  std::uint64_t ready_at = 0;  // cycle the context can run again
+
+  void load(const SpartaTask* tasks) {
+    step = tasks[task].steps.data();
+    step_end = step + tasks[task].steps.size();
+  }
 };
 
 struct Lane {
-  std::vector<Context> contexts;
   std::uint64_t now = 0;
   std::uint64_t busy_cycles = 0;
+  int live_contexts = 0;
 };
+
+/// simulate_sparta over tasks [0, count) of `tasks`, for a config the
+/// caller has validated.
+SpartaStats run_sparta(const SpartaTask* tasks, std::size_t count,
+                       const SpartaConfig& config) {
+  SpartaStats stats;
+  const int lanes = std::max(1, config.lanes);
+  const int contexts = std::max(1, config.contexts_per_lane);
+
+  // Task t goes to slot t % slots (round robin) or t / per_slot (blocked);
+  // slot s is context s / lanes of lane s % lanes.
+  std::vector<Lane> lane_state(lanes);
+  std::vector<Context> context_state(static_cast<std::size_t>(lanes) *
+                                     contexts);
+  const std::size_t slots = context_state.size();
+  const std::size_t per_slot = (count + slots - 1) / slots;
+  for (int l = 0; l < lanes; ++l) {
+    for (int c = 0; c < contexts; ++c) {
+      const std::size_t slot = static_cast<std::size_t>(c) * lanes + l;
+      Context& ctx = context_state[static_cast<std::size_t>(l) * contexts + c];
+      if (config.partition == TaskPartition::kRoundRobin) {
+        ctx.task = slot;
+        ctx.stride = slots;
+        ctx.task_end = count;
+      } else {
+        ctx.task = slot * per_slot;
+        ctx.task_end = std::min(count, ctx.task + per_slot);
+      }
+      if (ctx.task < ctx.task_end) {
+        ctx.load(tasks);
+        ++lane_state[l].live_contexts;
+      } else {
+        ctx.ready_at = kRetired;
+      }
+    }
+  }
+  std::vector<int> active;  // lanes with a live context
+  for (int l = 0; l < lanes; ++l) {
+    if (lane_state[l].live_contexts > 0) active.push_back(l);
+  }
+
+  SetAssociativeCache cache(config.cache_lines, config.cache_ways);
+  std::vector<std::uint64_t> channel_free(
+      static_cast<std::size_t>(std::max(1, config.mem_channels)), 0);
+  const Divisor line_of(static_cast<std::uint64_t>(config.cache_line_bytes));
+  const Divisor channel_of(channel_free.size());
+
+  // Global order: always advance the lane with the smallest (local time,
+  // lane id), so shared-resource (cache, channel) ordering is consistent.
+  // The other lanes' times stand still meanwhile, so the earliest lane runs
+  // event after event until the runner-up's key is smaller than its own.
+  while (!active.empty()) {
+    // One pass finds the earliest lane and the runner-up.
+    int lane_id = lanes;  // earliest
+    std::uint64_t lane_now = kRetired;
+    int bound_id = lanes;  // runner-up; none: the lane runs to completion
+    std::uint64_t bound_now = kRetired;
+    for (const int l : active) {
+      const std::uint64_t t = lane_state[l].now;
+      const bool first = t < lane_now || (t == lane_now && l < lane_id);
+      const bool second = t < bound_now || (t == bound_now && l < bound_id);
+      bound_now = first ? lane_now : (second ? t : bound_now);
+      bound_id = first ? lane_id : (second ? l : bound_id);
+      lane_now = first ? t : lane_now;
+      lane_id = first ? l : lane_id;
+    }
+    const bool wins_ties = lane_id < bound_id;
+
+    Lane& lane = lane_state[lane_id];
+    Context* const ctx_begin =
+        context_state.data() + static_cast<std::size_t>(lane_id) * contexts;
+    Context* const ctx_end = ctx_begin + contexts;
+    do {
+      // Pick the ready context with the earliest ready_at (ties to the
+      // lowest index); if none is ready, idle until the first becomes ready.
+      // Both are the context with the earliest ready_at overall. The scan
+      // is written as selects, which the compiler can turn into conditional
+      // moves: the winner is unpredictable.
+      Context* chosen = ctx_begin;
+      std::uint64_t earliest = ctx_begin->ready_at;
+      for (Context* ctx = ctx_begin + 1; ctx != ctx_end; ++ctx) {
+        const bool sooner = ctx->ready_at < earliest;
+        earliest = sooner ? ctx->ready_at : earliest;
+        chosen = sooner ? ctx : chosen;
+      }
+      if (earliest > lane.now) {
+        lane.now = earliest;
+        continue;
+      }
+
+      Context& ctx = *chosen;
+      if (ctx.step == ctx.step_end) {
+        // Task complete; move to the next one in this context's queue.
+        ++stats.tasks_executed;
+        ctx.task += ctx.stride;
+        if (ctx.task < ctx.task_end) {
+          ctx.load(tasks);
+        } else {
+          ctx.ready_at = kRetired;
+          --lane.live_contexts;
+        }
+        continue;
+      }
+
+      const TaskStep& step = *ctx.step++;
+      // Compute phase occupies the lane datapath.
+      const auto compute =
+          static_cast<std::uint64_t>(std::max(0, step.compute_cycles));
+      lane.now += compute;
+      lane.busy_cycles += compute;
+      if (step.address < 0) continue;
+
+      ++stats.mem_requests;
+      lane.busy_cycles += 1;  // issue cycle
+      lane.now += 1;
+      if (step.address < config.private_scratchpad_bytes) {
+        // Lane-private scratchpad: fast local access, no NoC traffic.
+        ++stats.scratchpad_hits;
+        ctx.ready_at =
+            lane.now + static_cast<std::uint64_t>(config.scratchpad_latency);
+        continue;
+      }
+      const std::uint64_t line =
+          line_of.quotient(static_cast<std::uint64_t>(step.address));
+      if (cache.access(static_cast<std::int64_t>(line))) {
+        ++stats.cache_hits;
+        ctx.ready_at =
+            lane.now + static_cast<std::uint64_t>(config.cache_hit_latency);
+      } else {
+        const std::size_t channel = channel_of.remainder(line);
+        const std::uint64_t issue = std::max(lane.now, channel_free[channel]);
+        channel_free[channel] =
+            issue + static_cast<std::uint64_t>(config.channel_gap_cycles);
+        ctx.ready_at =
+            issue + static_cast<std::uint64_t>(config.mem_latency_cycles);
+      }
+      // Context blocks; the lane pays the switch penalty and looks for
+      // another ready context immediately after.
+      lane.now += static_cast<std::uint64_t>(config.context_switch_cycles);
+    } while (lane.live_contexts > 0 &&
+             (lane.now < bound_now || (lane.now == bound_now && wins_ties)));
+    if (lane.live_contexts == 0) std::erase(active, lane_id);
+  }
+
+  std::uint64_t total = 0;
+  double busy_fraction_sum = 0.0;
+  for (const auto& lane : lane_state) {
+    total = std::max(total, lane.now);
+  }
+  stats.cycles = std::max<std::uint64_t>(total, 1);
+  for (const auto& lane : lane_state) {
+    busy_fraction_sum += static_cast<double>(lane.busy_cycles) /
+                         static_cast<double>(stats.cycles);
+  }
+  stats.lane_utilization = busy_fraction_sum / static_cast<double>(lanes);
+  return stats;
+}
 
 }  // namespace
 
@@ -91,132 +277,7 @@ void SpartaConfig::validate() const {
 SpartaStats simulate_sparta(const std::vector<SpartaTask>& tasks,
                             const SpartaConfig& config) {
   config.validate();
-  SpartaStats stats;
-  const int lanes = std::max(1, config.lanes);
-  const int contexts = std::max(1, config.contexts_per_lane);
-
-  // Partition tasks over (lane, context) slots.
-  std::vector<Lane> lane_state(lanes);
-  for (auto& lane : lane_state) lane.contexts.resize(contexts);
-  const std::size_t slots = static_cast<std::size_t>(lanes) * contexts;
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    std::size_t slot;
-    if (config.partition == TaskPartition::kRoundRobin) {
-      slot = t % slots;
-    } else {
-      const std::size_t per_slot = (tasks.size() + slots - 1) / slots;
-      slot = t / per_slot;
-    }
-    lane_state[slot % lanes].contexts[slot / lanes].task_queue.push_back(t);
-  }
-
-  SetAssociativeCache cache(config.cache_lines, config.cache_line_bytes,
-                            config.cache_ways);
-  std::vector<std::uint64_t> channel_free(
-      static_cast<std::size_t>(std::max(1, config.mem_channels)), 0);
-
-  // Global order: always advance the lane with the smallest local time so
-  // shared-resource (cache, channel) ordering is consistent.
-  auto lane_has_work = [&](const Lane& lane) {
-    for (const auto& ctx : lane.contexts) {
-      if (!ctx.done()) return true;
-    }
-    return false;
-  };
-
-  using LaneKey = std::pair<std::uint64_t, int>;  // (time, lane id)
-  std::priority_queue<LaneKey, std::vector<LaneKey>, std::greater<>> agenda;
-  for (int l = 0; l < lanes; ++l) {
-    if (lane_has_work(lane_state[l])) agenda.push({0, l});
-  }
-
-  while (!agenda.empty()) {
-    const auto [when, lane_id] = agenda.top();
-    agenda.pop();
-    Lane& lane = lane_state[lane_id];
-    lane.now = std::max(lane.now, when);
-    if (!lane_has_work(lane)) continue;
-
-    // Pick the ready context with the earliest ready_at (round-robin-ish,
-    // deterministic); if none ready, idle until the first becomes ready.
-    int chosen = -1;
-    std::uint64_t earliest_ready = ~0ull;
-    for (int c = 0; c < contexts; ++c) {
-      const Context& ctx = lane.contexts[c];
-      if (ctx.done()) continue;
-      if (ctx.ready_at <= lane.now &&
-          (chosen < 0 || ctx.ready_at < lane.contexts[chosen].ready_at)) {
-        chosen = c;
-      }
-      earliest_ready = std::min(earliest_ready, ctx.ready_at);
-    }
-    if (chosen < 0) {
-      lane.now = std::max(lane.now, earliest_ready);
-      agenda.push({lane.now, lane_id});
-      continue;
-    }
-
-    Context& ctx = lane.contexts[chosen];
-    const SpartaTask& task = tasks[ctx.task_queue[ctx.current_task]];
-    if (ctx.current_step >= task.steps.size()) {
-      // Task complete; move to the next one in this context's queue.
-      ++stats.tasks_executed;
-      ++ctx.current_task;
-      ctx.current_step = 0;
-      if (lane_has_work(lane)) agenda.push({lane.now, lane_id});
-      continue;
-    }
-
-    const TaskStep& step = task.steps[ctx.current_step++];
-    // Compute phase occupies the lane datapath.
-    lane.now += static_cast<std::uint64_t>(std::max(0, step.compute_cycles));
-    lane.busy_cycles += static_cast<std::uint64_t>(std::max(0, step.compute_cycles));
-
-    if (step.address >= 0) {
-      ++stats.mem_requests;
-      lane.busy_cycles += 1;  // issue cycle
-      lane.now += 1;
-      if (step.address < config.private_scratchpad_bytes) {
-        // Lane-private scratchpad: fast local access, no NoC traffic.
-        ++stats.scratchpad_hits;
-        ctx.ready_at =
-            lane.now + static_cast<std::uint64_t>(config.scratchpad_latency);
-        agenda.push({lane.now, lane_id});
-        continue;
-      }
-      const bool hit = cache.access(step.address);
-      if (hit) {
-        ++stats.cache_hits;
-        ctx.ready_at = lane.now + static_cast<std::uint64_t>(config.cache_hit_latency);
-      } else {
-        const std::size_t channel =
-            static_cast<std::size_t>(step.address / config.cache_line_bytes) %
-            channel_free.size();
-        const std::uint64_t issue = std::max(lane.now, channel_free[channel]);
-        channel_free[channel] =
-            issue + static_cast<std::uint64_t>(config.channel_gap_cycles);
-        ctx.ready_at =
-            issue + static_cast<std::uint64_t>(config.mem_latency_cycles);
-      }
-      // Context blocks; the lane pays the switch penalty and looks for
-      // another ready context immediately after.
-      lane.now += static_cast<std::uint64_t>(config.context_switch_cycles);
-    }
-    agenda.push({lane.now, lane_id});
-  }
-
-  std::uint64_t total = 0;
-  double busy_fraction_sum = 0.0;
-  for (const auto& lane : lane_state) {
-    total = std::max(total, lane.now);
-  }
-  stats.cycles = std::max<std::uint64_t>(total, 1);
-  for (const auto& lane : lane_state) {
-    busy_fraction_sum += static_cast<double>(lane.busy_cycles) /
-                         static_cast<double>(stats.cycles);
-  }
-  stats.lane_utilization = busy_fraction_sum / static_cast<double>(lanes);
-  return stats;
+  return run_sparta(tasks.data(), tasks.size(), config);
 }
 
 namespace {
@@ -330,31 +391,19 @@ double distance2(const Signature& a, const Signature& b) {
   return d2;
 }
 
-void check_sampling_config(const PhaseSamplingConfig& sampling) {
-  if (sampling.interval_tasks == 0) {
-    throw core::Error("hls::simulate_sparta_sampled",
-                      "interval_tasks must be positive");
-  }
-  if (sampling.phases < 1) {
-    throw core::Error("hls::simulate_sparta_sampled",
-                      "phases must be at least 1");
-  }
-  if (sampling.samples_per_phase < 2) {
-    throw core::Error("hls::simulate_sparta_sampled",
-                      "samples_per_phase must be at least 2",
-                      "a single-sample phase has no confidence interval");
-  }
-  if (sampling.kmeans_iters < 1) {
-    throw core::Error("hls::simulate_sparta_sampled",
-                      "kmeans_iters must be at least 1");
-  }
-  if (!(sampling.confidence > 0.0) || !(sampling.confidence < 1.0)) {
-    throw core::Error("hls::simulate_sparta_sampled",
-                      "confidence must be in (0, 1)");
-  }
-}
-
 }  // namespace
+
+void PhaseSamplingConfig::validate() const {
+  const std::string where = "hls::PhaseSamplingConfig";
+  core::require_at_least(where, "interval_tasks",
+                         static_cast<double>(interval_tasks), 1);
+  core::require_at_least(where, "phases", phases, 1);
+  // A single-sample phase has no confidence interval.
+  core::require_at_least(where, "samples_per_phase", samples_per_phase, 2);
+  core::require_at_least(where, "kmeans_iters", kmeans_iters, 1);
+  core::require_positive(where, "confidence", confidence);
+  core::require_positive(where, "1 - confidence", 1.0 - confidence);
+}
 
 SpartaStats sparta_isolated_reference(const std::vector<SpartaTask>& tasks,
                                       const SpartaConfig& config,
@@ -368,9 +417,7 @@ SpartaStats sparta_isolated_reference(const std::vector<SpartaTask>& tasks,
   double util_cycles = 0.0;
   for (std::size_t begin = 0; begin < tasks.size(); begin += interval_tasks) {
     const std::size_t end = std::min(tasks.size(), begin + interval_tasks);
-    const std::vector<SpartaTask> slice(tasks.begin() + begin,
-                                        tasks.begin() + end);
-    const SpartaStats s = simulate_sparta(slice, config);
+    const SpartaStats s = run_sparta(tasks.data() + begin, end - begin, config);
     total.cycles += s.cycles;
     total.mem_requests += s.mem_requests;
     total.cache_hits += s.cache_hits;
@@ -387,7 +434,7 @@ PhaseSampleStats simulate_sparta_sampled(const std::vector<SpartaTask>& tasks,
                                          const SpartaConfig& config,
                                          const PhaseSamplingConfig& sampling) {
   config.validate();
-  check_sampling_config(sampling);
+  sampling.validate();
   PhaseSampleStats out;
   out.confidence = sampling.confidence;
   if (tasks.empty()) return out;
@@ -520,9 +567,8 @@ PhaseSampleStats simulate_sparta_sampled(const std::vector<SpartaTask>& tasks,
 
     for (std::size_t i : picks) {
       const auto [begin, end] = bounds[i];
-      const std::vector<SpartaTask> slice(tasks.begin() + begin,
-                                          tasks.begin() + end);
-      const SpartaStats s = simulate_sparta(slice, config);
+      const SpartaStats s =
+          run_sparta(tasks.data() + begin, end - begin, config);
       acc.cycles.push(static_cast<double>(s.cycles));
       acc.mem += static_cast<double>(s.mem_requests);
       acc.hits += static_cast<double>(s.cache_hits);

@@ -137,6 +137,10 @@ struct PhaseSamplingConfig {
   double confidence = 0.95;
   /// Seeds the deterministic center init and per-phase sample picks.
   std::uint64_t seed = 0x5BA2'7AULL;
+
+  /// Throws core::Error unless interval_tasks, phases and kmeans_iters are
+  /// >= 1, samples_per_phase is >= 2 and confidence is in (0, 1).
+  void validate() const;
 };
 
 struct PhaseSampleStats {
@@ -163,8 +167,8 @@ struct PhaseSampleStats {
 
 /// Phase-sampled SPARTA run. Deterministic: clustering, sample picks, and
 /// the resulting estimate are pure functions of (tasks, config, sampling
-/// config). Throws core::Error on a degenerate sampling config or when
-/// config.validate() does.
+/// config). Throws core::Error when config.validate() or
+/// sampling.validate() does.
 PhaseSampleStats simulate_sparta_sampled(const std::vector<SpartaTask>& tasks,
                                          const SpartaConfig& config,
                                          const PhaseSamplingConfig& sampling);

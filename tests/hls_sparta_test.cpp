@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
+#include <string>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
@@ -162,6 +166,130 @@ TEST(Sparta, ScratchpadSizeSweepMonotone) {
     EXPECT_GE(stats.scratchpad_hits, prev_hits);
     prev_hits = stats.scratchpad_hits;
   }
+}
+
+using NamedTasks = std::pair<std::string, std::vector<SpartaTask>>;
+
+/// The workloads of the stats golden: SpMV, BFS and PageRank on one
+/// seeded RMAT graph, and a task list with empty tasks, negative and zero
+/// compute cycles, compute-only steps and scratchpad-range addresses.
+std::vector<NamedTasks> golden_workloads() {
+  const auto graph = core::make_rmat_graph(11, 8.0, 21);
+  std::vector<SpartaTask> edge(300);
+  core::Rng rng(0xED6E);
+  for (std::size_t t = 0; t < edge.size(); ++t) {
+    if (t % 7 == 3) continue;  // empty task
+    const std::size_t steps = 1 + rng.below(12);
+    for (std::size_t i = 0; i < steps; ++i) {
+      TaskStep step;
+      step.compute_cycles = static_cast<int>(rng.below(7)) - 2;
+      step.address = rng.below(4) == 0
+                         ? -1
+                         : static_cast<std::int64_t>(rng.below(1 << 14)) * 4;
+      edge[t].steps.push_back(step);
+    }
+  }
+  return {{"spmv", make_spmv_tasks(graph)},
+          {"bfs", make_bfs_tasks(graph)},
+          {"pagerank", make_pagerank_tasks(graph)},
+          {"edge", std::move(edge)}};
+}
+
+/// The default 4x4, the serial baseline, 8 lanes with a small 4-way cache
+/// of 48-byte lines on 3 channels (so lines get evicted), and blocked
+/// partitioning with a 4 KiB scratchpad and 8 contexts.
+std::vector<std::pair<std::string, SpartaConfig>> golden_configs() {
+  SpartaConfig wide;
+  wide.lanes = 8;
+  wide.cache_lines = 64;
+  wide.cache_ways = 4;
+  wide.cache_line_bytes = 48;
+  wide.mem_channels = 3;
+  SpartaConfig blocked;
+  blocked.partition = TaskPartition::kBlocked;
+  blocked.private_scratchpad_bytes = 4096;
+  blocked.contexts_per_lane = 8;
+  return {{"4x4", SpartaConfig{}},
+          {"serial", serial_baseline_config(SpartaConfig{})},
+          {"wide", wide},
+          {"blocked", blocked}};
+}
+
+struct StatsGolden {
+  std::uint64_t cycles;
+  std::uint64_t utilization_bits;  // bit pattern of lane_utilization
+  std::uint64_t mem_requests;
+  std::uint64_t cache_hits;
+  std::uint64_t scratchpad_hits;
+  std::uint64_t tasks_executed;
+
+  bool operator==(const StatsGolden&) const = default;
+};
+
+StatsGolden golden_of(const SpartaStats& s) {
+  return {s.cycles, std::bit_cast<std::uint64_t>(s.lane_utilization),
+          s.mem_requests, s.cache_hits, s.scratchpad_hits, s.tasks_executed};
+}
+
+void PrintTo(const StatsGolden& g, std::ostream* os) {
+  *os << "{" << g.cycles << "ULL, 0x" << std::hex << g.utilization_bits
+      << std::dec << "ULL, " << g.mem_requests << ", " << g.cache_hits << ", "
+      << g.scratchpad_hits << ", " << g.tasks_executed << "}";
+}
+
+TEST(Sparta, StatsGolden) {
+  // Every SpartaStats field of four workloads under four configs, pinned
+  // (lane_utilization by its bit pattern). Lanes advance in (local time,
+  // lane id) order and share one cache and one set of channels, so any
+  // change to the event order moves these pins.
+  const StatsGolden goldens[4][4] = {
+      // spmv on 4x4, serial, wide, blocked
+      {{24859, 0x3fd517290ef68e82ULL, 16384, 16256, 0, 1290},
+       {210688, 0x3fc3e85c12a9d651ULL, 16384, 16256, 0, 1290},
+       {43149, 0x3fb84d20ca92ef59ULL, 16384, 12582, 0, 1290},
+       {22798, 0x3fd6ff42461d3d8eULL, 16384, 3843, 12477, 1290}},
+      // bfs on 4x4, serial, wide, blocked
+      {{29162, 0x3fdaf7bb0925b1f0ULL, 16384, 16256, 0, 1290},
+       {227072, 0x3fcbb4f5e6065978ULL, 16384, 16256, 0, 1290},
+       {41811, 0x3fc2cf28936347f3ULL, 16384, 12649, 0, 1290},
+       {28392, 0x3fdbb2f643156c6aULL, 16384, 3843, 12477, 1290}},
+      // pagerank on 4x4, serial, wide, blocked
+      {{72987, 0x3fc75882d7c23d8aULL, 16384, 16256, 0, 2048},
+       {231168, 0x3fcd7be3a66a075fULL, 16384, 16256, 0, 2048},
+       {148655, 0x3fa6ecb975105207ULL, 16384, 12555, 0, 2048},
+       {39673, 0x3fd579899e29d3a5ULL, 16384, 3843, 12477, 2048}},
+      // edge on 4x4, serial, wide, blocked
+      {{6724, 0x3fc1b2f0ec5ac3d8ULL, 1214, 511, 0, 300},
+       {93189, 0x3fa46ed717c54cc3ULL, 1214, 511, 0, 300},
+       {6880, 0x3fb14c346404c346ULL, 1214, 62, 0, 300},
+       {3673, 0x3fd0334c2e0023b0ULL, 1214, 490, 57, 300}},
+  };
+  const auto workloads = golden_workloads();
+  const auto configs = golden_configs();
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      EXPECT_EQ(golden_of(simulate_sparta(workloads[w].second,
+                                          configs[c].second)),
+                goldens[w][c])
+          << workloads[w].first << " on " << configs[c].first;
+    }
+  }
+}
+
+TEST(Sparta, DegenerateTaskListsGolden) {
+  // No tasks at all, and the edge workload with every count clamped to 1.
+  EXPECT_EQ(golden_of(simulate_sparta({}, SpartaConfig{})),
+            (StatsGolden{1, 0, 0, 0, 0, 0}));
+  SpartaConfig zero_counts;
+  zero_counts.lanes = 0;
+  zero_counts.contexts_per_lane = 0;
+  zero_counts.mem_channels = 0;
+  zero_counts.cache_lines = 0;
+  zero_counts.cache_ways = 0;
+  zero_counts.partition = TaskPartition::kBlocked;
+  EXPECT_EQ(golden_of(simulate_sparta(golden_workloads()[3].second,
+                                      zero_counts)),
+            (StatsGolden{149399, 0x3f997d91c1383823ULL, 1214, 0, 0, 300}));
 }
 
 TEST(OmpFront, ParsesClauses) {
@@ -326,6 +454,70 @@ TEST(PhaseSampling, RejectsDegenerateConfig) {
                core::Error);
   EXPECT_THROW(sparta_isolated_reference(tasks, SpartaConfig{}, 0),
                core::Error);
+}
+
+TEST(PhaseSampling, EstimateBitsGolden) {
+  // The phase-sampled estimate and its half-width, bit for bit, with the
+  // isolated-interval oracle each stands for, for the three graph
+  // workloads of Sparta.StatsGolden under the default config.
+  struct Golden {
+    std::uint64_t estimate_bits;
+    std::uint64_t half_width_bits;
+    std::size_t intervals_simulated;
+    StatsGolden oracle;
+  };
+  const Golden goldens[] = {
+      {0x40f5b72aaaaaaaaaULL, 0x40ce4f609602c961ULL, 18,
+       {88686, 0x3fb7a59d7996c146ULL, 16384, 13749, 0, 1290}},
+      {0x40f6d5f555555555ULL, 0x40cf1a7b0441cc4bULL, 18,
+       {93240, 0x3fc0de75b0010de7ULL, 16384, 13749, 0, 1290}},
+      {0x4100b02555555556ULL, 0x40c39ac94a0ecda3ULL, 20,
+       {134722, 0x3fb94bab8e00ad2dULL, 16384, 13436, 0, 2048}},
+  };
+  const auto workloads = golden_workloads();
+  const SpartaConfig config;
+  const PhaseSamplingConfig sampling;
+  for (std::size_t w = 0; w < 3; ++w) {
+    const auto& tasks = workloads[w].second;
+    const auto sampled = simulate_sparta_sampled(tasks, config, sampling);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sampled.cycles_estimate),
+              goldens[w].estimate_bits)
+        << workloads[w].first << ": got 0x" << std::hex
+        << std::bit_cast<std::uint64_t>(sampled.cycles_estimate);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(sampled.cycles_half_width),
+              goldens[w].half_width_bits)
+        << workloads[w].first << ": got 0x" << std::hex
+        << std::bit_cast<std::uint64_t>(sampled.cycles_half_width);
+    EXPECT_EQ(sampled.intervals_simulated, goldens[w].intervals_simulated)
+        << workloads[w].first;
+    EXPECT_EQ(golden_of(sparta_isolated_reference(tasks, config,
+                                                  sampling.interval_tasks)),
+              goldens[w].oracle)
+        << workloads[w].first;
+  }
+}
+
+TEST(PhaseSamplingConfig, ValidateRejectsEachOutOfRangeField) {
+  EXPECT_NO_THROW(PhaseSamplingConfig{}.validate());
+  const auto rejects = [](auto edit) {
+    PhaseSamplingConfig sampling;
+    edit(sampling);
+    EXPECT_THROW(sampling.validate(), core::Error);
+  };
+  rejects([](PhaseSamplingConfig& s) { s.interval_tasks = 0; });
+  rejects([](PhaseSamplingConfig& s) { s.phases = 0; });
+  rejects([](PhaseSamplingConfig& s) { s.samples_per_phase = 1; });
+  rejects([](PhaseSamplingConfig& s) { s.kmeans_iters = 0; });
+  for (const double bad : {0.0, 1.0, -0.5, 1.5, std::nan("")}) {
+    rejects([bad](PhaseSamplingConfig& s) { s.confidence = bad; });
+  }
+  PhaseSamplingConfig edge;
+  edge.interval_tasks = 1;
+  edge.phases = 1;
+  edge.samples_per_phase = 2;
+  edge.kmeans_iters = 1;
+  edge.confidence = 0.5;
+  EXPECT_NO_THROW(edge.validate());
 }
 
 TEST(PhaseSampling, MoreSamplesTightenTheInterval) {

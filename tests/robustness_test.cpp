@@ -177,6 +177,34 @@ TEST(Robustness, SchedulerSingleConstant) {
   EXPECT_EQ(s.makespan, 0);
 }
 
+TEST(Robustness, KernelRejectsOperandsThatDoNotPrecedeTheirConsumer) {
+  // Release builds used to skip the operand-order assert: a self or
+  // forward reference was stored, and critical_path and both schedulers
+  // then read past the end of their per-op tables.
+  hls::Kernel k("malformed");
+  const auto a = k.input();
+  EXPECT_THROW(k.add_op(hls::OpKind::kAdd, {a, 1}), core::Error);  // itself
+  EXPECT_THROW(k.add(a, 7), core::Error);                          // forward
+  EXPECT_THROW(k.output(99), core::Error);
+  EXPECT_EQ(k.size(), 1u);  // nothing was stored
+  k.output(k.mul(a, a));
+  EXPECT_TRUE(k.is_well_formed());
+  EXPECT_EQ(k.critical_path(), hls::op_latency(hls::OpKind::kMul));
+  EXPECT_EQ(hls::schedule_list(k, hls::ResourceBudget{}).makespan,
+            k.critical_path());
+}
+
+TEST(Robustness, AlapRejectsDeadlineBelowCriticalPath) {
+  // A deadline below the critical path used to yield negative start
+  // cycles (and negative mobilities) in release builds.
+  const auto kernel = hls::make_fir_kernel(4);
+  const int critical = kernel.critical_path();
+  EXPECT_THROW(hls::schedule_alap(kernel, critical - 1), core::Error);
+  EXPECT_THROW(hls::schedule_alap(kernel, -5), core::Error);
+  EXPECT_EQ(hls::schedule_alap(kernel, critical).makespan, critical);
+  EXPECT_EQ(hls::schedule_alap(hls::Kernel("empty"), 0).makespan, 0);
+}
+
 TEST(Robustness, CuDegenerateGemmShapes) {
   const scf::ComputeUnit cu;
   for (const auto& [m, k, n] :
