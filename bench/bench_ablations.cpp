@@ -22,7 +22,7 @@
 #include "hls/pipelining.hpp"
 #include "hls/tool_profile.hpp"
 #include "imc/mlc.hpp"
-#include "scf/hetero_fabric.hpp"
+#include "scf/fabric.hpp"
 
 namespace {
 

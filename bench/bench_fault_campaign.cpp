@@ -23,7 +23,6 @@
 #include "hetero/dna/storage_sim.hpp"
 #include "imc/crossbar.hpp"
 #include "scf/fabric.hpp"
-#include "scf/hetero_fabric.hpp"
 
 namespace {
 
@@ -180,24 +179,18 @@ void print_scf_sweep() {
         core::json_num(kpi.degraded_gflops, 2).c_str(),
         rigid_stats.completed ? "true" : "false", rigid_stats.lost_kernels);
   }
-  // Heterogeneous pool fallback: GEMMs complete on the vector pool when the
-  // whole tensor pool is down.
-  scf::HeteroFabricConfig hetero;
-  hetero.forced_failed_tensor_cus = hetero.tensor_cus;
-  const scf::HeterogeneousFabric degraded(hetero);
-  const scf::HeterogeneousFabric healthy(scf::HeteroFabricConfig{});
-  const auto deg = degraded.run_trace(trace);
-  const auto ref = healthy.run_trace(trace);
+  // Pool fallback on a 12 tensor + 4 vector CU fabric: GEMMs complete on
+  // the vector pool when the whole tensor pool is down.
+  scf::FabricConfig mixed;
+  mixed.num_cus = 12;
+  mixed.vector_cus = 4;
+  mixed.forced_failed_cus = mixed.num_cus;
+  const auto kpi = scf::ScalableComputeFabric(mixed).degraded_kpi(trace);
   std::printf(
       "JSON {\"bench\":\"fault_scf_hetero\",\"tensor_cus_failed\":%d,"
       "\"completed\":%s,\"fallback_slowdown\":%s}\n",
-      degraded.health().tensor.failed_cus, deg.completed ? "true" : "false",
-      core::json_num(
-          ref.cycles > 0 ? static_cast<double>(deg.cycles) /
-                               static_cast<double>(ref.cycles)
-                         : 0.0,
-          3)
-          .c_str());
+      kpi.health.failed_cus, kpi.completed ? "true" : "false",
+      core::json_num(kpi.slowdown, 3).c_str());
 }
 
 // ---------------------------------------------------------------------------

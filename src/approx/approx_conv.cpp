@@ -1,12 +1,12 @@
 #include "approx/approx_conv.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "approx/conv_kernels.hpp"
+#include "core/error.hpp"
 #include "core/image.hpp"
 #include "core/parallel.hpp"
 
@@ -131,6 +131,17 @@ struct QConvContext {
   }
 };
 
+/// The preconditions of both datapaths: the approximate operators are
+/// integer hardware, and `input` must be [in_channels, h, w].
+void require_integer_datapath(const ConvLayer& layer, const FeatureMap& input,
+                              const QuantConfig& quant, const char* where) {
+  if (!quant.enabled) {
+    throw core::Error(where, "approximate units are integer hardware",
+                      "QuantConfig::enabled is false");
+  }
+  require_feature_map(input, layer.in_channels(), where);
+}
+
 void book_approx_macs(std::size_t cout, std::size_t h, std::size_t w,
                       std::size_t k, std::size_t cin, core::OpCounter* ops) {
   if (ops) {
@@ -145,7 +156,7 @@ FeatureMap apply_approx(const ConvLayer& layer, const FeatureMap& input,
                         const QuantConfig& quant,
                         const ApproxArithConfig& arith,
                         core::OpCounter* ops) {
-  assert(quant.enabled && "approximate units are integer hardware");
+  require_integer_datapath(layer, input, quant, "approx::apply_approx");
   const std::size_t cin = layer.in_channels();
   const std::size_t cout = layer.out_channels();
   const std::size_t h = input.dim(1);
@@ -193,7 +204,8 @@ FeatureMap apply_approx_reference(const ConvLayer& layer,
                                   const QuantConfig& quant,
                                   const ApproxArithConfig& arith,
                                   core::OpCounter* ops) {
-  assert(quant.enabled && "approximate units are integer hardware");
+  require_integer_datapath(layer, input, quant,
+                           "approx::apply_approx_reference");
   const std::size_t cin = layer.in_channels();
   const std::size_t cout = layer.out_channels();
   const std::size_t h = input.dim(1);

@@ -29,10 +29,11 @@ struct ApproxArithConfig {
 
 /// Runs `layer` on `input` through an integer datapath built from the
 /// configured approximate operators. Activations are Q(a_int).(a_frac),
-/// weights Q(w_int).(w_frac) per `quant` (quant.enabled must be true: the
-/// approximate units are integer hardware). Accumulation is 64-bit with
-/// the configured adder; the result is rescaled, ReLU'd per the layer, and
-/// re-quantised like ConvLayer::apply.
+/// weights Q(w_int).(w_frac) per `quant`. Accumulation is 64-bit with the
+/// configured adder; the result is rescaled, ReLU'd per the layer, and
+/// re-quantised like ConvLayer::apply. Both datapaths throw core::Error
+/// unless quant.enabled (the approximate units are integer hardware) and
+/// `input` is [in_channels, h, w].
 /// Fast path: quantised im2col row panels + register-blocked accumulation
 /// (conv_kernels.hpp). Per-output operator application order is identical
 /// to `apply_approx_reference`, so outputs are bit-identical even under

@@ -15,9 +15,6 @@
 
 namespace icsc::approx {
 
-namespace {
-
-/// Throws core::Error unless `input` is a [channels, h, w] feature map.
 void require_feature_map(const FeatureMap& input, std::size_t channels,
                          const char* where) {
   if (input.rank() != 3 || input.dim(0) != channels) {
@@ -26,6 +23,8 @@ void require_feature_map(const FeatureMap& input, std::size_t channels,
                           ", in_channels " + std::to_string(channels));
   }
 }
+
+namespace {
 
 float quantize_runtime(float v, int int_bits, int frac_bits) {
   const double scale = static_cast<double>(std::int64_t{1} << frac_bits);

@@ -20,6 +20,12 @@ namespace icsc::approx {
 /// have been quantised per the active QuantConfig (fixed-point simulation).
 using FeatureMap = core::TensorF;
 
+/// Throws core::Error, naming `where`, unless `input` is a
+/// [channels, h, w] feature map. Every conv entry point checks its input
+/// with it before indexing.
+void require_feature_map(const FeatureMap& input, std::size_t channels,
+                         const char* where);
+
 /// Fixed-point quantisation policy applied at layer boundaries.
 /// Disabled => pure floating-point reference (the "FP" rows of Table I).
 struct QuantConfig {

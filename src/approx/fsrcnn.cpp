@@ -1,7 +1,6 @@
 #include "approx/fsrcnn.hpp"
 
 #include <array>
-#include <cassert>
 #include <cmath>
 
 #include "core/rng.hpp"

@@ -171,35 +171,6 @@ double student_t_critical(double df, double confidence) {
   return 0.5 * (lo + hi);
 }
 
-ConfidenceInterval mean_ci(std::span<const double> values, double confidence) {
-  check_confidence("core::mean_ci", confidence);
-  if (values.size() < 2) {
-    throw Error("core::mean_ci", "need at least two samples",
-                "got " + std::to_string(values.size()));
-  }
-  const auto s = summarize(values);
-  const auto n = static_cast<double>(values.size());
-  // summarize() reports the population stddev; rescale to the sample
-  // stddev the t interval wants.
-  const double sample_stddev = s.stddev * std::sqrt(n / (n - 1.0));
-  const double t = student_t_critical(n - 1.0, confidence);
-  return {s.mean, t * sample_stddev / std::sqrt(n)};
-}
-
-ConfidenceInterval stddev_ci(std::span<const double> values,
-                             double confidence) {
-  check_confidence("core::stddev_ci", confidence);
-  if (values.size() < 2) {
-    throw Error("core::stddev_ci", "need at least two samples",
-                "got " + std::to_string(values.size()));
-  }
-  const auto s = summarize(values);
-  const auto n = static_cast<double>(values.size());
-  const double sample_stddev = s.stddev * std::sqrt(n / (n - 1.0));
-  const double z = normal_critical(confidence);
-  return {sample_stddev, z * sample_stddev / std::sqrt(2.0 * (n - 1.0))};
-}
-
 Summary summarize(std::span<const double> values) {
   Summary s;
   s.count = values.size();

@@ -1,33 +1,12 @@
 #include "imc/mlc.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "core/nn.hpp"
 #include "imc/pipeline.hpp"
 
 namespace icsc::imc {
-
-double MlcGrid::level_target(int l) const {
-  assert(levels >= 2);
-  const double step = (g_max_us - g_min_us) / static_cast<double>(levels - 1);
-  return g_min_us + step * std::clamp(l, 0, levels - 1);
-}
-
-int MlcGrid::nearest_level(double g_us) const {
-  const double step = (g_max_us - g_min_us) / static_cast<double>(levels - 1);
-  const int l = static_cast<int>(std::round((g_us - g_min_us) / step));
-  return std::clamp(l, 0, levels - 1);
-}
-
-double MlcGrid::quantize(double g_us) const {
-  return level_target(nearest_level(g_us));
-}
-
-MlcGrid make_grid(const DeviceSpec& spec, int levels) {
-  return MlcGrid{spec.g_min_us, spec.g_max_us, levels};
-}
 
 int reliable_levels(const DeviceSpec& spec, const ProgramVerifyConfig& config,
                     int probe_cells, std::uint64_t seed) {
@@ -40,58 +19,6 @@ int reliable_levels(const DeviceSpec& spec, const ProgramVerifyConfig& config,
   const int levels =
       1 + static_cast<int>(std::floor(spec.g_range() / (6.0 * sigma)));
   return std::clamp(levels, 2, 256);
-}
-
-BitSlicedCrossbar::BitSlicedCrossbar(const core::TensorF& weights,
-                                     const CrossbarConfig& config, int slices,
-                                     int bits_per_slice)
-    : out_dim_(weights.dim(0)) {
-  assert(slices >= 1 && bits_per_slice >= 1);
-  float w_max = 0.0F;
-  for (const float w : weights.data()) w_max = std::max(w_max, std::abs(w));
-  if (w_max == 0.0F) w_max = 1.0F;
-  const int total_bits = slices * bits_per_slice;
-  const double code_max = static_cast<double>((1ll << total_bits) - 1);
-  const int slice_mask = (1 << bits_per_slice) - 1;
-
-  for (int s = 0; s < slices; ++s) {
-    core::TensorF slice_weights({weights.dim(0), weights.dim(1)});
-    for (std::size_t i = 0; i < weights.numel(); ++i) {
-      const double magnitude = std::abs(weights[i]) / w_max;
-      const auto code =
-          static_cast<long long>(std::round(magnitude * code_max));
-      const int value =
-          static_cast<int>((code >> (s * bits_per_slice)) & slice_mask);
-      slice_weights[i] =
-          weights[i] < 0 ? -static_cast<float>(value) : static_cast<float>(value);
-    }
-    CrossbarConfig slice_config = config;
-    slice_config.seed = config.seed + static_cast<std::uint64_t>(s) * 7919;
-    Slice slice;
-    slice.crossbar = std::make_unique<Crossbar>(slice_weights, slice_config);
-    slice.scale = std::ldexp(1.0, s * bits_per_slice) * w_max / code_max;
-    slices_.push_back(std::move(slice));
-  }
-}
-
-std::vector<float> BitSlicedCrossbar::matvec(std::span<const float> x,
-                                             double t_seconds) {
-  std::vector<float> y(out_dim_, 0.0F);
-  for (auto& slice : slices_) {
-    const auto part = slice.crossbar->matvec(x, t_seconds);
-    for (std::size_t o = 0; o < y.size(); ++o) {
-      y[o] += static_cast<float>(part[o] * slice.scale);
-    }
-  }
-  return y;
-}
-
-double BitSlicedCrossbar::total_energy_pj() const {
-  double total = 0.0;
-  for (const auto& slice : slices_) {
-    total += slice.crossbar->energy().total_pj();
-  }
-  return total;
 }
 
 DriftCompensator::DriftCompensator(const DeviceSpec& spec,

@@ -1,71 +1,29 @@
-// Multilevel-cell weight mapping and digital drift compensation (Sec. IV).
+// Multilevel-cell level estimation and digital drift compensation
+// (Sec. IV).
 //
 // "Multilevel cell (MLC) operation is possible in both PCM and RRAM where
 // the device resistance can be tuned as an analog memory with a virtually
 // continuous distribution of weights [9]" -- but finite programming
-// precision limits the usable level count, so practical accelerators
-// either quantise weights onto L discrete conductance levels or slice the
-// weight bits across several lower-precision cells. Accuracy should also
-// be optimised by "accurate digital compensation of inaccuracies, such as
-// drift and temperature/voltage dependence": we implement the standard
-// global-scale drift compensation, where the periphery rescales MVM
-// outputs by the inverse of the average conductance decay estimated from
-// reference cells.
+// precision limits the usable level count, which reliable_levels()
+// estimates per programming scheme. Accuracy should also be optimised by
+// "accurate digital compensation of inaccuracies, such as drift and
+// temperature/voltage dependence": we implement the standard global-scale
+// drift compensation, where the periphery rescales MVM outputs by the
+// inverse of the average conductance decay estimated from reference cells.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "imc/crossbar.hpp"
 
 namespace icsc::imc {
 
-/// Discrete MLC level grid across the device conductance range.
-struct MlcGrid {
-  double g_min_us = 0.0;
-  double g_max_us = 0.0;
-  int levels = 4;
-
-  /// Target conductance of level index l (equally spaced).
-  double level_target(int l) const;
-  /// Nearest level index for a desired conductance.
-  int nearest_level(double g_us) const;
-  /// Quantises a conductance onto the grid.
-  double quantize(double g_us) const;
-};
-
-MlcGrid make_grid(const DeviceSpec& spec, int levels);
-
 /// The effective number of reliably distinguishable levels for a device
 /// programmed with the given scheme: levels are "reliable" when the
 /// programming error's 3-sigma is below half the level spacing.
 int reliable_levels(const DeviceSpec& spec, const ProgramVerifyConfig& config,
                     int probe_cells, std::uint64_t seed);
-
-/// Bit-sliced crossbar: an [out, in] weight matrix is split into `slices`
-/// crossbars, each storing `bits_per_slice` bits of the weight magnitude
-/// on an MLC grid of 2^bits_per_slice levels; the digital periphery
-/// recombines slice outputs with power-of-two weights. This trades array
-/// count for per-cell precision requirements.
-class BitSlicedCrossbar {
-public:
-  BitSlicedCrossbar(const core::TensorF& weights, const CrossbarConfig& config,
-                    int slices, int bits_per_slice);
-
-  std::vector<float> matvec(std::span<const float> x, double t_seconds = 1.0);
-
-  std::size_t slice_count() const { return slices_.size(); }
-  double total_energy_pj() const;
-
-private:
-  struct Slice {
-    std::unique_ptr<Crossbar> crossbar;
-    double scale;  // contribution weight of this slice
-  };
-  std::vector<Slice> slices_;
-  std::size_t out_dim_ = 0;
-};
 
 /// Digital drift compensation: reference column. A set of reference cells
 /// is programmed to a known conductance at t=0; at read time the periphery

@@ -87,6 +87,33 @@ TEST(MeanEstimate, CoversTrueMeanAtRoughlyNominalRate) {
   EXPECT_GE(covered, 170);
 }
 
+TEST(MeanCi, KnownSmallSample) {
+  // x = {1..5}: mean 3, sample stddev sqrt(2.5), t(4, .95) = 2.776.
+  OnlineStats stats;
+  for (const double x : {1.0, 2.0, 3.0, 4.0, 5.0}) stats.push(x);
+  const Estimate e = mean_estimate(stats, 0.95);
+  EXPECT_DOUBLE_EQ(e.mean, 3.0);
+  EXPECT_NEAR(e.half_width, 2.776 * std::sqrt(2.5) / std::sqrt(5.0), 1e-3);
+  EXPECT_TRUE(e.contains(3.0));
+  EXPECT_FALSE(e.contains(100.0));
+}
+
+TEST(StddevCi, CoversTrueSigma) {
+  // The large-sample interval s +- stddev_half_width on 200-sample normal
+  // estimates covers the true sigma at roughly the nominal 95 %.
+  int covered = 0;
+  const int kReps = 100;
+  for (int rep = 0; rep < kReps; ++rep) {
+    Rng rng(500 + rep);
+    OnlineStats stats;
+    for (int i = 0; i < 200; ++i) stats.push(rng.normal(0.0, 3.0));
+    if (std::fabs(stats.stddev() - 3.0) <= stddev_half_width(stats, 0.95)) {
+      ++covered;
+    }
+  }
+  EXPECT_GE(covered, 85);
+}
+
 // ---------------------------------------------------------------------------
 // SequentialController: the stop decision is a pure prefix function.
 

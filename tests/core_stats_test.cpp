@@ -159,32 +159,5 @@ TEST(CriticalValues, RejectBadConfidence) {
   EXPECT_THROW(student_t_critical(0.0, 0.95), Error);
 }
 
-TEST(MeanCi, KnownSmallSample) {
-  // x = {1..5}: mean 3, sample stddev sqrt(2.5), t(4, .95) = 2.776.
-  const std::vector<double> v{1.0, 2.0, 3.0, 4.0, 5.0};
-  const auto ci = mean_ci(v, 0.95);
-  EXPECT_DOUBLE_EQ(ci.center, 3.0);
-  EXPECT_NEAR(ci.half_width, 2.776 * std::sqrt(2.5) / std::sqrt(5.0), 1e-3);
-  EXPECT_TRUE(ci.contains(3.0));
-  EXPECT_FALSE(ci.contains(100.0));
-}
-
-TEST(MeanCi, ThrowsBelowTwoSamples) {
-  EXPECT_THROW(mean_ci(std::vector<double>{}, 0.95), Error);
-  EXPECT_THROW(mean_ci(std::vector<double>{1.0}, 0.95), Error);
-}
-
-TEST(StddevCi, CoversTrueSigma) {
-  int covered = 0;
-  const int kReps = 100;
-  for (int rep = 0; rep < kReps; ++rep) {
-    Rng rng(500 + rep);
-    std::vector<double> v;
-    for (int i = 0; i < 200; ++i) v.push_back(rng.normal(0.0, 3.0));
-    if (stddev_ci(v, 0.95).contains(3.0)) ++covered;
-  }
-  EXPECT_GE(covered, 85);
-}
-
 }  // namespace
 }  // namespace icsc::core

@@ -2,30 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 
 namespace icsc::imc {
 namespace {
-
-TEST(MlcGrid, LevelTargetsSpanRange) {
-  const auto grid = make_grid(rram_spec(), 4);
-  EXPECT_DOUBLE_EQ(grid.level_target(0), rram_spec().g_min_us);
-  EXPECT_DOUBLE_EQ(grid.level_target(3), rram_spec().g_max_us);
-  EXPECT_LT(grid.level_target(1), grid.level_target(2));
-}
-
-TEST(MlcGrid, NearestLevelRoundTrip) {
-  const auto grid = make_grid(rram_spec(), 8);
-  for (int l = 0; l < 8; ++l) {
-    EXPECT_EQ(grid.nearest_level(grid.level_target(l)), l);
-  }
-}
-
-TEST(MlcGrid, QuantizeClampsOutOfRange) {
-  const auto grid = make_grid(pcm_spec(), 4);
-  EXPECT_DOUBLE_EQ(grid.quantize(-100.0), pcm_spec().g_min_us);
-  EXPECT_DOUBLE_EQ(grid.quantize(1e6), pcm_spec().g_max_us);
-}
 
 TEST(ReliableLevels, VerifySupportsMoreLevelsThanSinglePulse) {
   const auto spec = rram_spec();
@@ -41,39 +20,6 @@ TEST(ReliableLevels, VerifySupportsMoreLevelsThanSinglePulse) {
   EXPECT_GE(naive_levels, 2);
   // MLC operation (>= 4 levels / 2 bits per cell) requires verify.
   EXPECT_GE(verify_levels, 4);
-}
-
-TEST(BitSliced, ReconstructsMatvec) {
-  core::Rng rng(7);
-  core::TensorF w({8, 16});
-  for (auto& v : w.data()) v = static_cast<float>(rng.normal(0.0, 0.5));
-  CrossbarConfig config;
-  config.programming.scheme = ProgramScheme::kVerify;
-  BitSlicedCrossbar sliced(w, config, /*slices=*/4, /*bits_per_slice=*/2);
-  EXPECT_EQ(sliced.slice_count(), 4u);
-  std::vector<float> x(16);
-  for (auto& v : x) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto exact = core::matvec(w, std::span<const float>(x));
-  const auto got = sliced.matvec(x);
-  double err = 0.0, norm = 0.0;
-  for (std::size_t o = 0; o < exact.size(); ++o) {
-    err += (got[o] - exact[o]) * (got[o] - exact[o]);
-    norm += exact[o] * exact[o];
-  }
-  EXPECT_LT(std::sqrt(err / norm), 0.25);
-}
-
-TEST(BitSliced, MoreSlicesCostMoreEnergy) {
-  core::Rng rng(9);
-  core::TensorF w({8, 8});
-  for (auto& v : w.data()) v = static_cast<float>(rng.normal(0.0, 0.5));
-  CrossbarConfig config;
-  BitSlicedCrossbar two(w, config, 2, 2);
-  BitSlicedCrossbar four(w, config, 4, 2);
-  std::vector<float> x(8, 0.5F);
-  two.matvec(x);
-  four.matvec(x);
-  EXPECT_GT(four.total_energy_pj(), two.total_energy_pj());
 }
 
 TEST(DriftCompensator, EstimatesPcmDecay) {

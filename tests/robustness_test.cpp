@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "approx/approx_conv.hpp"
 #include "approx/conv.hpp"
 #include "approx/softmax.hpp"
 #include "core/error.hpp"
@@ -30,7 +31,6 @@
 #include "imc/tile.hpp"
 #include "scf/compute_unit.hpp"
 #include "scf/fabric.hpp"
-#include "scf/hetero_fabric.hpp"
 #include "scf/transformer.hpp"
 
 namespace {
@@ -266,11 +266,32 @@ TEST(Robustness, ConvLayerInputShapeThrows) {
     expect_shape_error(
         [&] { tconv.apply_foveated_reference(input, fovea, quant); },
         "approx::TconvLayer::apply_foveated_reference");
+    expect_shape_error([&] { approx::apply_approx(conv, input, quant, {}); },
+                       "approx::apply_approx");
+    expect_shape_error(
+        [&] { approx::apply_approx_reference(conv, input, quant, {}); },
+        "approx::apply_approx_reference");
   }
   // The matching shape still runs.
   const approx::FeatureMap good({3, 6, 6}, 0.5F);
   EXPECT_EQ(conv.apply(good, quant).shape(), (core::Shape{2, 6, 6}));
   EXPECT_EQ(tconv.apply_foveated(good, fovea, quant).height(), 12u);
+}
+
+TEST(Robustness, ApproxConvRequiresQuantisation) {
+  // The approximate operators are integer hardware: without quantisation
+  // both datapaths throw in every build type.
+  approx::ConvLayer conv;
+  conv.weights = core::TensorF({1, 1, 3, 3}, 0.1F);
+  conv.bias = {0.0F};
+  const approx::FeatureMap input({1, 6, 6}, 0.5F);
+  approx::QuantConfig float_path;
+  float_path.enabled = false;
+  EXPECT_THROW(approx::apply_approx(conv, input, float_path, {}), core::Error);
+  EXPECT_THROW(approx::apply_approx_reference(conv, input, float_path, {}),
+               core::Error);
+  EXPECT_EQ(approx::apply_approx(conv, input, approx::QuantConfig{}, {}).shape(),
+            (core::Shape{1, 6, 6}));
 }
 
 TEST(Robustness, FovealRegionDegenerate) {
@@ -398,7 +419,7 @@ TEST(Robustness, FabricRepartitionCompletesWithAnySurvivor) {
   }
   config.forced_failed_cus = config.num_cus;
   const scf::ScalableComputeFabric dead(config);
-  EXPECT_FALSE(dead.health().operational);
+  EXPECT_FALSE(dead.operational());
   const auto stats = dead.run_trace(trace);
   EXPECT_FALSE(stats.completed);
   EXPECT_EQ(stats.lost_kernels, trace.size());
@@ -448,21 +469,24 @@ TEST(Robustness, HeteroFabricFallsBackAcrossPools) {
   };
   // Kill the whole tensor pool: GEMMs must limp along on the vector CUs
   // instead of being lost.
-  scf::HeteroFabricConfig config;
-  config.forced_failed_tensor_cus = config.tensor_cus;
-  const scf::HeterogeneousFabric fabric(config);
-  EXPECT_EQ(fabric.health().tensor.active_cus, 0);
-  EXPECT_TRUE(fabric.health().operational);
+  scf::FabricConfig config;
+  config.num_cus = 12;
+  config.vector_cus = 4;
+  const scf::FabricConfig healthy_config = config;
+  config.forced_failed_cus = config.num_cus;
+  const scf::ScalableComputeFabric fabric(config);
+  EXPECT_EQ(fabric.health().active_cus, 0);
+  EXPECT_TRUE(fabric.operational());
   const auto stats = fabric.run_trace(trace);
   EXPECT_TRUE(stats.completed);
-  // The fallback is slower than the healthy hetero fabric.
+  // The fallback is slower than the healthy mixed fabric.
   const auto healthy =
-      scf::HeterogeneousFabric(scf::HeteroFabricConfig{}).run_trace(trace);
+      scf::ScalableComputeFabric(healthy_config).run_trace(trace);
   EXPECT_GT(stats.cycles, healthy.cycles);
   // Both pools dead: nothing completes.
   config.forced_failed_vector_cus = config.vector_cus;
-  const scf::HeterogeneousFabric dead(config);
-  EXPECT_FALSE(dead.health().operational);
+  const scf::ScalableComputeFabric dead(config);
+  EXPECT_FALSE(dead.operational());
   EXPECT_FALSE(dead.run_trace(trace).completed);
 }
 
@@ -965,22 +989,20 @@ TEST(Robustness, ScfHardwareConfigValidationThrows) {
   // Inside the models a bad value divides by zero (tensor_rows = 0),
   // overflows the uint64 cycle cast (interconnect_bytes_per_cycle = 0,
   // negative dispatch) or makes energy infinite (fclk_mhz = 0), so every
-  // SCF model constructor rejects it, also as a CU nested in a fabric.
+  // SCF model constructor rejects it, also as either pool's CU in a fabric.
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const auto rejects_cu = [](auto edit) {
     scf::CuConfig cu;
     edit(cu);
     EXPECT_THROW(scf::ComputeUnit{cu}, core::Error);
-    scf::FabricConfig fabric;
-    edit(fabric.cu);
-    EXPECT_THROW(scf::ScalableComputeFabric{fabric}, core::Error);
-    scf::HeteroFabricConfig tensor_pool;
-    edit(tensor_pool.tensor_cu);
-    EXPECT_THROW(scf::HeterogeneousFabric{tensor_pool}, core::Error);
-    scf::HeteroFabricConfig vector_pool;
+    scf::FabricConfig tensor_pool;
+    edit(tensor_pool.cu);
+    EXPECT_THROW(scf::ScalableComputeFabric{tensor_pool}, core::Error);
+    scf::FabricConfig vector_pool;
+    vector_pool.vector_cus = 4;
     edit(vector_pool.vector_cu);
-    EXPECT_THROW(scf::HeterogeneousFabric{vector_pool}, core::Error);
+    EXPECT_THROW(scf::ScalableComputeFabric{vector_pool}, core::Error);
   };
   rejects_cu([](scf::CuConfig& c) { c.cores = 0; });
   rejects_cu([](scf::CuConfig& c) { c.cores = -4; });
@@ -999,15 +1021,21 @@ TEST(Robustness, ScfHardwareConfigValidationThrows) {
     rejects_cu([bad](scf::CuConfig& c) { c.static_power_mw = bad; });
   }
 
-  // The fabric-level fields, identical in both fabric configs.
+  // The fabric-level fields, with and without a vector pool.
   const auto rejects_fabric = [](auto edit) {
     scf::FabricConfig fabric;
     edit(fabric);
     EXPECT_THROW(scf::ScalableComputeFabric{fabric}, core::Error);
-    scf::HeteroFabricConfig hetero;
-    edit(hetero);
-    EXPECT_THROW(scf::HeterogeneousFabric{hetero}, core::Error);
+    scf::FabricConfig mixed;
+    mixed.vector_cus = 4;
+    edit(mixed);
+    EXPECT_THROW(scf::ScalableComputeFabric{mixed}, core::Error);
   };
+  // A fabric needs a tensor CU; a negative pool size has no meaning.
+  for (const int bad : {0, -1}) {
+    rejects_fabric([bad](scf::FabricConfig& c) { c.num_cus = bad; });
+  }
+  rejects_fabric([](scf::FabricConfig& c) { c.vector_cus = -1; });
   for (const double bad : {0.0, -128.0, kNan, kInf}) {
     rejects_fabric(
         [bad](auto& c) { c.interconnect_bytes_per_cycle = bad; });
@@ -1033,26 +1061,28 @@ TEST(Robustness, ScfHardwareConfigValidationThrows) {
   const auto stats = fabric.run_trace(scf::kernel_trace({}));
   EXPECT_GT(stats.cycles, 0u);
   EXPECT_TRUE(std::isfinite(stats.energy_pj));
-  scf::HeteroFabricConfig hetero_edge;
-  hetero_edge.dispatch_cycles = 0.0;
-  hetero_edge.slow_cu_penalty = 1.0;
-  EXPECT_NO_THROW(scf::HeterogeneousFabric{hetero_edge});
+  scf::FabricConfig mixed_edge = edge;
+  mixed_edge.vector_cus = 4;
+  mixed_edge.vector_cu.static_power_mw = 0.0;
+  EXPECT_NO_THROW(scf::ScalableComputeFabric{mixed_edge});
 }
 
 TEST(Robustness, ScfCycleCountOverflowThrows) {
   // Finite but extreme values pass validate() and push a kernel's cycle
   // count past 2^64, where the double -> uint64 cast is undefined; a
   // 1e19-cycle dispatch fits one kernel but overflows the trace sum. Both
-  // fabrics throw instead of reporting a small, wrong count.
+  // one-pool and mixed fabrics throw instead of reporting a small, wrong
+  // count.
   const auto trace = scf::kernel_trace({});
   const auto overflows = [&trace](auto edit) {
     scf::FabricConfig fabric;
     edit(fabric);
     EXPECT_THROW(scf::ScalableComputeFabric{fabric}.run_trace(trace),
                  core::Error);
-    scf::HeteroFabricConfig hetero;
-    edit(hetero);
-    EXPECT_THROW(scf::HeterogeneousFabric{hetero}.run_trace(trace),
+    scf::FabricConfig mixed;
+    mixed.vector_cus = 4;
+    edit(mixed);
+    EXPECT_THROW(scf::ScalableComputeFabric{mixed}.run_trace(trace),
                  core::Error);
   };
   overflows([](auto& c) { c.dispatch_cycles = 1e30; });
