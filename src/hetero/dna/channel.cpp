@@ -1,18 +1,48 @@
 #include "hetero/dna/channel.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "core/checkpoint.hpp"
+#include "core/error.hpp"
 #include "core/fault.hpp"
-#include "core/retry.hpp"
 #include "core/trace.hpp"
 
 namespace icsc::hetero::dna {
 
-Strand corrupt_strand(const Strand& strand, const ChannelParams& params,
-                      core::Rng& rng, std::uint64_t* subs, std::uint64_t* ins,
-                      std::uint64_t* dels) {
+void ChannelParams::validate() const {
+  const std::string where = "dna::ChannelParams";
+  // Throws unless value is finite and in [0, max], or [0, max) if `open`.
+  const auto require_in = [&](const char* field, double value, double max,
+                              bool open = false) {
+    core::require_at_least(where, field, value, 0.0);
+    if (open ? value < max : value <= max) return;
+    char bound[40];
+    char got[40];
+    std::snprintf(bound, sizeof bound, open ? " must be < %g" : " must be <= %g",
+                  max);
+    std::snprintf(got, sizeof got, "got %g", value);
+    throw core::Error(where, field + std::string(bound), got);
+  };
+  require_in("substitution_rate", substitution_rate, 1.0);
+  // Rng::uniform() < 1 always, so at 1 the insertion loop never ends.
+  require_in("insertion_rate", insertion_rate, 1.0, /*open=*/true);
+  require_in("deletion_rate", deletion_rate, 1.0);
+  require_in("dropout_rate", dropout_rate, 1.0);
+  require_in("burst_rate", burst_rate, 1.0);
+  require_in("mean_coverage", mean_coverage, kMaxPoissonMean);
+  require_in("burst_length_mean", burst_length_mean, kMaxPoissonMean);
+}
+
+namespace {
+
+/// corrupt_strand without the parameter check, for the channel loops that
+/// validated once on entry.
+Strand corrupt_bases(const Strand& strand, const ChannelParams& params,
+                     core::Rng& rng, std::uint64_t* subs, std::uint64_t* ins,
+                     std::uint64_t* dels) {
   Strand out;
   out.reserve(strand.size() + 4);
   for (const Base original : strand) {
@@ -37,8 +67,6 @@ Strand corrupt_strand(const Strand& strand, const ChannelParams& params,
   }
   return out;
 }
-
-namespace {
 
 /// Overwrites a contiguous run of bases with random symbols.
 void apply_burst(Strand& bases, const ChannelParams& params, core::Rng& rng,
@@ -66,8 +94,8 @@ int emit_copies(const Strand& strand, std::size_t s,
   for (int c = 0; c < copies; ++c) {
     Read read;
     read.origin = s;
-    read.bases = corrupt_strand(strand, params, rng, &set.substitutions,
-                                &set.insertions, &set.deletions);
+    read.bases = corrupt_bases(strand, params, rng, &set.substitutions,
+                               &set.insertions, &set.deletions);
     if (params.burst_rate > 0.0 && rng.bernoulli(params.burst_rate)) {
       apply_burst(read.bases, params, rng, set);
     }
@@ -78,8 +106,16 @@ int emit_copies(const Strand& strand, std::size_t s,
 
 }  // namespace
 
+Strand corrupt_strand(const Strand& strand, const ChannelParams& params,
+                      core::Rng& rng, std::uint64_t* subs, std::uint64_t* ins,
+                      std::uint64_t* dels) {
+  params.validate();
+  return corrupt_bases(strand, params, rng, subs, ins, dels);
+}
+
 ReadSet simulate_channel(const std::vector<Strand>& strands,
                          const ChannelParams& params) {
+  params.validate();
   core::Rng rng(params.seed);
   ReadSet set;
   set.source_strands = strands.size();
@@ -92,60 +128,6 @@ ReadSet simulate_channel(const std::vector<Strand>& strands,
     if (copies == 0) ++set.dropped_strands;
   }
   return set;
-}
-
-RereadResult simulate_channel_reread(const std::vector<Strand>& strands,
-                                     const ChannelParams& params,
-                                     const RereadParams& reread) {
-  RereadResult result;
-  ReadSet& set = result.set;
-  set.source_strands = strands.size();
-  std::vector<std::size_t> coverage(strands.size(), 0);
-  std::vector<char> lost(strands.size(), 0);  // permanent synthesis dropout
-  std::vector<char> starved(strands.size(), 0);  // zero coverage after pass 1
-  // The re-read passes are a bounded-retry loop over the whole pool of
-  // starved strands: pass p is retry p-1 of the shared deterministic policy
-  // (core/retry.hpp), and an attempt "succeeds" -- ending the loop early --
-  // once every surviving strand has reached min_coverage. Same passes, same
-  // RNG streams, bit-identical to the original hand-rolled loop.
-  core::RetryPolicy policy;
-  policy.max_retries = std::max(1, reread.max_passes) - 1;
-  core::retry_until(policy, [&](int retry) {
-    const int pass = retry + 1;
-    result.passes_used = pass;
-    // Independent deterministic stream per pass; pass 1 uses params.seed
-    // itself so a single pass reproduces simulate_channel exactly.
-    core::Rng rng(params.seed +
-                  0x9E37'79B9'7F4A'7C15ULL * static_cast<std::uint64_t>(pass - 1));
-    for (std::size_t s = 0; s < strands.size(); ++s) {
-      if (pass == 1) {
-        if (params.dropout_rate > 0.0 && rng.bernoulli(params.dropout_rate)) {
-          lost[s] = 1;  // never synthesised: no pass can read it back
-          ++set.dropped_strands;
-          continue;
-        }
-      } else if (lost[s] || coverage[s] >= reread.min_coverage) {
-        continue;  // only the starved strands go back on the sequencer
-      }
-      const int copies = emit_copies(strands[s], s, params, rng, set);
-      if (pass == 1 && copies == 0) ++set.dropped_strands;
-      coverage[s] += static_cast<std::size_t>(copies);
-    }
-    if (pass == 1) {
-      for (std::size_t s = 0; s < strands.size(); ++s) {
-        starved[s] = static_cast<char>(!lost[s] && coverage[s] == 0);
-      }
-    }
-    for (std::size_t s = 0; s < strands.size(); ++s) {
-      if (!lost[s] && coverage[s] < reread.min_coverage) return false;
-    }
-    return true;  // every surviving strand is well covered
-  });
-  for (std::size_t s = 0; s < strands.size(); ++s) {
-    if (starved[s] && coverage[s] > 0) ++result.rescued_strands;
-    if (lost[s] || coverage[s] == 0) ++result.unrecovered_strands;
-  }
-  return result;
 }
 
 namespace {
@@ -218,6 +200,7 @@ std::uint64_t pass_stream_seed(const ChannelParams& params, int pass) {
 RereadRunOutcome simulate_channel_reread_resilient(
     const std::vector<Strand>& strands, const ChannelParams& params,
     const RereadParams& reread, const RereadRunOptions& options) {
+  params.validate();
   RereadRunOutcome outcome;
   RereadResult& result = outcome.result;
   ReadSet& set = result.set;
@@ -400,6 +383,12 @@ RereadRunOutcome simulate_channel_reread_resilient(
   }
   outcome.completed = !cancelled;
   return outcome;
+}
+
+RereadResult simulate_channel_reread(const std::vector<Strand>& strands,
+                                     const ChannelParams& params,
+                                     const RereadParams& reread) {
+  return simulate_channel_reread_resilient(strands, params, reread, {}).result;
 }
 
 }  // namespace icsc::hetero::dna

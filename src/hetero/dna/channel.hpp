@@ -30,6 +30,17 @@ struct ChannelParams {
   double burst_rate = 0.0;
   double burst_length_mean = 8.0;  // mean run length of one burst
   std::uint64_t seed = 1;
+
+  /// Upper bound of mean_coverage and burst_length_mean: Poisson draws at
+  /// this mean stay far inside an int (a draw exceeds the mean by less
+  /// than 9 standard deviations), and it is well past any sequencing depth.
+  static constexpr double kMaxPoissonMean = 1e6;
+
+  /// Throws core::Error unless every rate is finite and in [0, 1],
+  /// insertion_rate < 1 (each base draws insertions until one fails), and
+  /// mean_coverage and burst_length_mean are finite and in
+  /// [0, kMaxPoissonMean]. Every entry point below calls it.
+  void validate() const;
 };
 
 /// One sequencing read: a noisy copy of some original strand.
@@ -49,7 +60,8 @@ struct ReadSet {
 };
 
 /// Applies the channel to every strand: Poisson copy counts, i.i.d. per-base
-/// errors. Deterministic given params.seed.
+/// errors. Deterministic given params.seed. Throws core::Error unless
+/// params.validate() passes.
 ReadSet simulate_channel(const std::vector<Strand>& strands,
                          const ChannelParams& params);
 
@@ -73,16 +85,18 @@ struct RereadResult {
   std::size_t unrecovered_strands = 0;
 };
 
-/// Runs the channel with the re-read policy. With max_passes == 1 the
+/// Runs the channel with the re-read policy: the resilient run below with
+/// default options (no journal, no deadline). With max_passes == 1 the
 /// result's ReadSet is bit-identical to simulate_channel (same seed).
 /// ReadSet::dropped_strands counts pass-1 loss events even when a later
 /// pass rescues the strand; `unrecovered_strands` is the final census.
+/// Throws core::Error unless params.validate() passes.
 RereadResult simulate_channel_reread(const std::vector<Strand>& strands,
                                      const ChannelParams& params,
                                      const RereadParams& reread);
 
-/// Applies per-base noise to a single strand (used by tests and by the
-/// channel itself).
+/// Applies per-base noise to a single strand (the channel's per-read step).
+/// Throws core::Error unless params.validate() passes.
 Strand corrupt_strand(const Strand& strand, const ChannelParams& params,
                       core::Rng& rng, std::uint64_t* subs = nullptr,
                       std::uint64_t* ins = nullptr,
@@ -113,12 +127,12 @@ struct RereadRunOutcome {
   std::size_t resumed_batches = 0;  // journal records replayed, not re-run
 };
 
-/// Journaled, cancellable variant of simulate_channel_reread. With no
-/// journal and no deadline/cancel it produces a result bit-identical to
-/// simulate_channel_reread; a run killed at any point and re-invoked with
+/// Journaled, cancellable re-read run; simulate_channel_reread is this run
+/// with default options. A run killed at any point and re-invoked with
 /// the same journal path resumes after the last durable batch and finishes
 /// bit-identical to an uninterrupted run. Cancelled runs return the reads
 /// accumulated so far as a valid partial flagged `completed = false`.
+/// Throws core::Error unless params.validate() passes.
 RereadRunOutcome simulate_channel_reread_resilient(
     const std::vector<Strand>& strands, const ChannelParams& params,
     const RereadParams& reread, const RereadRunOptions& options);

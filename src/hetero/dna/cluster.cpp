@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "core/error.hpp"
@@ -28,6 +29,17 @@ int join_band(const ClusterParams& params) {
 /// smaller one wastes fewer lanes past the first match.
 constexpr std::size_t kScanBlock = 64;
 
+/// Reads per scan batch, one pool dispatch each. At 64 reads the phase-1
+/// scan of an e2ebench dna_archival job holds about 0.3 ms of work per
+/// dispatch, where a dispatch per candidate block held about 1 us and lost
+/// to the serial scan. On those jobs (4 threads) 64 clustered in a median
+/// 3.6 ms against 4.2 ms at 32 reads, which pays twice the dispatches, and
+/// 4.5 ms at 128, which leaves more of the scan to the serial phase 2 when
+/// a strand's reads arrive together.
+constexpr std::size_t kReadBatch = 64;
+
+constexpr std::size_t kNoMatch = static_cast<std::size_t>(-1);
+
 /// Throws unless every read index of `cluster` addresses one of `reads`.
 void check_read_indices(const char* where, const Cluster& cluster,
                         std::size_t reads) {
@@ -38,6 +50,84 @@ void check_read_indices(const char* where, const Cluster& cluster,
                             std::to_string(reads) + " reads");
     }
   }
+}
+
+/// One read's greedy scan, carried from phase 1 into phase 2. Cache-line
+/// aligned: pool threads scanning neighbouring reads write their own
+/// slots.
+struct alignas(64) ReadScan {
+  std::vector<std::uint16_t> hist;     // q-gram histogram of the read
+  std::optional<MyersPattern> pattern;  // match masks, built once per read
+  std::size_t match = kNoMatch;        // cluster joined, once found
+  std::uint64_t pair_comparisons = 0;
+  std::uint64_t screened_out = 0;
+  std::uint64_t dp_cells_updated = 0;
+};
+
+/// Scratch of the block scan: one per pool chunk, one for phase 2.
+struct ScanScratch {
+  std::array<bool, kScanBlock> rejected{};
+  std::vector<const Strand*> survivors;
+  std::vector<int> survivor_dist;
+};
+
+/// Scans clusters [begin, end) in order for the first one `bases` joins,
+/// booking into `scan` the work of every candidate up to and including that
+/// match. Each block is screened whole, then folded in cluster order:
+/// evaluations past the match are discarded, so clusters AND counters equal
+/// the one-candidate-at-a-time scan's. Reads `clusters` and `rep_hists`
+/// only.
+void scan_clusters(const Strand& bases, ReadScan& scan,
+                   const std::vector<Cluster>& clusters,
+                   const std::vector<std::vector<std::uint16_t>>& rep_hists,
+                   std::size_t begin, std::size_t end, int band,
+                   int threshold, ScanScratch& scratch) {
+  std::uint64_t pairs = 0;
+  std::uint64_t screened = 0;
+  std::uint64_t cells = 0;
+  std::size_t match = kNoMatch;
+  for (std::size_t base = begin; base < end && match == kNoMatch;
+       base += kScanBlock) {
+    const std::size_t count = std::min(kScanBlock, end - base);
+    // Stage 1: lower-bound screens (d >= |len(a) - len(b)| and
+    // d >= L1(qgram hists) / (2q)); a bound beyond the band already
+    // decides the banded-contract answer, exactly as the banded kernel
+    // would have returned band + 1.
+    scratch.survivors.clear();
+    for (std::size_t i = 0; i < count; ++i) {
+      const Strand& rep = clusters[base + i].representative;
+      scratch.rejected[i] =
+          length_lower_bound(bases, rep) > band ||
+          qgram_histogram_lower_bound(scan.hist, rep_hists[base + i],
+                                      kScreenQ) > band;
+      if (!scratch.rejected[i]) scratch.survivors.push_back(&rep);
+    }
+    // Stage 2: one bit-parallel banded-Myers batch over the survivors,
+    // lanes spanning candidate representatives.
+    scratch.survivor_dist.resize(scratch.survivors.size());
+    levenshtein_myers_banded_batch(*scan.pattern, scratch.survivors.data(),
+                                   scratch.survivors.size(), band,
+                                   scratch.survivor_dist.data());
+    std::size_t next_survivor = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      ++pairs;
+      int distance = band + 1;
+      if (scratch.rejected[i]) {
+        ++screened;
+      } else {
+        distance = scratch.survivor_dist[next_survivor++];
+        cells += myers_cells(bases, clusters[base + i].representative);
+      }
+      if (distance <= threshold) {
+        match = base + i;
+        break;
+      }
+    }
+  }
+  scan.match = match;
+  scan.pair_comparisons += pairs;
+  scan.screened_out += screened;
+  scan.dp_cells_updated += cells;
 }
 
 }  // namespace
@@ -51,64 +141,46 @@ ClusterResult cluster_reads(const std::vector<Read>& reads,
   // Representative q-gram histograms, computed once per cluster (founding
   // read) instead of once per candidate pair.
   std::vector<std::vector<std::uint16_t>> rep_hists;
-  // Scratch reused across candidate blocks.
-  std::array<bool, kScanBlock> rejected{};
-  std::vector<const Strand*> survivors;
-  std::vector<int> survivor_dist;
-  for (std::size_t r = 0; r < reads.size(); ++r) {
-    const Strand& bases = reads[r].bases;
-    auto read_hist = qgram_histogram(bases, kScreenQ);
-    // Match masks built once per read and reused across every candidate.
-    const MyersPattern pattern(bases);
-    bool assigned = false;
-    // The greedy scan joins the first cluster within threshold and stops.
-    // Each block is screened whole, then folded in cluster order: counters
-    // are booked only up to and including the first match, so clusters AND
-    // work counters equal the one-candidate-at-a-time scan's (evaluations
-    // past the match are discarded).
-    for (std::size_t base = 0; base < clusters.size() && !assigned;
-         base += kScanBlock) {
-      const std::size_t count = std::min(kScanBlock, clusters.size() - base);
-      // Stage 1: lower-bound screens (d >= |len(a) - len(b)| and
-      // d >= L1(qgram hists) / (2q)); a bound beyond the band already
-      // decides the banded-contract answer, exactly as the banded kernel
-      // would have returned band + 1.
-      survivors.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        const Strand& rep = clusters[base + i].representative;
-        rejected[i] =
-            length_lower_bound(bases, rep) > band ||
-            qgram_histogram_lower_bound(read_hist, rep_hists[base + i],
-                                        kScreenQ) > band;
-        if (!rejected[i]) survivors.push_back(&rep);
+  std::vector<ReadScan> scans(std::min(kReadBatch, reads.size()));
+  ScanScratch serial_scratch;
+  for (std::size_t first = 0; first < reads.size(); first += kReadBatch) {
+    const std::size_t count = std::min(kReadBatch, reads.size() - first);
+    // Phase 1, on the pool: every read of the batch scans the clusters
+    // founded before the batch. Nothing writes them until phase 2.
+    const std::size_t known = clusters.size();
+    core::parallel_for(0, count, 1, [&](std::size_t b, std::size_t e) {
+      ScanScratch scratch;
+      for (std::size_t i = b; i < e; ++i) {
+        const Strand& bases = reads[first + i].bases;
+        ReadScan& scan = scans[i];
+        scan = ReadScan{};
+        scan.hist = qgram_histogram(bases, kScreenQ);
+        scan.pattern.emplace(bases);
+        scan_clusters(bases, scan, clusters, rep_hists, 0, known, band,
+                      params.distance_threshold, scratch);
       }
-      // Stage 2: one bit-parallel banded-Myers batch over the survivors,
-      // lanes spanning candidate representatives.
-      survivor_dist.resize(survivors.size());
-      levenshtein_myers_banded_batch(pattern, survivors.data(),
-                                     survivors.size(), band,
-                                     survivor_dist.data());
-      std::size_t next_survivor = 0;
-      for (std::size_t i = 0; i < count; ++i) {
-        ++result.pair_comparisons;
-        int distance = band + 1;
-        if (rejected[i]) {
-          ++result.screened_out;
-        } else {
-          distance = survivor_dist[next_survivor++];
-          result.dp_cells_updated +=
-              myers_cells(bases, clusters[base + i].representative);
-        }
-        if (distance <= params.distance_threshold) {
-          clusters[base + i].read_indices.push_back(r);
-          assigned = true;
-          break;
-        }
+    });
+    // Phase 2, in read order: a read still unmatched goes on over the
+    // clusters founded earlier in its own batch, then joins or founds one.
+    // Serially a read also visits the pre-batch clusters first and then
+    // these, so clusters and counters equal the read-at-a-time scan's.
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t r = first + i;
+      ReadScan& scan = scans[i];
+      if (scan.match == kNoMatch) {
+        scan_clusters(reads[r].bases, scan, clusters, rep_hists, known,
+                      clusters.size(), band, params.distance_threshold,
+                      serial_scratch);
       }
-    }
-    if (!assigned) {
-      clusters.push_back({{r}, bases});
-      rep_hists.push_back(std::move(read_hist));
+      result.pair_comparisons += scan.pair_comparisons;
+      result.screened_out += scan.screened_out;
+      result.dp_cells_updated += scan.dp_cells_updated;
+      if (scan.match == kNoMatch) {
+        clusters.push_back({{r}, reads[r].bases});
+        rep_hists.push_back(std::move(scan.hist));
+      } else {
+        clusters[scan.match].read_indices.push_back(r);
+      }
     }
   }
   ICSC_TRACE_COUNT("dna.pair_comparisons", result.pair_comparisons);

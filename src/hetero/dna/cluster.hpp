@@ -44,10 +44,14 @@ struct ClusterResult {
 /// Pre-alignment filters ([33], [34]; hetero/dna/prefilter.hpp) -- length
 /// difference and q-gram lower bounds -- decide band-exceeding pairs
 /// without touching DP; the survivors of each fixed-size candidate block
-/// run one bit-parallel banded Myers batch. The scan is serial: one
-/// screen costs well under a microsecond, too little to pay for a pool
-/// dispatch. Work past a block's first match is discarded, so clusters
-/// and counters equal the one-candidate-at-a-time scan's.
+/// run one bit-parallel banded Myers batch. Work past a block's first match
+/// is discarded. Reads are scanned in fixed-size batches, in two phases:
+/// on the pool, every read of the batch scans the clusters founded before
+/// the batch, which nothing writes meanwhile; then, in read order on the
+/// calling thread, a read with no match yet scans the clusters founded
+/// earlier in its own batch and joins or founds one. A read thus visits
+/// the clusters in the serial order, so clusters and counters equal the
+/// one-read, one-candidate-at-a-time scan's for every thread count.
 ClusterResult cluster_reads(const std::vector<Read>& reads,
                             const ClusterParams& params);
 

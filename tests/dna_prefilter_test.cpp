@@ -8,6 +8,7 @@
 #include "hetero/dna/channel.hpp"
 #include "hetero/dna/cluster.hpp"
 #include "hetero/dna/encoding.hpp"
+#include "dna_read_sets.hpp"
 
 namespace icsc::hetero::dna {
 namespace {
@@ -141,23 +142,32 @@ TEST(FilteredClustering, FiltersMostCandidatePairs) {
 }
 
 TEST(FilteredClustering, ParallelScanBitIdenticalToSerial) {
-  // The speculative parallel candidate scan must reproduce the serial
-  // greedy clustering exactly -- assignments AND work counters.
-  core::set_parallel_threads(4);  // real pool even on 1-core hosts
-  const auto reads = make_reads(19);
+  // The batched scan (phase 1 of each batch on the pool) must reproduce the
+  // serial greedy clustering exactly -- assignments AND work counters -- on
+  // a real pool of 2 and of 4 threads, even on 1-core hosts.
+  const auto job = test::archival_reads(1, 2048, 8.0);
+  const std::vector<std::vector<Read>> sets = {
+      make_reads(19).reads, job, test::shuffled(job, 7),
+      test::archival_reads(3, 1200, 6.0)};
   const ClusterParams params;
-  ClusterResult serial;
-  {
-    core::ScopedSerial guard;
-    serial = cluster_reads(reads.reads, params);
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    ClusterResult serial;
+    {
+      core::ScopedSerial guard;
+      serial = cluster_reads(sets[s], params);
+    }
+    for (const std::size_t threads : {2, 4}) {
+      core::set_parallel_threads(threads);
+      const auto parallel = cluster_reads(sets[s], params);
+      core::set_parallel_threads(0);
+      SCOPED_TRACE("set " + std::to_string(s) + ", " +
+                   std::to_string(threads) + " threads");
+      EXPECT_EQ(parallel.pair_comparisons, serial.pair_comparisons);
+      EXPECT_EQ(parallel.screened_out, serial.screened_out);
+      EXPECT_EQ(parallel.dp_cells_updated, serial.dp_cells_updated);
+      expect_same_clusters(parallel, serial);
+    }
   }
-  const auto parallel = cluster_reads(reads.reads, params);
-  core::set_parallel_threads(0);
-
-  EXPECT_EQ(parallel.pair_comparisons, serial.pair_comparisons);
-  EXPECT_EQ(parallel.screened_out, serial.screened_out);
-  EXPECT_EQ(parallel.dp_cells_updated, serial.dp_cells_updated);
-  expect_same_clusters(parallel, serial);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "hetero/dna/edit_distance.hpp"
 #include "hetero/dna/encoding.hpp"
 #include "hetero/dna/prefilter.hpp"
+#include "dna_read_sets.hpp"
 
 namespace dna = icsc::hetero::dna;
 namespace core = icsc::core;
@@ -175,6 +176,48 @@ TEST(ScreenedDistance, ClusteringGoldenOnSeededReadSets) {
           << "seed " << golden.seed << " cluster " << c;
     }
   }
+
+  // e2ebench-size jobs (2 KiB payload, 16-byte chunks, coverage 8: about
+  // 1,000 reads in 128 clusters) span many scan batches. In channel order
+  // nearly every read's cluster is founded inside its own batch; shuffled,
+  // most reads join a cluster founded in an earlier batch. The last set has an
+  // odd read count, so no power-of-two batch size divides it. Pinned: the
+  // cluster count, the three work counters and the FNV-1a of the labels.
+  struct LargeGolden {
+    const char* name;
+    std::vector<dna::Read> reads;
+    std::size_t read_count;
+    std::size_t clusters;
+    std::uint64_t pair_comparisons;
+    std::uint64_t screened_out;
+    std::uint64_t dp_cells_updated;
+    std::uint64_t label_hash;
+  };
+  const auto job1 = dna::test::archival_reads(1, 2048, 8.0);
+  const auto job2 = dna::test::archival_reads(2, 2048, 8.0);
+  const LargeGolden large_goldens[] = {
+      {"job 1, channel order", job1, 1040, 128, 69213, 65113, 56649728,
+       0x3ef581c00d3de174ULL},
+      {"job 1, shuffled", dna::test::shuffled(job1, 7), 1040, 128, 62351,
+       58653, 51072640, 0x8e6734deb620279eULL},
+      {"job 2, channel order", job2, 1028, 128, 65175, 60623, 62931072,
+       0x76d07e6a5dda3bdcULL},
+      {"job 2, shuffled", dna::test::shuffled(job2, 8), 1028, 128, 62305,
+       57998, 59493632, 0x631aedb5754f6972ULL},
+      {"odd count", dna::test::archival_reads(3, 1200, 6.0), 439, 75, 16537,
+       15061, 20383104, 0x755e74f45ee573c2ULL},
+  };
+  for (const auto& golden : large_goldens) {
+    const auto got = dna::cluster_reads(golden.reads, dna::ClusterParams{});
+    EXPECT_EQ(golden.reads.size(), golden.read_count) << golden.name;
+    EXPECT_EQ(got.clusters.size(), golden.clusters) << golden.name;
+    EXPECT_EQ(got.pair_comparisons, golden.pair_comparisons) << golden.name;
+    EXPECT_EQ(got.screened_out, golden.screened_out) << golden.name;
+    EXPECT_EQ(got.dp_cells_updated, golden.dp_cells_updated) << golden.name;
+    EXPECT_EQ(dna::test::label_hash(got, golden.reads.size()),
+              golden.label_hash)
+        << golden.name;
+  }
 }
 
 TEST(ScreenedDistance, ClusteringBitIdenticalAcrossKernels) {
@@ -193,6 +236,41 @@ TEST(ScreenedDistance, ClusteringBitIdenticalAcrossKernels) {
   expect_identical(fast, fast_serial);
   EXPECT_EQ(fast.screened_out, fast_serial.screened_out);
   EXPECT_EQ(fast.dp_cells_updated, fast_serial.dp_cells_updated);
+}
+
+TEST(ScreenedDistance, ClusteringMatchesReferenceOnEdgeCases) {
+  // No reads, one read, identical reads spanning several scan batches (all
+  // join the first cluster), and the thresholds 0 (only exact copies join)
+  // and -1 (nothing joins; every pair is compared).
+  std::mt19937 rng(31);
+  const dna::Read one{random_strand(rng, 80), 0};
+  const auto reads = workload(11).reads;
+  struct Case {
+    const char* name;
+    std::vector<dna::Read> reads;
+    int threshold;
+  };
+  const Case cases[] = {
+      {"no reads", {}, 10},
+      {"one read", {one}, 10},
+      {"identical reads", std::vector<dna::Read>(150, one), 10},
+      {"identical reads, threshold 0", std::vector<dna::Read>(150, one), 0},
+      {"threshold 0", reads, 0},
+      {"threshold -1", reads, -1},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    dna::ClusterParams params;
+    params.distance_threshold = c.threshold;
+    const auto want = dna::cluster_reads_reference(c.reads, params);
+    const auto got = dna::cluster_reads(c.reads, params);
+    expect_identical(want, got);
+    std::size_t members = 0;
+    for (const auto& cluster : got.clusters) {
+      members += cluster.read_indices.size();
+    }
+    EXPECT_EQ(members, c.reads.size());
+  }
 }
 
 TEST(ScreenedDistance, IsaSweepClusteringBitIdentical) {

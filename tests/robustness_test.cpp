@@ -588,6 +588,162 @@ struct TempDir {
   std::string path;
 };
 
+/// FNV-1a over a ReadSet: every read's origin, length and bases, then the
+/// error and loss counters.
+std::uint64_t read_set_hash(const hetero::dna::ReadSet& set) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  fold(set.source_strands);
+  fold(set.reads.size());
+  for (const auto& read : set.reads) {
+    fold(read.origin);
+    fold(read.bases.size());
+    for (const auto base : read.bases) fold(static_cast<std::uint8_t>(base));
+  }
+  fold(set.substitutions);
+  fold(set.insertions);
+  fold(set.deletions);
+  fold(set.dropped_strands);
+  fold(set.burst_events);
+  return h;
+}
+
+TEST(Robustness, DnaRereadGolden) {
+  // Pins the re-read pass loop -- the ReadSet bytes and the re-read census
+  // -- for one pass and for three, with dropout, with bursts and with an
+  // empty strand pool. The plain and the resilient entry points both
+  // reproduce it.
+  struct Golden {
+    const char* name;
+    std::size_t strands;
+    int max_passes;
+    double dropout_rate;
+    double burst_rate;
+    std::size_t reads;
+    std::uint64_t hash;
+    int passes_used;
+    std::size_t rescued;
+    std::size_t unrecovered;
+  };
+  const Golden goldens[] = {
+      {"1 pass, dropout", 40, 1, 0.05, 0.0, 58, 0xc35e34d3f084ec23ULL, 1, 0, 11},
+      {"3 passes, dropout", 40, 3, 0.05, 0.0, 120, 0x893dc7b84b3aa761ULL, 3, 10,
+       1},
+      {"3 passes, bursts", 40, 3, 0.0, 0.3, 115, 0x928261929567cbc0ULL, 3, 6, 0},
+      {"3 passes, empty pool", 0, 3, 0.05, 0.3, 0, 0x8ac123d6f7dce585ULL, 1, 0,
+       0},
+  };
+  for (const auto& golden : goldens) {
+    SCOPED_TRACE(golden.name);
+    const auto strands = make_strands(29, golden.strands, 90);
+    hetero::dna::ChannelParams params;
+    params.seed = 53;
+    params.mean_coverage = 1.5;  // Poisson-zero strands for the re-reads
+    params.dropout_rate = golden.dropout_rate;
+    params.burst_rate = golden.burst_rate;
+    hetero::dna::RereadParams retry;
+    retry.max_passes = golden.max_passes;
+    retry.min_coverage = 2;
+    const auto plain =
+        hetero::dna::simulate_channel_reread(strands, params, retry);
+    const auto resilient = hetero::dna::simulate_channel_reread_resilient(
+                               strands, params, retry, {})
+                               .result;
+    for (const auto* got : {&plain, &resilient}) {
+      EXPECT_EQ(got->set.reads.size(), golden.reads);
+      EXPECT_EQ(read_set_hash(got->set), golden.hash);
+      EXPECT_EQ(got->passes_used, golden.passes_used);
+      EXPECT_EQ(got->rescued_strands, golden.rescued);
+      EXPECT_EQ(got->unrecovered_strands, golden.unrecovered);
+    }
+  }
+}
+
+TEST(Robustness, DnaChannelParamsValidated) {
+  // Every entry point that takes ChannelParams throws before it draws: a
+  // rate outside [0, 1], an insertion rate of 1 (the per-base insertion
+  // loop never ended), and a NaN, infinite, negative or huge coverage or
+  // burst length (the Poisson draw's int cast was undefined behaviour).
+  using hetero::dna::ChannelParams;
+  const auto strands = make_strands(37, 8, 40);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* field;
+    double ChannelParams::*member;
+    double value;
+  };
+  const Bad bad[] = {
+      {"substitution_rate", &ChannelParams::substitution_rate, -0.1},
+      {"substitution_rate", &ChannelParams::substitution_rate, 1.5},
+      {"insertion_rate", &ChannelParams::insertion_rate, 1.0},
+      {"insertion_rate", &ChannelParams::insertion_rate, 2.0},
+      {"insertion_rate", &ChannelParams::insertion_rate, inf},
+      {"deletion_rate", &ChannelParams::deletion_rate, nan},
+      {"dropout_rate", &ChannelParams::dropout_rate, 1.01},
+      {"burst_rate", &ChannelParams::burst_rate, -1e-9},
+      {"mean_coverage", &ChannelParams::mean_coverage, nan},
+      {"mean_coverage", &ChannelParams::mean_coverage, inf},
+      {"mean_coverage", &ChannelParams::mean_coverage, -1.0},
+      {"mean_coverage", &ChannelParams::mean_coverage, 1e12},
+      {"burst_length_mean", &ChannelParams::burst_length_mean, -inf},
+      {"burst_length_mean", &ChannelParams::burst_length_mean, 1e7},
+  };
+  for (const auto& b : bad) {
+    SCOPED_TRACE(std::string(b.field) + " = " + std::to_string(b.value));
+    ChannelParams params;
+    params.*b.member = b.value;
+    try {
+      params.validate();
+      ADD_FAILURE() << "validate() accepted it";
+    } catch (const core::Error& e) {
+      EXPECT_EQ(e.where(), "dna::ChannelParams");
+      EXPECT_NE(std::string(e.what()).find(b.field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)hetero::dna::simulate_channel(strands, params),
+                 core::Error);
+    EXPECT_THROW((void)hetero::dna::simulate_channel_reread(
+                     strands, params, hetero::dna::RereadParams{}),
+                 core::Error);
+    EXPECT_THROW((void)hetero::dna::simulate_channel_reread_resilient(
+                     strands, params, {}, {}),
+                 core::Error);
+    core::Rng rng(1);
+    EXPECT_THROW((void)hetero::dna::corrupt_strand(strands[0], params, rng),
+                 core::Error);
+    hetero::dna::ArchivalSimParams archival;
+    archival.payload_bytes = 64;
+    archival.channel = params;
+    EXPECT_THROW((void)hetero::dna::run_archival_sim(archival), core::Error);
+    hetero::dna::StorageSimParams storage;
+    storage.payload_bytes = 64;
+    storage.channel = params;
+    EXPECT_THROW((void)hetero::dna::run_storage_sim(storage), core::Error);
+  }
+  // The ends of every range pass, and the channel runs at them.
+  ChannelParams edge;
+  edge.substitution_rate = 1.0;
+  edge.insertion_rate = 0.5;
+  edge.deletion_rate = 1.0;
+  edge.dropout_rate = 1.0;
+  edge.burst_rate = 1.0;
+  edge.mean_coverage = 0.0;
+  edge.burst_length_mean = 0.0;
+  EXPECT_TRUE(hetero::dna::simulate_channel(strands, edge).reads.empty());
+  edge.mean_coverage = ChannelParams::kMaxPoissonMean;
+  edge.burst_length_mean = ChannelParams::kMaxPoissonMean;
+  EXPECT_NO_THROW(edge.validate());
+  edge.dropout_rate = 0.0;
+  edge.mean_coverage = 2.0;
+  EXPECT_FALSE(hetero::dna::simulate_channel(strands, edge).reads.empty());
+}
+
 TEST(Robustness, DnaResilientRereadDefaultsMatchThePlainRun) {
   const auto strands = make_strands(19, 48, 90);
   hetero::dna::ChannelParams params;
