@@ -257,6 +257,82 @@ KernelRow bench_htconv(int reps) {
   return row;
 }
 
+// --- Exact Q16 integer path --------------------------------------------
+//
+// The rows above feed off-grid inputs (uniform in [-1, 1)), so their new
+// path is the f64 fallback. These twins put the inputs through
+// quantize_map and the biases on the 2^-20 accumulator grid, so the new
+// path is the int16 MAC engine; each also checks, through the
+// conv.int16_layers trace counter, that the engine really ran.
+
+/// Layers that took the integer path while `fn` ran.
+std::uint64_t int16_layers(const std::function<void()>& fn) {
+  core::trace::set_enabled(true);
+  core::trace::reset();
+  fn();
+  const std::uint64_t layers = core::trace::counters()["conv.int16_layers"];
+  core::trace::set_enabled(false);
+  core::trace::reset();
+  return layers;
+}
+
+void require_int16_path(KernelRow& row, std::uint64_t layers) {
+  if (layers != 1) {
+    std::fprintf(stderr, "FAIL: %s ran %llu layers on the integer path, not 1\n",
+                 row.name.c_str(), static_cast<unsigned long long>(layers));
+    row.identical = false;  // fail the gate through the identical flag
+  }
+}
+
+KernelRow bench_conv_q16(int reps) {
+  auto layer = random_layer(16, 8, 3, 11);
+  layer.bias.assign(16, 0.046875F);  // 3/64, on the accumulator grid
+  auto input = random_map(8, 56, 56, 12);
+  const approx::QuantConfig quant;
+  approx::quantize_map(input, quant);
+  KernelRow row;
+  row.name = "conv3x3_q16";
+  const auto ref = layer.apply_reference(input, quant);
+  approx::FeatureMap fast;
+  const std::uint64_t layers =
+      int16_layers([&] { fast = layer.apply(input, quant); });
+  row.identical = maps_identical(ref, fast);
+  require_int16_path(row, layers);
+  row.old_ms =
+      best_ms(reps, [&] { benchmark_keep(layer.apply_reference(input, quant)); });
+  row.new_ms = best_ms(reps, [&] { benchmark_keep(layer.apply(input, quant)); });
+  return row;
+}
+
+KernelRow bench_htconv_q16(int reps) {
+  approx::TconvLayer layer;
+  core::Rng rng(31);
+  layer.weights = core::TensorF({8, 4, 4});
+  for (auto& v : layer.weights.data()) {
+    v = static_cast<float>(rng.uniform(-0.5, 0.5));
+  }
+  layer.bias = 0.02F;  // added after the exact sum: any value
+  auto input = random_map(8, 48, 48, 32);
+  const approx::QuantConfig quant;
+  approx::quantize_map(input, quant);
+  const auto fovea = approx::FovealRegion::centered(48, 48, 0.25);
+  KernelRow row;
+  row.name = "htconv_q16";
+  const auto ref = layer.apply_foveated_reference(input, fovea, quant);
+  core::Image fast;
+  const std::uint64_t layers = int16_layers(
+      [&] { fast = layer.apply_foveated(input, fovea, quant); });
+  row.identical = maps_identical(ref.tensor(), fast.tensor());
+  require_int16_path(row, layers);
+  row.old_ms = best_ms(reps, [&] {
+    benchmark_keep(layer.apply_foveated_reference(input, fovea, quant));
+  });
+  row.new_ms = best_ms(reps, [&] {
+    benchmark_keep(layer.apply_foveated(input, fovea, quant));
+  });
+  return row;
+}
+
 // --- DNA read clustering ----------------------------------------------
 
 bool clusters_identical(const hetero::dna::ClusterResult& a,
@@ -307,7 +383,9 @@ KernelRow bench_dna(int reps) {
 // --- Baseline comparison ----------------------------------------------
 
 /// Kernels whose new path runs through the runtime-dispatched SIMD layer;
-/// the --geomean gate covers exactly these.
+/// the --geomean gate covers exactly these. The two q16 rows stay out: the
+/// committed BENCH_PR5.json baseline has no entry for them, and a faster
+/// new row must not hide a slower old one in the geomean.
 const char* const kVectorizedKernels[] = {
     "conv3x3_fixed_point",
     "approx_conv_truncated_loa",
@@ -372,6 +450,8 @@ int main(int argc, char** argv) {
   rows.push_back(bench_conv(reps));
   rows.push_back(bench_approx_conv(reps));
   rows.push_back(bench_htconv(reps));
+  rows.push_back(bench_conv_q16(reps));
+  rows.push_back(bench_htconv_q16(reps));
   rows.push_back(bench_dna(reps));
 
   core::TextTable table(

@@ -135,6 +135,7 @@ struct QConvContext {
 /// integer hardware, and `input` must be [in_channels, h, w].
 void require_integer_datapath(const ConvLayer& layer, const FeatureMap& input,
                               const QuantConfig& quant, const char* where) {
+  quant.validate();
   if (!quant.enabled) {
     throw core::Error(where, "approximate units are integer hardware",
                       "QuantConfig::enabled is false");

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include "approx/conv_kernels.hpp"
@@ -48,17 +49,49 @@ void quantize_weight_tensor(core::TensorF& w, const QuantConfig& config) {
 
 }  // namespace
 
+void QuantConfig::validate() const {
+  // Per-element quantisers call this, so the passing case allocates nothing.
+  const std::int64_t activation_bits =
+      std::int64_t{activation_int_bits} + activation_frac_bits;
+  const std::int64_t weight_bits =
+      std::int64_t{weight_int_bits} + weight_frac_bits;
+  if (activation_int_bits >= 0 && activation_frac_bits >= 0 &&
+      weight_int_bits >= 0 && weight_frac_bits >= 0 &&
+      activation_bits <= 30 && weight_bits <= 30) {
+    return;
+  }
+  const std::string where = "approx::QuantConfig";
+  core::require_at_least(where, "activation_int_bits", activation_int_bits,
+                         0.0);
+  core::require_at_least(where, "activation_frac_bits", activation_frac_bits,
+                         0.0);
+  core::require_at_least(where, "weight_int_bits", weight_int_bits, 0.0);
+  core::require_at_least(where, "weight_frac_bits", weight_frac_bits, 0.0);
+  const auto require_width = [&where](const char* field, std::int64_t bits) {
+    if (bits > 30) {
+      throw core::Error(where, std::string(field) + " must be <= 30",
+                        "got " + std::to_string(bits));
+    }
+  };
+  require_width("activation_int_bits + activation_frac_bits",
+                activation_bits);
+  require_width("weight_int_bits + weight_frac_bits", weight_bits);
+}
+
 float QuantConfig::quantize_activation(float v) const {
+  validate();
   if (!enabled) return v;
   return quantize_runtime(v, activation_int_bits, activation_frac_bits);
 }
 
 float QuantConfig::quantize_weight(float v) const {
+  validate();
   if (!enabled) return v;
   return quantize_runtime(v, weight_int_bits, weight_frac_bits);
 }
 
 void quantize_map(FeatureMap& map, const QuantConfig& config) {
+  config.validate();
   if (!config.enabled) return;
   // Whole-buffer quantisation runs on the SIMD lanes; every element is an
   // independent round/clamp, bit-identical to quantize_activation per
@@ -116,11 +149,25 @@ FeatureMap ConvLayer::apply(const FeatureMap& input, const QuantConfig& config,
                             core::OpCounter* ops) const {
   ICSC_TRACE_SPAN("conv/apply");
   require_feature_map(input, in_channels(), "approx::ConvLayer::apply");
+  config.validate();
   const std::size_t cin = in_channels();
   const std::size_t cout = out_channels();
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);
   const std::size_t k = kernel();
+
+  // Exact int16 MACs whenever the operands fit (conv_kernels.hpp).
+  Q16ConvPlan plan;
+  Q16Planes planes;
+  if (plan_q16_conv(*this, config, plan) &&
+      pack_q16(input, config, conv_q16_pad(k), planes)) {
+    FeatureMap out({cout, h, w});
+    if (run_q16_conv(plan, planes, config, out)) {
+      book_conv_macs(cout, h, w, k, cin, ops);
+      quantize_map(out, config);
+      return out;
+    }
+  }
 
   core::TensorF q_weights = weights;
   quantize_weight_tensor(q_weights, config);
@@ -168,6 +215,7 @@ FeatureMap ConvLayer::apply_reference(const FeatureMap& input,
   ICSC_TRACE_SPAN("conv/apply_reference");
   require_feature_map(input, in_channels(),
                       "approx::ConvLayer::apply_reference");
+  config.validate();
   const std::size_t cin = in_channels();
   const std::size_t cout = out_channels();
   const std::size_t h = input.dim(1);
@@ -419,91 +467,124 @@ void tconv_phase_row(const FeatureMap& input, const core::TensorF& k_weights,
                                      tap_rows.size(), acc, count);
 }
 
-}  // namespace
-
-core::Image TconvLayer::apply_exact(const FeatureMap& input,
-                                    const QuantConfig& config,
-                                    core::OpCounter* ops) const {
-  require_feature_map(input, in_channels(), "approx::TconvLayer::apply_exact");
-  return apply_foveated(input, FovealRegion::full(input.dim(1), input.dim(2)),
-                        config, ops);
+/// The replicated border of integer HTCONV planes: the largest |column
+/// shift| (x / 2 for a surviving x = q + v - off) of either phase q.
+Q16Pad tconv_q16_pad(std::size_t t) {
+  const int off = (static_cast<int>(t) - 1) / 2;
+  Q16Pad pad;
+  pad.replicate = true;
+  for (int q = 0; q < 2; ++q) {
+    for (int v = 0; v < static_cast<int>(t); ++v) {
+      const int x = q + v - off;
+      if ((x & 1) != 0) continue;
+      pad.left = std::max(pad.left, static_cast<std::size_t>(std::abs(x / 2)));
+    }
+  }
+  pad.right = pad.left;
+  return pad;
 }
 
-core::Image TconvLayer::apply_foveated(const FeatureMap& input,
-                                       const FovealRegion& fovea,
-                                       const QuantConfig& config,
-                                       core::OpCounter* ops) const {
-  ICSC_TRACE_SPAN("htconv/apply_foveated");
-  require_feature_map(input, in_channels(),
-                      "approx::TconvLayer::apply_foveated");
-  const std::size_t h = input.dim(1);
-  const std::size_t w = input.dim(2);
-  const std::size_t t = kernel();
-  const std::size_t cin = in_channels();
+/// A TconvLayer on the integer path: per output phase (p, q), index
+/// 2p + q, the raw weight pairs in the order q16_phase_taps walks its
+/// rows -- surviving u ascending, then surviving v ascending, then the
+/// channel pair. The surviving taps of a phase are the same for every
+/// pixel (2i and 2j never change a parity).
+struct TconvQ16Plan {
+  std::array<std::vector<std::int16_t>, 4> weights;
+  std::int64_t max_abs_w = 0;
+  std::size_t max_taps = 0;
+};
 
-  core::TensorF q_weights = weights;
-  quantize_weight_tensor(q_weights, config);
+bool plan_q16_tconv(const TconvLayer& layer, const QuantConfig& config,
+                    TconvQ16Plan& plan) {
+  if (!q16_supported(config)) return false;
+  std::vector<std::int16_t> raw;
+  if (!q16_weights_raw(layer.weights, config, raw, plan.max_abs_w)) {
+    return false;
+  }
+  const std::size_t cin = layer.in_channels();
+  const std::size_t t = layer.kernel();
+  const int off = (static_cast<int>(t) - 1) / 2;
+  plan.max_taps = 0;
+  for (int p = 0; p < 2; ++p) {
+    for (int q = 0; q < 2; ++q) {
+      auto& wts = plan.weights[static_cast<std::size_t>(2 * p + q)];
+      wts.clear();
+      for (std::size_t u = 0; u < t; ++u) {
+        if (((p + static_cast<int>(u) - off) & 1) != 0) continue;
+        for (std::size_t v = 0; v < t; ++v) {
+          if (((q + static_cast<int>(v) - off) & 1) != 0) continue;
+          for (std::size_t c = 0; c < cin; c += 2) {
+            wts.push_back(raw[(c * t + u) * t + v]);
+            wts.push_back(c + 1 < cin ? raw[((c + 1) * t + u) * t + v] : 0);
+          }
+        }
+      }
+      plan.max_taps = std::max(plan.max_taps, wts.size() / 2);
+    }
+  }
+  return true;
+}
 
-  core::Image out(2 * h, 2 * w);
-  const std::uint64_t phase_macs =
-      static_cast<std::uint64_t>(t) * t * cin;  // Fig. 3 loop bounds
-
-  // Hoisted parity/clamp tap tables shared by both passes; the per-pixel
-  // kernels then visit taps in the reference order (see TconvTapTables).
-  const TconvTapTables tables(cin, h, w, t);
-  // Column plans for the two horizontal phases: phases (0,0) and (1,0)
-  // share q = 0, phases (0,1) and (1,1) share q = 1.
-  const std::array<TconvColPlan, 2> col_plans = {TconvColPlan(t, w, 0),
-                                                 TconvColPlan(t, w, 1)};
-
-  // Computes phase (p, q) of row i for j in [lo, hi): the clamp-free span
-  // through the SIMD row kernel, the clamped remainder per pixel. `row`
-  // and `col` give the output position 2i + (p?1:0), 2j + (q?1:0).
-  const auto phase_span = [&](core::aligned_vector<double>& acc, std::size_t i,
-                              int p, int q, std::size_t lo, std::size_t hi) {
-    const TconvColPlan& plan = col_plans[static_cast<std::size_t>(q)];
-    const std::size_t v_lo = std::max(lo, plan.j_lo);
-    const std::size_t v_hi = std::min(hi, plan.j_hi);
-    const std::size_t row = 2 * i + (p != 0 ? 1 : 0);
-    const std::size_t col_off = q != 0 ? 1 : 0;
-    if (v_lo < v_hi) {
-      acc.assign(v_hi - v_lo, 0.0);
-      tconv_phase_row(input, q_weights, tables, plan, i, p, v_lo, v_hi - v_lo,
-                      acc.data());
-      for (std::size_t j = v_lo; j < v_hi; ++j) {
-        out.at(row, 2 * j + col_off) = static_cast<float>(bias + acc[j - v_lo]);
+/// Tap rows of phase (p, q) for LR row i from LR column j0, in the plan's
+/// weight order: the clamped source row of each surviving u, shifted by
+/// each surviving v. The replicated border stands in for the column clamp.
+void q16_phase_taps(const Q16Planes& planes, const TconvTapTables& tables,
+                    const TconvColPlan& plan, std::size_t i, int p,
+                    std::size_t j0, std::vector<const std::int16_t*>& taps) {
+  taps.clear();
+  const auto& rows = tables.row_taps[p];
+  for (std::uint32_t ri = tables.row_start[p][i];
+       ri < tables.row_start[p][i + 1]; ++ri) {
+    for (const int shift : plan.shift) {
+      const auto col = static_cast<std::size_t>(
+          static_cast<std::ptrdiff_t>(j0 + planes.pad.left) + shift);
+      for (std::size_t c = 0; c < planes.pairs(); ++c) {
+        taps.push_back(planes.row(c, rows[ri].src) + 2 * col);
       }
     }
-    for (std::size_t j = lo; j < hi; ++j) {
-      if (j >= v_lo && j < v_hi) continue;
-      out.at(row, 2 * j + col_off) = static_cast<float>(
-          bias + tconv_phase_blocked(input, q_weights, tables, i, j, p, q));
-    }
-  };
+  }
+}
 
-  // Pass 1: even phase O(2i, 2j) for every LR pixel (always accurate).
-  // Rows are independent (each writes only its own even output row).
+/// Per-worker scratch of an HTCONV pass.
+struct TconvScratch {
+  core::aligned_vector<double> acc;
+  core::aligned_vector<std::int64_t> sums;
+  std::vector<const std::int16_t*> taps;
+};
+
+/// HTCONV's two passes around a phase engine. span(scratch, out, i, p, q,
+/// lo, hi) writes phase (p, q) of LR row i for LR columns [lo, hi) to
+/// output row 2i + p, columns 2j + q. Pass 1 writes the even phase of every
+/// LR pixel (always accurate); rows are independent, each writing only its
+/// own even output row. Pass 2 writes the odd phases: accurate in the
+/// fovea, interpolated outside. The fovea is a disc, so its intersection
+/// with a row is one contiguous j interval; the interpolated flanks only
+/// read even-phase outputs, which pass 1 fully wrote and pass 2 never
+/// touches, so rows stay independent. Per-row foveal counts are reduced
+/// serially for a deterministic sum.
+template <typename Span>
+core::Image foveated_passes(std::size_t h, std::size_t w,
+                            std::uint64_t phase_macs,
+                            const FovealRegion& fovea,
+                            const QuantConfig& config, core::OpCounter* ops,
+                            const Span& span) {
+  core::Image out(2 * h, 2 * w);
   {
     ICSC_TRACE_SPAN("htconv/even_phase");
     core::parallel_for(0, h, 2, [&](std::size_t begin, std::size_t end) {
-      core::aligned_vector<double> acc;
+      TconvScratch scratch;
       for (std::size_t i = begin; i < end; ++i) {
-        phase_span(acc, i, 0, 0, 0, w);
+        span(scratch, out, i, 0, 0, 0, w);
       }
     });
   }
   if (ops) ops->add("mac", phase_macs * h * w);
 
-  // Pass 2: odd phases -- accurate in the fovea, interpolated outside.
-  // The fovea is a disc, so its intersection with a row is one contiguous
-  // j interval; the three odd phases run the SIMD row kernel over it and
-  // the interpolated flanks only read even-phase outputs, which pass 1
-  // fully wrote and pass 2 never touches, so rows stay independent.
-  // Per-row foveal counts are reduced serially for a deterministic sum.
   std::vector<std::uint64_t> row_foveal(h, 0);
   ICSC_TRACE_SPAN("htconv/odd_phase");
   core::parallel_for(0, h, 2, [&](std::size_t begin, std::size_t end) {
-    core::aligned_vector<double> acc;
+    TconvScratch scratch;
     for (std::size_t i = begin; i < end; ++i) {
       std::size_t f_lo = w, f_hi = w;
       for (std::size_t j = 0; j < w; ++j) {
@@ -521,9 +602,9 @@ core::Image TconvLayer::apply_foveated(const FeatureMap& input,
           }
         }
         row_foveal[i] = f_hi - f_lo;
-        phase_span(acc, i, 1, 0, f_lo, f_hi);
-        phase_span(acc, i, 0, 1, f_lo, f_hi);
-        phase_span(acc, i, 1, 1, f_lo, f_hi);
+        span(scratch, out, i, 1, 0, f_lo, f_hi);
+        span(scratch, out, i, 0, 1, f_lo, f_hi);
+        span(scratch, out, i, 1, 1, f_lo, f_hi);
       }
       for (std::size_t j = 0; j < w; ++j) {
         if (j >= f_lo && j < f_hi) continue;
@@ -550,12 +631,134 @@ core::Image TconvLayer::apply_foveated(const FeatureMap& input,
     const std::uint64_t interpolated = h * w - foveal_pixels;
     ops->add("interp_add", 8 * interpolated);
   }
-
-  if (config.enabled) {
-    out.tensor().transform(
-        [&config](float v) { return config.quantize_activation(v); });
-  }
+  // The SIMD quantiser every layer uses; bit-identical to the reference's
+  // per-pixel quantize_activation.
+  quantize_map(out.tensor(), config);
   return out;
+}
+
+/// HTCONV on the integer path over `planes` (padded per tconv_q16_pad).
+/// Each phase sum is exact, so bias + sum equals the f64 engine's value.
+/// Returns false, writing nothing, when the layer's weights are off their
+/// grid or q16_flush_taps leaves no tap per flush.
+bool foveated_q16(const TconvLayer& layer, const Q16Planes& planes,
+                  const FovealRegion& fovea, const QuantConfig& config,
+                  core::OpCounter* ops, core::Image& out) {
+  TconvQ16Plan plan;
+  if (!plan_q16_tconv(layer, config, plan)) return false;
+  const std::size_t flush =
+      q16_flush_taps(plan.max_taps, planes.max_abs, plan.max_abs_w, 0);
+  if (flush == 0) return false;
+  const std::size_t h = planes.h;
+  const std::size_t w = planes.w;
+  const std::size_t t = layer.kernel();
+  const TconvTapTables tables(planes.channels, h, w, t);
+  const std::array<TconvColPlan, 2> col_plans = {TconvColPlan(t, w, 0),
+                                                 TconvColPlan(t, w, 1)};
+  const double bias = layer.bias;
+  const double acc_scale = std::ldexp(
+      1.0, -(config.activation_frac_bits + config.weight_frac_bits));
+  out = foveated_passes(
+      h, w, static_cast<std::uint64_t>(t) * t * planes.channels, fovea,
+      config, ops,
+      [&](TconvScratch& scratch, core::Image& img, std::size_t i, int p,
+          int q, std::size_t lo, std::size_t hi) {
+        if (lo >= hi) return;
+        // Sum a window of whole vector tiles around [lo, hi) where the
+        // frame allows: every column is clamp-free on the padded planes,
+        // and the extra sums are dropped, so a foveal span never pays the
+        // scalar tail.
+        constexpr std::size_t kTile = core::simd::kMaddColumnTile;
+        const std::size_t n = std::min(w, (hi - lo + kTile - 1) / kTile * kTile);
+        const std::size_t first = std::min(lo, w - n);
+        q16_phase_taps(planes, tables, col_plans[static_cast<std::size_t>(q)],
+                       i, p, first, scratch.taps);
+        scratch.sums.assign(n, 0);
+        core::simd::madd_panel_i16(
+            scratch.taps.data(),
+            plan.weights[static_cast<std::size_t>(2 * p + q)].data(),
+            scratch.taps.size(), 1, flush, scratch.sums.data(), n, n);
+        const std::size_t row = 2 * i + (p != 0 ? 1 : 0);
+        const std::size_t col_off = q != 0 ? 1 : 0;
+        for (std::size_t j = lo; j < hi; ++j) {
+          img.at(row, 2 * j + col_off) = static_cast<float>(
+              bias + static_cast<double>(scratch.sums[j - first]) * acc_scale);
+        }
+      });
+  ICSC_TRACE_COUNT("conv.int16_layers", 1);
+  return true;
+}
+
+}  // namespace
+
+core::Image TconvLayer::apply_exact(const FeatureMap& input,
+                                    const QuantConfig& config,
+                                    core::OpCounter* ops) const {
+  require_feature_map(input, in_channels(), "approx::TconvLayer::apply_exact");
+  return apply_foveated(input, FovealRegion::full(input.dim(1), input.dim(2)),
+                        config, ops);
+}
+
+core::Image TconvLayer::apply_foveated(const FeatureMap& input,
+                                       const FovealRegion& fovea,
+                                       const QuantConfig& config,
+                                       core::OpCounter* ops) const {
+  ICSC_TRACE_SPAN("htconv/apply_foveated");
+  require_feature_map(input, in_channels(),
+                      "approx::TconvLayer::apply_foveated");
+  config.validate();
+  const std::size_t h = input.dim(1);
+  const std::size_t w = input.dim(2);
+  const std::size_t t = kernel();
+  const std::size_t cin = in_channels();
+
+  core::Image out;
+  Q16Planes planes;
+  if (pack_q16(input, config, tconv_q16_pad(t), planes) &&
+      foveated_q16(*this, planes, fovea, config, ops, out)) {
+    return out;
+  }
+
+  core::TensorF q_weights = weights;
+  quantize_weight_tensor(q_weights, config);
+
+  // Hoisted parity/clamp tap tables shared by both passes; the per-pixel
+  // kernels then visit taps in the reference order (see TconvTapTables).
+  const TconvTapTables tables(cin, h, w, t);
+  // Column plans for the two horizontal phases: phases (0,0) and (1,0)
+  // share q = 0, phases (0,1) and (1,1) share q = 1.
+  const std::array<TconvColPlan, 2> col_plans = {TconvColPlan(t, w, 0),
+                                                 TconvColPlan(t, w, 1)};
+
+  // Computes phase (p, q) of row i for j in [lo, hi): the clamp-free span
+  // through the SIMD row kernel, the clamped remainder per pixel.
+  return foveated_passes(
+      h, w, static_cast<std::uint64_t>(t) * t * cin,  // Fig. 3 loop bounds
+      fovea, config, ops,
+      [&](TconvScratch& scratch, core::Image& img, std::size_t i, int p,
+          int q, std::size_t lo, std::size_t hi) {
+        const TconvColPlan& plan = col_plans[static_cast<std::size_t>(q)];
+        const std::size_t v_lo = std::max(lo, plan.j_lo);
+        const std::size_t v_hi = std::min(hi, plan.j_hi);
+        const std::size_t row = 2 * i + (p != 0 ? 1 : 0);
+        const std::size_t col_off = q != 0 ? 1 : 0;
+        if (v_lo < v_hi) {
+          auto& acc = scratch.acc;
+          acc.assign(v_hi - v_lo, 0.0);
+          tconv_phase_row(input, q_weights, tables, plan, i, p, v_lo,
+                          v_hi - v_lo, acc.data());
+          for (std::size_t j = v_lo; j < v_hi; ++j) {
+            img.at(row, 2 * j + col_off) =
+                static_cast<float>(bias + acc[j - v_lo]);
+          }
+        }
+        for (std::size_t j = lo; j < hi; ++j) {
+          if (j >= v_lo && j < v_hi) continue;
+          img.at(row, 2 * j + col_off) = static_cast<float>(
+              bias + tconv_phase_blocked(input, q_weights, tables, i, j, p,
+                                         q));
+        }
+      });
 }
 
 core::Image TconvLayer::apply_foveated_reference(const FeatureMap& input,
@@ -565,6 +768,7 @@ core::Image TconvLayer::apply_foveated_reference(const FeatureMap& input,
   ICSC_TRACE_SPAN("htconv/apply_foveated_reference");
   require_feature_map(input, in_channels(),
                       "approx::TconvLayer::apply_foveated_reference");
+  config.validate();
   const std::size_t h = input.dim(1);
   const std::size_t w = input.dim(2);
   const std::size_t t = kernel();
@@ -628,6 +832,67 @@ core::Image TconvLayer::apply_foveated_reference(const FeatureMap& input,
         [&config](float v) { return config.quantize_activation(v); });
   }
   return out;
+}
+
+core::Image apply_layer_stack(std::span<const ConvLayer> layers,
+                              const TconvLayer& tconv,
+                              const FeatureMap& input,
+                              const FovealRegion& fovea,
+                              const QuantConfig& config,
+                              core::OpCounter* ops) {
+  config.validate();
+  require_feature_map(input,
+                      layers.empty() ? tconv.in_channels()
+                                     : layers.front().in_channels(),
+                      "approx::apply_layer_stack");
+  // The padding each layer's output needs: the next layer's "same" zeros,
+  // or the HTCONV's replicated columns after the last one.
+  const auto consumer_pad = [&](std::size_t i) {
+    return i < layers.size() ? conv_q16_pad(layers[i].kernel())
+                             : tconv_q16_pad(tconv.kernel());
+  };
+  std::size_t done = 0;
+  Q16Planes planes;
+  if (pack_q16(input, config, consumer_pad(0), planes)) {
+    Q16Planes next;
+    for (; done < layers.size(); ++done) {
+      const ConvLayer& layer = layers[done];
+      if (layer.in_channels() != planes.channels) {
+        throw core::Error("approx::apply_layer_stack",
+                          "layer input channels must match what feeds it",
+                          "layer " + std::to_string(done) + " takes " +
+                              std::to_string(layer.in_channels()) +
+                              ", fed " + std::to_string(planes.channels));
+      }
+      Q16ConvPlan plan;
+      if (!plan_q16_conv(layer, config, plan)) break;
+      ICSC_TRACE_SPAN("conv/apply");
+      next.reset(layer.out_channels(), planes.h, planes.w,
+                 consumer_pad(done + 1));
+      if (!run_q16_conv(plan, planes, config, next)) break;
+      book_conv_macs(layer.out_channels(), planes.h, planes.w,
+                     layer.kernel(), layer.in_channels(), ops);
+      std::swap(planes, next);
+    }
+    if (done == layers.size()) {
+      if (planes.channels != tconv.in_channels()) {
+        throw core::Error("approx::apply_layer_stack",
+                          "tconv input channels must match what feeds it",
+                          "takes " + std::to_string(tconv.in_channels()) +
+                              ", fed " + std::to_string(planes.channels));
+      }
+      ICSC_TRACE_SPAN("htconv/apply_foveated");
+      core::Image out;
+      if (foveated_q16(tconv, planes, fovea, config, ops, out)) return out;
+    }
+  }
+  // A layer the integer path cannot hold, and every one after it, runs
+  // through its apply: both paths give the same bits, so they can mix.
+  FeatureMap act = done > 0 ? unpack_q16(planes, config) : input;
+  for (; done < layers.size(); ++done) {
+    act = layers[done].apply(act, config, ops);
+  }
+  return tconv.apply_foveated(act, fovea, config, ops);
 }
 
 }  // namespace icsc::approx

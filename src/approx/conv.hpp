@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/image.hpp"
@@ -35,11 +36,19 @@ struct QuantConfig {
   int weight_int_bits = 3;       // Q3.12 weights ("16-bit weights")
   int weight_frac_bits = 12;
 
+  /// Throws core::Error unless every bit width is >= 0 and int + frac <=
+  /// 30 for activations and for weights: the approximate datapath holds
+  /// raw values and 1 << frac_bits in an int. Every entry point that
+  /// quantises calls it, whether or not `enabled` is set.
+  void validate() const;
+
+  /// Both throw core::Error as validate() does.
   float quantize_activation(float v) const;
   float quantize_weight(float v) const;
 };
 
-/// Quantises every element of a feature map in place.
+/// Quantises every element of a feature map in place. Throws core::Error
+/// as QuantConfig::validate() does.
 void quantize_map(FeatureMap& map, const QuantConfig& config);
 
 /// Standard 2-D convolution layer: weights [Cout, Cin, k, k], zero padding
@@ -54,10 +63,13 @@ struct ConvLayer {
   std::size_t in_channels() const { return weights.dim(1); }
   std::size_t kernel() const { return weights.dim(2); }
 
-  /// Fast path: im2col row panels + register-blocked accumulation
-  /// (conv_kernels.hpp). Bit-identical to `apply_reference` -- the per-output
-  /// (ic, u, v) accumulation order is preserved exactly. Both applies throw
-  /// core::Error unless `input` is [in_channels(), h, w].
+  /// Fast path, bit-identical to `apply_reference`. With quantisation on,
+  /// int16 formats, every input on the activation grid and every bias on
+  /// the accumulator grid, the taps run as exact int16 MACs on zero-padded
+  /// channel-pair planes (conv_kernels.hpp, "Exact Q16 integer path").
+  /// Otherwise im2col row panels keep the reference (ic, u, v) order per
+  /// output in f64. Both applies throw core::Error unless `input` is
+  /// [in_channels(), h, w], and as QuantConfig::validate() does.
   FeatureMap apply(const FeatureMap& input, const QuantConfig& config,
                    core::OpCounter* ops = nullptr) const;
 
@@ -110,7 +122,9 @@ struct TconvLayer {
   /// HTCONV (Fig. 3): inside `fovea` all four phases are accurate; outside,
   /// only the even phase is computed (t^2 * Cin MACs) and the other three
   /// are bilinear interpolations of even-phase neighbours (adds/shifts,
-  /// counted as "interp_add").
+  /// counted as "interp_add"). With quantisation on and every input on the
+  /// activation grid, the phases run as exact int16 MACs on edge-replicated
+  /// channel-pair planes; the bias is added to the exact sum either way.
   core::Image apply_foveated(const FeatureMap& input, const FovealRegion& fovea,
                              const QuantConfig& config,
                              core::OpCounter* ops = nullptr) const;
@@ -124,5 +138,21 @@ struct TconvLayer {
                                        const QuantConfig& config,
                                        core::OpCounter* ops = nullptr) const;
 };
+
+/// The FSRCNN layer stack: `layers` in order, then `tconv`'s
+/// apply_foveated over `fovea`. Bit-identical to feeding each layer's
+/// apply into the next. Where the integer path can run, activations stay
+/// int16 channel-pair planes from layer to layer: each epilogue writes its
+/// requantised outputs straight into the next layer's padded planes, with
+/// no float map in between. A layer the integer path cannot hold, and
+/// every layer after it, runs through its apply. Throws core::Error unless
+/// each layer's input channels match what feeds it, and as
+/// QuantConfig::validate() does.
+core::Image apply_layer_stack(std::span<const ConvLayer> layers,
+                              const TconvLayer& tconv,
+                              const FeatureMap& input,
+                              const FovealRegion& fovea,
+                              const QuantConfig& config,
+                              core::OpCounter* ops = nullptr);
 
 }  // namespace icsc::approx

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 
+#include "core/error.hpp"
 #include "core/rng.hpp"
 
 namespace icsc::approx {
@@ -10,6 +11,14 @@ namespace icsc::approx {
 std::string FsrcnnConfig::name() const {
   return "FSRCNN(" + std::to_string(d) + "," + std::to_string(s) + "," +
          std::to_string(m) + ")";
+}
+
+void FsrcnnConfig::validate() const {
+  const std::string where = "approx::FsrcnnConfig";
+  core::require_at_least(where, "d", d, 1.0);
+  core::require_at_least(where, "s", s, 1.0);
+  core::require_at_least(where, "m", m, 0.0);
+  core::require_at_least(where, "detail_scale", detail_scale, 0.0);
 }
 
 namespace {
@@ -40,6 +49,7 @@ void fill_detail(core::TensorF& weights, core::Rng& rng, double scale) {
 }  // namespace
 
 Fsrcnn::Fsrcnn(const FsrcnnConfig& config) : config_(config) {
+  config.validate();
   core::Rng rng(config.seed);
   const auto d = static_cast<std::size_t>(config.d);
   const auto s = static_cast<std::size_t>(config.s);
@@ -109,6 +119,7 @@ Fsrcnn::Fsrcnn(const FsrcnnConfig& config) : config_(config) {
 core::Image Fsrcnn::upscale(const core::Image& lowres, const QuantConfig& quant,
                             TconvMode mode, const FovealRegion& fovea,
                             core::OpCounter* ops) const {
+  quant.validate();
   FeatureMap act({1, lowres.height(), lowres.width()});
   for (std::size_t r = 0; r < lowres.height(); ++r) {
     for (std::size_t c = 0; c < lowres.width(); ++c) {
@@ -116,13 +127,12 @@ core::Image Fsrcnn::upscale(const core::Image& lowres, const QuantConfig& quant,
     }
   }
   quantize_map(act, quant);
-  for (const auto& layer : conv_layers_) {
-    act = layer.apply(act, quant, ops);
-  }
-  core::Image out =
+  core::Image out = apply_layer_stack(
+      conv_layers_, deconv_, act,
       mode == TconvMode::kExact
-          ? deconv_.apply_exact(act, quant, ops)
-          : deconv_.apply_foveated(act, fovea, quant, ops);
+          ? FovealRegion::full(lowres.height(), lowres.width())
+          : fovea,
+      quant, ops);
   out.clamp01();
   return out;
 }

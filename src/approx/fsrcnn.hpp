@@ -37,6 +37,10 @@ struct FsrcnnConfig {
   std::uint64_t seed = 2025;
 
   std::string name() const;
+
+  /// Throws core::Error unless d >= 1, s >= 1, m >= 0 and detail_scale is
+  /// finite and >= 0.
+  void validate() const;
 };
 
 /// How the final transposed convolution is evaluated.
@@ -47,9 +51,13 @@ enum class TconvMode {
 
 class Fsrcnn {
 public:
+  /// Throws core::Error as FsrcnnConfig::validate() does.
   explicit Fsrcnn(const FsrcnnConfig& config);
 
-  /// Runs 2x super-resolution on a low-resolution image.
+  /// Runs 2x super-resolution on a low-resolution image through
+  /// apply_layer_stack: with quantisation on, activations stay int16
+  /// planes from layer to layer. Throws core::Error as
+  /// QuantConfig::validate() does.
   core::Image upscale(const core::Image& lowres, const QuantConfig& quant,
                       TconvMode mode, const FovealRegion& fovea,
                       core::OpCounter* ops = nullptr) const;

@@ -256,6 +256,50 @@ void qtap_truncated(const std::int32_t* x, std::int32_t w, int trunc_bits,
   }
 }
 
+void madd_panel_i16(const std::int16_t* const* rows, const std::int16_t* w,
+                    std::size_t taps, std::size_t outs,
+                    std::size_t flush_taps, std::int64_t* acc,
+                    std::size_t ld, std::size_t n) {
+  switch (active_isa()) {
+#if defined(__x86_64__) || defined(__i386__)
+    case Isa::kAvx2:
+      return avx2::madd_panel_i16(rows, w, taps, outs, flush_taps, acc, ld, n);
+    case Isa::kSse4:
+      return sse4::madd_panel_i16(rows, w, taps, outs, flush_taps, acc, ld, n);
+#endif
+#if defined(__aarch64__)
+    case Isa::kNeon:
+      return neon::madd_panel_i16(rows, w, taps, outs, flush_taps, acc, ld, n);
+#endif
+    default:
+      return scalar_impl::madd_panel_i16(rows, w, taps, outs, flush_taps, acc,
+                                         ld, n);
+  }
+}
+
+int requantize_pair_q16(const std::int64_t* lo, const std::int64_t* hi,
+                        std::size_t n, double scale, bool relu, int int_bits,
+                        int frac_bits, std::int16_t* out) {
+  switch (active_isa()) {
+#if defined(__x86_64__) || defined(__i386__)
+    case Isa::kAvx2:
+      return avx2::requantize_pair_q16(lo, hi, n, scale, relu, int_bits,
+                                       frac_bits, out);
+    case Isa::kSse4:
+      return sse4::requantize_pair_q16(lo, hi, n, scale, relu, int_bits,
+                                       frac_bits, out);
+#endif
+#if defined(__aarch64__)
+    case Isa::kNeon:
+      return neon::requantize_pair_q16(lo, hi, n, scale, relu, int_bits,
+                                       frac_bits, out);
+#endif
+    default:
+      return scalar_impl::requantize_pair_q16(lo, hi, n, scale, relu,
+                                              int_bits, frac_bits, out);
+  }
+}
+
 std::uint32_t l1_distance_u16(const std::uint16_t* a, const std::uint16_t* b,
                               std::size_t n) {
   switch (active_isa()) {

@@ -117,6 +117,45 @@ void qtap_truncated(const std::int32_t* x, std::int32_t w, int trunc_bits,
                     int loa_bits, std::int64_t* acc, std::size_t n);
 
 // ---------------------------------------------------------------------------
+// Exact 16-bit integer MAC panel (quantised FSRCNN layers and HTCONV).
+// ---------------------------------------------------------------------------
+
+/// Most output channels one madd_panel_i16 call accumulates.
+inline constexpr std::size_t kMaddMaxOuts = 4;
+/// Columns of madd_panel_i16's widest vector tile (AVX2). A column count
+/// that is a multiple of it never reaches the scalar tail on any ISA.
+inline constexpr std::size_t kMaddColumnTile = 16;
+
+/// Exact int16 x int16 -> int32 multiply-add over a tap panel (the pmaddwd
+/// class: 16 MACs per AVX2 instruction). Operands come in channel pairs:
+/// column c of tap t is the pair rows[t][2c], rows[t][2c + 1], and output
+/// o's weight for tap t the pair w[2(o * taps + t)], w[2(o * taps + t) + 1].
+/// For each output o < outs (at most kMaddMaxOuts) and column c < n:
+///   acc[o * ld + c] += sum over t < taps of
+///       rows[t][2c] * w[2(o * taps + t)] + rows[t][2c + 1] * w[... + 1].
+/// Vector paths keep int32 partial sums and add them into the int64
+/// accumulators every `flush_taps` taps (>= 1); each loaded activation
+/// vector serves all `outs` outputs. The caller guarantees
+/// flush_taps * 2 * max|x| * max|w| <= 2^31 - 1, so no partial sum
+/// overflows. Integer sums are then exact: every ISA and every tap order
+/// returns the bits of the scalar oracle, which sums in int64 directly.
+void madd_panel_i16(const std::int16_t* const* rows, const std::int16_t* w,
+                    std::size_t taps, std::size_t outs,
+                    std::size_t flush_taps, std::int64_t* acc,
+                    std::size_t ld, std::size_t n);
+
+/// The conv engines' epilogue on exact integer sums, for a channel pair:
+/// per sum, a = double(acc) * scale, max(0, a) when relu, rounded to float,
+/// then quantize_fixed_f32's op sequence onto the signed
+/// (int_bits + frac_bits)-bit grid. Writes the raw values as int16 pairs,
+/// out[2i] from lo[i] and out[2i + 1] from hi[i] (0 when hi is null), and
+/// returns the largest |raw| written. Requires |acc| < 2^51 and
+/// int_bits + frac_bits <= 15.
+int requantize_pair_q16(const std::int64_t* lo, const std::int64_t* hi,
+                        std::size_t n, double scale, bool relu, int int_bits,
+                        int frac_bits, std::int16_t* out);
+
+// ---------------------------------------------------------------------------
 // Histogram / bit-parallel genomics primitives.
 // ---------------------------------------------------------------------------
 

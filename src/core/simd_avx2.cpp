@@ -3,8 +3,10 @@
 // AVX2 (the dispatcher in simd.cpp guarantees that).
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/simd_dispatch.hpp"

@@ -24,6 +24,13 @@
                   std::int64_t* acc, std::size_t n);                         \
   void qtap_truncated(const std::int32_t* x, std::int32_t w, int trunc_bits, \
                       int loa_bits, std::int64_t* acc, std::size_t n);       \
+  void madd_panel_i16(const std::int16_t* const* rows, const std::int16_t* w, \
+                      std::size_t taps, std::size_t outs,                    \
+                      std::size_t flush_taps, std::int64_t* acc,             \
+                      std::size_t ld, std::size_t n);                        \
+  int requantize_pair_q16(const std::int64_t* lo, const std::int64_t* hi,    \
+                          std::size_t n, double scale, bool relu,            \
+                          int int_bits, int frac_bits, std::int16_t* out);   \
   std::uint32_t l1_distance_u16(const std::uint16_t* a,                      \
                                 const std::uint16_t* b, std::size_t n);      \
   void myers_banded_batch(const std::uint64_t* peq, std::size_t blocks,      \

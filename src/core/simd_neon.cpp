@@ -3,8 +3,10 @@
 // simply excluded from non-aarch64 builds.
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/simd_dispatch.hpp"

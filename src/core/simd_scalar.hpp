@@ -139,6 +139,69 @@ inline void qtap_truncated(const std::int32_t* x, std::int32_t w,
   }
 }
 
+/// madd_panel_i16 over columns [begin, end): exact int64 sums, no flush
+/// needed. The oracle runs it over every column; the vector paths over
+/// their tail.
+inline void madd_columns_i16(const std::int16_t* const* rows,
+                             const std::int16_t* w, std::size_t taps,
+                             std::size_t outs, std::int64_t* acc,
+                             std::size_t ld, std::size_t begin,
+                             std::size_t end) {
+  for (std::size_t o = 0; o < outs; ++o) {
+    const std::int16_t* wo = w + 2 * o * taps;
+    std::int64_t* ao = acc + o * ld;
+    for (std::size_t t = 0; t < taps; ++t) {
+      const std::int64_t lo = wo[2 * t];
+      const std::int64_t hi = wo[2 * t + 1];
+      const std::int16_t* x = rows[t];
+      for (std::size_t c = begin; c < end; ++c) {
+        ao[c] += x[2 * c] * lo + x[2 * c + 1] * hi;
+      }
+    }
+  }
+}
+
+inline void madd_panel_i16(const std::int16_t* const* rows,
+                           const std::int16_t* w, std::size_t taps,
+                           std::size_t outs, std::size_t /*flush_taps*/,
+                           std::int64_t* acc, std::size_t ld, std::size_t n) {
+  madd_columns_i16(rows, w, taps, outs, acc, ld, 0, n);
+}
+
+/// One requantize_pair_q16 value: the f64 conv epilogue and
+/// quantize_fixed_f32 on one exact sum, returned as the raw grid value.
+inline std::int16_t requantize_q16(std::int64_t acc, double scale, bool relu,
+                                   double act_scale, double raw_min,
+                                   double raw_max) {
+  double a = static_cast<double>(acc) * scale;
+  if (relu) a = std::max(0.0, a);
+  double s = static_cast<double>(static_cast<float>(a)) * act_scale;
+  s = s >= 0.0 ? std::floor(s + 0.5) : std::ceil(s - 0.5);
+  return static_cast<std::int16_t>(std::clamp(s, raw_min, raw_max));
+}
+
+inline int requantize_pair_q16(const std::int64_t* lo, const std::int64_t* hi,
+                               std::size_t n, double scale, bool relu,
+                               int int_bits, int frac_bits,
+                               std::int16_t* out) {
+  const double act_scale = static_cast<double>(std::int64_t{1} << frac_bits);
+  const double raw_max =
+      static_cast<double>((std::int64_t{1} << (int_bits + frac_bits)) - 1);
+  int peak = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int16_t a = requantize_q16(lo[i], scale, relu, act_scale,
+                                          -raw_max - 1.0, raw_max);
+    const std::int16_t b =
+        hi != nullptr ? requantize_q16(hi[i], scale, relu, act_scale,
+                                       -raw_max - 1.0, raw_max)
+                      : std::int16_t{0};
+    out[2 * i] = a;
+    out[2 * i + 1] = b;
+    peak = std::max({peak, std::abs(int{a}), std::abs(int{b})});
+  }
+  return peak;
+}
+
 inline std::uint32_t l1_distance_u16(const std::uint16_t* a,
                                      const std::uint16_t* b, std::size_t n) {
   std::uint32_t l1 = 0;

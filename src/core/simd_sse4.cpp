@@ -3,8 +3,10 @@
 // enters it on CPUs that support SSE4.2.
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/simd_dispatch.hpp"

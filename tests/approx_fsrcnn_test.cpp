@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "approx/fpga_cost.hpp"
+#include "core/trace.hpp"
 
 namespace icsc::approx {
 namespace {
@@ -104,6 +108,85 @@ TEST(Fsrcnn, MacCounterMatchesAnalyticModel) {
                              FovealRegion::full(20, 20));
   const double analytic = model.macs_per_lr_pixel(TconvMode::kExact, 1.0) * 20 * 20;
   EXPECT_NEAR(static_cast<double>(r.macs), analytic, analytic * 0.01);
+}
+
+/// FNV-1a over the bit patterns of every output pixel, row-major.
+std::uint64_t image_bits(const core::Image& img) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float v : img.tensor().data()) {
+    h ^= std::bit_cast<std::uint32_t>(v);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(Fsrcnn, UpscaleGoldens) {
+  // Pins every output bit of the quantised upscale. The e2ebench shape:
+  // FSRCNN(56,12,4) on the 64x64 downscale of a 128x128 scene with a 25 %
+  // fovea. The Table I shape: FSRCNN(25,5,1) at 128x128, whose odd channel
+  // counts (25, 5) leave a channel without a partner, in exact and in
+  // foveated (6 %) mode. One float run pins the quantisation-off path.
+  struct Case {
+    const char* name;
+    FsrcnnConfig config;
+    std::size_t scene;
+    bool quant;
+    TconvMode mode;
+    double fraction;
+    std::uint64_t bits;
+    std::uint64_t macs;
+  };
+  const Case cases[] = {
+      {"e2ebench", large_config(), 128, true, TconvMode::kFoveated, 0.25,
+       0x0ab771c0d6752325ULL, 65109608},
+      {"table1_exact", small_config(), 256, true, TconvMode::kExact, 1.0,
+       0x553117951bd32325ULL, 150732800},
+      {"table1_foveated", small_config(), 256, true, TconvMode::kFoveated,
+       0.06, 0x62d3ff9382bf2325ULL, 57110975},
+      {"table1_fp", small_config(), 256, false, TconvMode::kExact, 1.0,
+       0x94099f97a1a00380ULL, 150732800},
+  };
+  for (const auto& c : cases) {
+    const Fsrcnn model(c.config);
+    const auto scene = core::make_scene(core::SceneKind::kNaturalComposite,
+                                        c.scene, c.scene, 1);
+    const auto lr = core::downscale2x_aligned(scene);
+    const auto fovea =
+        c.mode == TconvMode::kExact
+            ? FovealRegion::full(lr.height(), lr.width())
+            : FovealRegion::centered(lr.height(), lr.width(), c.fraction);
+    QuantConfig quant;
+    quant.enabled = c.quant;
+    core::OpCounter ops;
+    const auto sr = model.upscale(lr, quant, c.mode, fovea, &ops);
+    EXPECT_EQ(image_bits(sr), c.bits) << c.name << std::hex << " got 0x"
+                                      << image_bits(sr);
+    EXPECT_EQ(ops.count("mac"), c.macs) << c.name;
+  }
+}
+
+TEST(Fsrcnn, EveryLayerTakesTheIntegerPath) {
+  // The e2ebench shape: all seven ConvLayers (feature, shrink, four
+  // mapping layers, expand) and the HTCONV run as exact int16 MACs, with
+  // activations kept as planes between them.
+#if ICSC_TRACE
+  namespace trace = core::trace;
+  const Fsrcnn model(large_config());
+  const auto lr = core::downscale2x_aligned(
+      core::make_scene(core::SceneKind::kNaturalComposite, 128, 128, 1));
+  const bool was_enabled = trace::enabled();
+  trace::set_enabled(true);
+  trace::reset();
+  model.upscale(lr, QuantConfig{}, TconvMode::kFoveated,
+                FovealRegion::centered(64, 64, 0.25));
+  const auto counters = trace::counters();
+  trace::reset();
+  trace::set_enabled(was_enabled);
+  ASSERT_EQ(counters.count("conv.int16_layers"), 1u);
+  EXPECT_EQ(counters.at("conv.int16_layers"), 8u);
+#else
+  GTEST_SKIP() << "tracing compiled out";
+#endif
 }
 
 TEST(Fsrcnn, MacSavingsExceedEightyPercent) {

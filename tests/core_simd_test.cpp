@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <type_traits>
 #include <vector>
@@ -352,6 +354,155 @@ TEST(SimdEquivalence, QtapTruncatedMatchesApproxOperatorChain) {
           EXPECT_EQ(want, acc) << isa_name(isa) << " n=" << n
                                << " trunc=" << trunc_bits
                                << " loa=" << loa_bits;
+        }
+      }
+    }
+  }
+}
+
+/// The flush interval madd_panel_i16's contract allows: the most taps
+/// whose int32 partial sums cannot overflow, given the operand bounds.
+std::size_t madd_flush_bound(std::int64_t max_x, std::int64_t max_w) {
+  const std::int64_t per_tap = 2 * max_x * max_w;
+  return per_tap == 0 ? 1000 : static_cast<std::size_t>(INT32_MAX / per_tap);
+}
+
+TEST(SimdEquivalence, MaddPanelI16MatchesExactSums) {
+  IsaGuard guard;
+  Rng rng(106);
+  // Operand classes: FSRCNN-sized values (a long flush interval), the full
+  // int16 range, and the extremes +-32767 and -32768, for which the bound
+  // allows one tap per flush (-32768 never meets -32768: 2 * 2^30 = 2^31
+  // would overflow pmaddwd itself).
+  const auto draw = [&rng](int mode, bool weight) -> std::int16_t {
+    switch (mode) {
+      case 0:
+        return static_cast<std::int16_t>(
+            static_cast<int>(rng.below(weight ? 8193 : 601)) -
+            (weight ? 4096 : 300));
+      case 1:
+        return static_cast<std::int16_t>(
+            static_cast<int>(rng.below(65535)) - 32767);
+      default: {
+        const std::int16_t edges[3] = {32767, -32767, -32768};
+        // Mode 2 puts -32768 in the activations, mode 3 in the weights.
+        const bool with_min = (mode == 2) != weight;
+        return edges[rng.below(with_min ? 3 : 2)];
+      }
+    }
+  };
+  constexpr std::size_t kMaxCols = 2 * 8 + 8;  // AVX2 tile + vector + tail
+  for (const int mode : {0, 1, 2, 3}) {
+    for (std::size_t outs = 1; outs <= kMaddMaxOuts; ++outs) {
+      for (std::size_t n = 0; n <= kMaxCols; ++n) {
+        const std::size_t taps = 1 + rng.below(9);
+        std::vector<std::vector<std::int16_t>> x(
+            taps, std::vector<std::int16_t>(2 * n));
+        std::vector<std::int16_t> w(2 * outs * taps);
+        std::int64_t max_x = 0;
+        std::int64_t max_w = 0;
+        for (auto& row : x) {
+          for (auto& v : row) {
+            v = draw(mode, false);
+            max_x = std::max<std::int64_t>(max_x, std::abs(int{v}));
+          }
+        }
+        for (auto& v : w) {
+          v = draw(mode, true);
+          max_w = std::max<std::int64_t>(max_w, std::abs(int{v}));
+        }
+        std::vector<const std::int16_t*> rows;
+        for (const auto& row : x) rows.push_back(row.data());
+        const std::size_t ld = n + 3;  // padding the primitive must not touch
+        std::vector<std::int64_t> acc0(outs * ld);
+        for (auto& v : acc0) {
+          v = static_cast<std::int64_t>(rng.below(1ULL << 41)) - (1LL << 40);
+        }
+        std::vector<std::int64_t> want = acc0;
+        for (std::size_t o = 0; o < outs; ++o) {
+          for (std::size_t t = 0; t < taps; ++t) {
+            for (std::size_t c = 0; c < n; ++c) {
+              want[o * ld + c] +=
+                  std::int64_t{x[t][2 * c]} * w[2 * (o * taps + t)] +
+                  std::int64_t{x[t][2 * c + 1]} * w[2 * (o * taps + t) + 1];
+            }
+          }
+        }
+        const std::size_t bound = madd_flush_bound(max_x, max_w);
+        ASSERT_GE(bound, 1u);
+        // Every legal interval; taps that are a multiple of it end with a
+        // flush on the last tap.
+        for (const std::size_t flush : {std::size_t{1}, taps, bound}) {
+          if (flush > bound) continue;
+          for (const Isa isa : supported_isas()) {
+            set_active_isa(isa);
+            std::vector<std::int64_t> acc = acc0;
+            madd_panel_i16(rows.data(), w.data(), taps, outs, flush,
+                           acc.data(), ld, n);
+            EXPECT_EQ(want, acc) << isa_name(isa) << " mode=" << mode
+                                 << " outs=" << outs << " n=" << n
+                                 << " taps=" << taps << " flush=" << flush;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdEquivalence, RequantizePairQ16MatchesEpilogueThenQuantizer) {
+  // Oracle: the f64 conv epilogue (sum * scale, ReLU, round to float)
+  // followed by quantize_fixed_f32, read back as a raw grid value. Sums
+  // span small values, the exact-float range edge 2^24, values that clamp
+  // and the 2^51 limit; the formats include the int16 extremes.
+  IsaGuard guard;
+  Rng rng(107);
+  struct Format {
+    int int_bits, frac_bits, acc_frac_bits;
+  };
+  const Format formats[] = {{7, 8, 20}, {0, 15, 27}, {15, 0, 0}, {3, 5, 9}};
+  for (const Format& f : formats) {
+    const double scale = std::ldexp(1.0, -f.acc_frac_bits);
+    for (const bool relu : {false, true}) {
+      for (std::size_t n = 0; n <= 19; ++n) {
+        std::vector<std::int64_t> lo(n), hi(n);
+        for (auto* v : {&lo, &hi}) {
+          for (auto& x : *v) {
+            const int bits = static_cast<int>(rng.below(52));
+            const auto mag = static_cast<std::int64_t>(
+                rng.below(std::uint64_t{1} << bits));
+            x = rng.below(2) ? -mag : mag;
+          }
+        }
+        if (n > 0) lo[0] = (std::int64_t{1} << 51) - 1;
+        if (n > 1) hi[1] = -(std::int64_t{1} << 51);
+        const auto oracle = [&](std::int64_t acc) {
+          double a = static_cast<double>(acc) * scale;
+          if (relu) a = std::max(0.0, a);
+          float v = static_cast<float>(a);
+          quantize_fixed_f32(&v, 1, f.int_bits, f.frac_bits);
+          return static_cast<int>(std::ldexp(double{v}, f.frac_bits));
+        };
+        for (const bool pair : {false, true}) {
+          std::vector<std::int16_t> want(2 * n);
+          int want_peak = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            want[2 * i] = static_cast<std::int16_t>(oracle(lo[i]));
+            want[2 * i + 1] =
+                pair ? static_cast<std::int16_t>(oracle(hi[i])) : 0;
+            want_peak = std::max({want_peak, std::abs(int{want[2 * i]}),
+                                  std::abs(int{want[2 * i + 1]})});
+          }
+          for (const Isa isa : supported_isas()) {
+            set_active_isa(isa);
+            std::vector<std::int16_t> out(2 * n, 7);
+            const int peak = requantize_pair_q16(
+                lo.data(), pair ? hi.data() : nullptr, n, scale, relu,
+                f.int_bits, f.frac_bits, out.data());
+            EXPECT_EQ(want, out) << isa_name(isa) << " n=" << n
+                                 << " relu=" << relu << " pair=" << pair
+                                 << " frac=" << f.frac_bits;
+            EXPECT_EQ(want_peak, peak) << isa_name(isa) << " n=" << n;
+          }
         }
       }
     }

@@ -12,6 +12,7 @@
 
 #include "approx/approx_conv.hpp"
 #include "approx/conv.hpp"
+#include "approx/fsrcnn.hpp"
 #include "approx/softmax.hpp"
 #include "core/error.hpp"
 #include "core/fault.hpp"
@@ -292,6 +293,130 @@ TEST(Robustness, ApproxConvRequiresQuantisation) {
                core::Error);
   EXPECT_EQ(approx::apply_approx(conv, input, approx::QuantConfig{}, {}).shape(),
             (core::Shape{1, 6, 6}));
+}
+
+TEST(Robustness, ApproxConfigsValidated) {
+  // FsrcnnConfig: d = 0 or s = 0 wrote into an empty weight tensor, and a
+  // negative m or a negative or NaN detail_scale was accepted.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct BadModel {
+    const char* field;
+    approx::FsrcnnConfig config;
+  };
+  std::vector<BadModel> models;
+  const auto model_with = [&models](const char* field, auto edit) {
+    approx::FsrcnnConfig config;
+    edit(config);
+    models.push_back({field, config});
+  };
+  model_with("d", [](auto& c) { c.d = 0; });
+  model_with("d", [](auto& c) { c.d = -3; });
+  model_with("s", [](auto& c) { c.s = 0; });
+  model_with("m", [](auto& c) { c.m = -1; });
+  model_with("detail_scale", [&](auto& c) { c.detail_scale = nan; });
+  model_with("detail_scale", [](auto& c) { c.detail_scale = -0.5; });
+  model_with("detail_scale", [](auto& c) {
+    c.detail_scale = std::numeric_limits<double>::infinity();
+  });
+  for (const auto& b : models) {
+    SCOPED_TRACE(b.field);
+    try {
+      approx::Fsrcnn model(b.config);
+      ADD_FAILURE() << "Fsrcnn accepted it";
+    } catch (const core::Error& e) {
+      EXPECT_EQ(e.where(), "approx::FsrcnnConfig");
+      EXPECT_NE(std::string(e.what()).find(b.field), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // QuantConfig: a negative or wide bit width reached an undefined shift.
+  // Every entry point that quantises rejects it, with quantisation on or
+  // off.
+  struct BadQuant {
+    const char* field;
+    int approx::QuantConfig::*member;
+    int value;
+  };
+  const BadQuant quants[] = {
+      {"activation_int_bits", &approx::QuantConfig::activation_int_bits, -1},
+      {"activation_frac_bits", &approx::QuantConfig::activation_frac_bits, -1},
+      {"activation_int_bits + activation_frac_bits",
+       &approx::QuantConfig::activation_frac_bits, 70},
+      {"activation_int_bits + activation_frac_bits",
+       &approx::QuantConfig::activation_int_bits,
+       std::numeric_limits<int>::max()},
+      {"weight_int_bits", &approx::QuantConfig::weight_int_bits, -2},
+      {"weight_frac_bits", &approx::QuantConfig::weight_frac_bits, -1},
+      {"weight_int_bits + weight_frac_bits",
+       &approx::QuantConfig::weight_int_bits, 60},
+      {"weight_int_bits + weight_frac_bits",
+       &approx::QuantConfig::weight_frac_bits, 28},
+  };
+  approx::ConvLayer conv;
+  conv.weights = core::TensorF({2, 1, 3, 3}, 0.1F);
+  conv.bias = {0.0F, 0.0F};
+  approx::TconvLayer tconv;
+  tconv.weights = core::TensorF({2, 4, 4}, 0.1F);
+  const approx::FeatureMap input({1, 6, 6}, 0.5F);
+  const approx::FeatureMap hidden({2, 6, 6}, 0.5F);
+  const auto fovea = approx::FovealRegion::full(6, 6);
+  const approx::Fsrcnn model(approx::FsrcnnConfig{});
+  const core::Image lowres(6, 6, 0.5F);
+  for (const auto& b : quants) {
+    for (const bool enabled : {true, false}) {
+      SCOPED_TRACE(std::string(b.field) + " = " + std::to_string(b.value) +
+                   (enabled ? " on" : " off"));
+      approx::QuantConfig quant;
+      quant.enabled = enabled;
+      quant.*b.member = b.value;
+      try {
+        quant.validate();
+        ADD_FAILURE() << "validate() accepted it";
+      } catch (const core::Error& e) {
+        EXPECT_EQ(e.where(), "approx::QuantConfig");
+        EXPECT_NE(std::string(e.what()).find(b.field), std::string::npos)
+            << e.what();
+      }
+      approx::FeatureMap map = input;
+      EXPECT_THROW(approx::quantize_map(map, quant), core::Error);
+      EXPECT_THROW((void)quant.quantize_activation(0.5F), core::Error);
+      EXPECT_THROW((void)quant.quantize_weight(0.5F), core::Error);
+      EXPECT_THROW((void)conv.apply(input, quant), core::Error);
+      EXPECT_THROW((void)conv.apply_reference(input, quant), core::Error);
+      EXPECT_THROW((void)tconv.apply_exact(hidden, quant), core::Error);
+      EXPECT_THROW((void)tconv.apply_foveated(hidden, fovea, quant),
+                   core::Error);
+      EXPECT_THROW((void)tconv.apply_foveated_reference(hidden, fovea, quant),
+                   core::Error);
+      EXPECT_THROW((void)approx::apply_layer_stack({&conv, 1}, tconv, input,
+                                                   fovea, quant),
+                   core::Error);
+      EXPECT_THROW((void)approx::apply_approx(conv, input, quant, {}),
+                   core::Error);
+      EXPECT_THROW((void)approx::apply_approx_reference(conv, input, quant, {}),
+                   core::Error);
+      EXPECT_THROW((void)model.upscale(lowres, quant), core::Error);
+    }
+  }
+
+  // The range ends are accepted: zero-width fields and int + frac = 30.
+  approx::FsrcnnConfig smallest;
+  smallest.d = smallest.s = 1;
+  smallest.m = 0;
+  smallest.detail_scale = 0.0;
+  EXPECT_NO_THROW(approx::Fsrcnn{smallest});
+  approx::QuantConfig widest;
+  widest.activation_int_bits = 15;
+  widest.activation_frac_bits = 15;
+  widest.weight_int_bits = 30;
+  widest.weight_frac_bits = 0;
+  EXPECT_NO_THROW(widest.validate());
+  EXPECT_NO_THROW((void)conv.apply(input, widest));
+  approx::QuantConfig zero;
+  zero.activation_int_bits = zero.activation_frac_bits = 0;
+  zero.weight_int_bits = zero.weight_frac_bits = 0;
+  EXPECT_NO_THROW((void)conv.apply(input, zero));
 }
 
 TEST(Robustness, FovealRegionDegenerate) {
