@@ -380,12 +380,53 @@ KernelRow bench_dna(int reps) {
   return row;
 }
 
+// --- Counter-based read-noise normals -----------------------------------
+//
+// The IMC crossbar reads draw their noise from core::simd::normal_pairs;
+// before, each read drew core::Rng::normal. Both sides fill the same
+// number of normals; identical checks the active ISA against the scalar
+// oracle.
+
+KernelRow bench_normal_pairs(int reps) {
+  constexpr std::size_t kPairs = std::size_t{1} << 16;
+  KernelRow row;
+  row.name = "normal_pairs";
+  std::vector<double> z0(kPairs), z1(kPairs), w0(kPairs), w1(kPairs);
+  const core::simd::Isa active = core::simd::active_isa();
+  core::simd::set_active_isa(core::simd::Isa::kScalar);
+  core::simd::normal_pairs(0x5EED, 0, kPairs, w0.data(), w1.data());
+  core::simd::set_active_isa(active);
+  core::simd::normal_pairs(0x5EED, 0, kPairs, z0.data(), z1.data());
+  row.identical = std::memcmp(z0.data(), w0.data(), kPairs * 8) == 0 &&
+                  std::memcmp(z1.data(), w1.data(), kPairs * 8) == 0;
+  core::Rng rng(0x5EED);
+  row.old_ms = best_ms(reps, [&] {
+    for (std::size_t j = 0; j < kPairs; ++j) {
+      z0[j] = rng.normal();
+      z1[j] = rng.normal();
+    }
+    benchmark_keep(z0);
+  });
+  std::uint64_t key = 0;
+  row.new_ms = best_ms(reps, [&] {
+    core::simd::normal_pairs(++key, 0, kPairs, z0.data(), z1.data());
+    benchmark_keep(z0);
+  });
+  const double per_normal = 1e6 / (2.0 * kPairs);  // ms -> ns per normal
+  row.extra_json = ",\"old_ns_per_normal\":" +
+                   core::json_num(row.old_ms * per_normal, 2) +
+                   ",\"new_ns_per_normal\":" +
+                   core::json_num(row.new_ms * per_normal, 2);
+  return row;
+}
+
 // --- Baseline comparison ----------------------------------------------
 
 /// Kernels whose new path runs through the runtime-dispatched SIMD layer;
-/// the --geomean gate covers exactly these. The two q16 rows stay out: the
-/// committed BENCH_PR5.json baseline has no entry for them, and a faster
-/// new row must not hide a slower old one in the geomean.
+/// the --geomean gate covers exactly these. The two q16 rows and
+/// normal_pairs stay out: the committed BENCH_PR5.json baseline has no
+/// entry for them, and a faster new row must not hide a slower old one in
+/// the geomean.
 const char* const kVectorizedKernels[] = {
     "conv3x3_fixed_point",
     "approx_conv_truncated_loa",
@@ -453,6 +494,7 @@ int main(int argc, char** argv) {
   rows.push_back(bench_conv_q16(reps));
   rows.push_back(bench_htconv_q16(reps));
   rows.push_back(bench_dna(reps));
+  rows.push_back(bench_normal_pairs(reps));
 
   core::TextTable table(
       {"kernel", "old (ms)", "new (ms)", "speedup", "bit-identical"});

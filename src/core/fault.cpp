@@ -24,15 +24,6 @@ const char* fault_kind_name(FaultKind kind) {
   return "unknown";
 }
 
-std::uint64_t fault_hash(std::uint64_t seed, std::uint64_t site) {
-  // splitmix64 finaliser over a golden-ratio site stride: high-quality
-  // avalanche, no sequential state, identical everywhere.
-  std::uint64_t z = seed + 0x9E37'79B9'7F4A'7C15ULL * (site + 1);
-  z = (z ^ (z >> 30)) * 0xBF58'476D'1CE4'E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D0'49BB'1331'11EBULL;
-  return z ^ (z >> 31);
-}
-
 double fault_uniform(std::uint64_t seed, std::uint64_t site) {
   return static_cast<double>(fault_hash(seed, site) >> 11) * 0x1.0p-53;
 }

@@ -46,9 +46,23 @@ enum class FaultKind : std::uint8_t {
 
 const char* fault_kind_name(FaultKind kind);
 
+/// Constants of fault_hash: the golden-ratio site stride and the two
+/// splitmix64 finaliser multipliers. core::simd::normal_pairs hashes its
+/// vector lanes with the same ones.
+inline constexpr std::uint64_t kFaultHashStride = 0x9E37'79B9'7F4A'7C15ULL;
+inline constexpr std::uint64_t kFaultHashMul1 = 0xBF58'476D'1CE4'E5B9ULL;
+inline constexpr std::uint64_t kFaultHashMul2 = 0x94D0'49BB'1331'11EBULL;
+
 /// Stateless splitmix64-style mix of (seed, site): the primitive every
-/// fault decision reduces to. Identical on all platforms.
-std::uint64_t fault_hash(std::uint64_t seed, std::uint64_t site);
+/// fault decision reduces to. Identical on all platforms. The splitmix64
+/// finaliser over a golden-ratio site stride gives high-quality avalanche
+/// with no sequential state.
+inline std::uint64_t fault_hash(std::uint64_t seed, std::uint64_t site) {
+  std::uint64_t z = seed + kFaultHashStride * (site + 1);
+  z = (z ^ (z >> 30)) * kFaultHashMul1;
+  z = (z ^ (z >> 27)) * kFaultHashMul2;
+  return z ^ (z >> 31);
+}
 
 /// Uniform double in [0, 1) derived from fault_hash.
 double fault_uniform(std::uint64_t seed, std::uint64_t site);

@@ -80,9 +80,9 @@ double Rng::normal() {
   double sin_theta = 0.0;
   double cos_theta = 0.0;
 #if defined(__GLIBC__)
-  // One fused argument reduction for the Box-Muller pair. Every read-noise
-  // draw in the analog models funnels through here, so the second trig
-  // call is a measurable share of small-MVM cost.
+  // One fused argument reduction for the Box-Muller pair: device
+  // programming and MemoryCell reads draw their noise here (crossbar
+  // reads use the counter-based core::simd::normal_pairs).
   ::sincos(theta, &sin_theta, &cos_theta);
 #else
   sin_theta = std::sin(theta);

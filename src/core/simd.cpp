@@ -300,6 +300,24 @@ int requantize_pair_q16(const std::int64_t* lo, const std::int64_t* hi,
   }
 }
 
+void normal_pairs(std::uint64_t key, std::uint64_t first, std::size_t count,
+                  double* z0, double* z1) {
+  switch (active_isa()) {
+#if defined(__x86_64__) || defined(__i386__)
+    case Isa::kAvx2:
+      return avx2::normal_pairs(key, first, count, z0, z1);
+    case Isa::kSse4:
+      return sse4::normal_pairs(key, first, count, z0, z1);
+#endif
+#if defined(__aarch64__)
+    case Isa::kNeon:
+      return neon::normal_pairs(key, first, count, z0, z1);
+#endif
+    default:
+      return scalar_impl::normal_pairs(key, first, count, z0, z1);
+  }
+}
+
 std::uint32_t l1_distance_u16(const std::uint16_t* a, const std::uint16_t* b,
                               std::size_t n) {
   switch (active_isa()) {

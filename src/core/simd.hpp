@@ -156,6 +156,29 @@ int requantize_pair_q16(const std::int64_t* lo, const std::int64_t* hi,
                         int frac_bits, std::int16_t* out);
 
 // ---------------------------------------------------------------------------
+// Counter-based normal deviates (IMC crossbar read noise).
+// ---------------------------------------------------------------------------
+
+/// Standard-normal pairs from a counter-based stream: pair j is a pure
+/// function of (key, first + j), so any split of a counter range over
+/// calls, lanes or threads returns the same bits. For j < count,
+/// h = fault_hash(key, first + j) (counters wrap mod 2^64) and Box-Muller
+/// turns h into (z0[j], z1[j]) = (r cos theta, r sin theta):
+///   - r = sqrt(-2 ln u1), u1 = ((h >> 32) + 1) * 2^-32 in (0, 1], so
+///     |z| <= sqrt(64 ln 2) ~= 6.66;
+///   - theta = q * pi/2 + phi, with quadrant q = bits 31..30 of h and
+///     phi = ((h & (2^30 - 1)) - 2^29 + 1/2) * (pi/2) * 2^-30 in
+///     (-pi/4, pi/4).
+/// ln u1 splits off the binary exponent and sums a 10-term atanh series of
+/// the mantissa; sin/cos phi are degree-17/16 Taylor polynomials. Only
+/// IEEE +, -, *, / and sqrt are used (no FMA, no libm call), so the
+/// scalar oracle and every vector path return the same bits. The log and
+/// sin/cos stay within a few ulp of libm (core_simd_test states the
+/// measured bound).
+void normal_pairs(std::uint64_t key, std::uint64_t first, std::size_t count,
+                  double* z0, double* z1);
+
+// ---------------------------------------------------------------------------
 // Histogram / bit-parallel genomics primitives.
 // ---------------------------------------------------------------------------
 

@@ -31,6 +31,8 @@
   int requantize_pair_q16(const std::int64_t* lo, const std::int64_t* hi,    \
                           std::size_t n, double scale, bool relu,            \
                           int int_bits, int frac_bits, std::int16_t* out);   \
+  void normal_pairs(std::uint64_t key, std::uint64_t first,                  \
+                    std::size_t count, double* z0, double* z1);              \
   std::uint32_t l1_distance_u16(const std::uint16_t* a,                      \
                                 const std::uint16_t* b, std::size_t n);      \
   void myers_banded_batch(const std::uint64_t* peq, std::size_t blocks,      \

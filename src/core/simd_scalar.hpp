@@ -17,10 +17,13 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+
+#include "core/fault.hpp"
 
 namespace icsc::core::simd::scalar_impl {
 
@@ -200,6 +203,85 @@ inline int requantize_pair_q16(const std::int64_t* lo, const std::int64_t* hi,
     peak = std::max({peak, std::abs(int{a}), std::abs(int{b})});
   }
   return peak;
+}
+
+/// Constants of normal_pairs (core/simd.hpp states the contract).
+namespace normal {
+
+inline constexpr double kSqrt2 = 1.4142135623730951;
+/// fdlibm's split of ln 2: kLn2Hi has 32 significant bits, so e * kLn2Hi
+/// is exact for every exponent |e| <= 32 the log sees.
+inline constexpr double kLn2Hi = 6.93147180369123816490e-01;
+inline constexpr double kLn2Lo = 1.90821492927058770002e-10;
+/// atanh(s) / s = sum over i of s^(2i) / (2i + 1), highest term first.
+inline constexpr double kAtanh[10] = {
+    1.0 / 19, 1.0 / 17, 1.0 / 15, 1.0 / 13, 1.0 / 11,
+    1.0 / 9,  1.0 / 7,  1.0 / 5,  1.0 / 3,  1.0};
+/// (sin(x) - x) / x^3 and (cos(x) - 1) / x^2 as Taylor polynomials in x^2,
+/// highest term first (x^17 and x^16).
+inline constexpr double kSin[8] = {
+    1.0 / 355687428096000.0, -1.0 / 1307674368000.0, 1.0 / 6227020800.0,
+    -1.0 / 39916800.0,       1.0 / 362880.0,          -1.0 / 5040.0,
+    1.0 / 120.0,             -1.0 / 6.0};
+inline constexpr double kCos[8] = {
+    1.0 / 20922789888000.0, -1.0 / 87178291200.0, 1.0 / 479001600.0,
+    -1.0 / 3628800.0,       1.0 / 40320.0,        -1.0 / 720.0,
+    1.0 / 24.0,             -1.0 / 2.0};
+/// pi/2 over the 2^30 angle steps of one quadrant (a power-of-two scaling
+/// of pi, so exact).
+inline constexpr double kAngleStep = 3.141592653589793 * 0x1p-31;
+
+template <std::size_t N>
+inline double horner(double x, const double (&c)[N]) {
+  double p = c[0];
+  for (std::size_t i = 1; i < N; ++i) p = p * x + c[i];
+  return p;
+}
+
+/// ln(k * 2^-32) for k in [1, 2^32]: k = m * 2^e with m in [sqrt(1/2),
+/// sqrt(2)), ln m = 2 atanh((m - 1) / (m + 1)).
+inline double log_u32_unit(std::uint64_t k) {
+  const auto bits = std::bit_cast<std::uint64_t>(static_cast<double>(k));
+  double e = static_cast<double>(bits >> 52) - 1055.0;  // 1023 bias + 32
+  double m = std::bit_cast<double>((bits & 0x000F'FFFF'FFFF'FFFFULL) |
+                                   0x3FF0'0000'0000'0000ULL);
+  if (m >= kSqrt2) {
+    m = m * 0.5;
+    e = e + 1.0;
+  }
+  const double s = (m - 1.0) / (m + 1.0);
+  const double p = horner(s * s, kAtanh);
+  return e * kLn2Hi + (e * kLn2Lo + (s + s) * p);
+}
+
+/// (cos, sin) of q * pi/2 + phi for the angle word `lo` (quadrant q in its
+/// top 2 bits, phi from its low 30).
+inline void sincos_u32(std::uint32_t lo, double& c, double& s) {
+  const double phi =
+      (static_cast<double>(lo & 0x3FFF'FFFFU) - 0x1p29 + 0.5) * kAngleStep;
+  const double x2 = phi * phi;
+  const double sin_phi = phi + (phi * x2) * horner(x2, kSin);
+  const double cos_phi = 1.0 + x2 * horner(x2, kCos);
+  const std::uint32_t q = lo >> 30;
+  c = (q & 1) != 0 ? sin_phi : cos_phi;
+  s = (q & 1) != 0 ? cos_phi : sin_phi;
+  if (((q ^ (q >> 1)) & 1) != 0) c = -c;
+  if ((q >> 1) != 0) s = -s;
+}
+
+}  // namespace normal
+
+inline void normal_pairs(std::uint64_t key, std::uint64_t first,
+                         std::size_t count, double* z0, double* z1) {
+  for (std::size_t j = 0; j < count; ++j) {
+    const std::uint64_t h = fault_hash(key, first + j);
+    const double r = std::sqrt(-2.0 * normal::log_u32_unit((h >> 32) + 1));
+    double c;
+    double s;
+    normal::sincos_u32(static_cast<std::uint32_t>(h), c, s);
+    z0[j] = r * c;
+    z1[j] = r * s;
+  }
 }
 
 inline std::uint32_t l1_distance_u16(const std::uint16_t* a,

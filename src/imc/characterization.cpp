@@ -11,6 +11,7 @@ namespace icsc::imc {
 DriftCharacterization characterize_drift(const DeviceSpec& spec, int cells,
                                          int time_points,
                                          std::uint64_t seed) {
+  spec.validate();
   core::Rng rng(seed);
   ProgramVerifyConfig pv;
   pv.scheme = ProgramScheme::kVerify;
@@ -59,6 +60,8 @@ core::Summary characterize_programming_error(const DeviceSpec& spec,
                                              const ProgramVerifyConfig& config,
                                              double target_us, int cells,
                                              std::uint64_t seed) {
+  spec.validate();
+  config.validate();
   core::Rng rng(seed);
   std::vector<double> errors;
   errors.reserve(cells);
@@ -83,6 +86,8 @@ SequentialCharacterization characterize_programming_error_sequential(
     const DeviceSpec& spec, const ProgramVerifyConfig& program_config,
     double target_us, int budget, std::uint64_t seed,
     const core::sampling::EarlyStopConfig& early_stop) {
+  spec.validate();
+  program_config.validate();
   core::sampling::SequentialController controller(early_stop, 1);
   SequentialCharacterization out;
   out.samples_budgeted = static_cast<std::size_t>(std::max(0, budget));
@@ -110,6 +115,7 @@ SequentialCharacterization characterize_programming_error_sequential(
 SequentialCharacterization characterize_read_noise_sequential(
     const DeviceSpec& spec, int budget, std::uint64_t seed,
     const core::sampling::EarlyStopConfig& early_stop) {
+  spec.validate();
   early_stop.validate();
   core::Rng rng(core::fault_hash(seed ^ kReadNoiseDomain, 0));
   MemoryCell cell(spec, rng);
@@ -156,6 +162,7 @@ SequentialCharacterization characterize_read_noise_sequential(
 
 double characterize_read_noise(const DeviceSpec& spec, int reads,
                                std::uint64_t seed) {
+  spec.validate();
   core::Rng rng(seed);
   MemoryCell cell(spec, rng);
   ProgramVerifyConfig pv;

@@ -6,7 +6,8 @@
 // each scheme and extract the error distribution. These routines close the
 // loop between the device model and the parameters the architecture layers
 // consume -- and the tests verify the extraction recovers the ground-truth
-// model parameters.
+// model parameters. Every study throws core::Error when the DeviceSpec (or
+// ProgramVerifyConfig) it is given fails validate().
 #pragma once
 
 #include <cstdint>

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "core/error.hpp"
+#include "core/simd.hpp"
 #include "core/trace.hpp"
 
 namespace icsc::imc {
@@ -36,6 +37,24 @@ int round_budget(const ProgramVerifyConfig& config) {
   return 1;
 }
 
+/// Rows per stack block of read-noise normals (two blocks of doubles).
+constexpr std::size_t kReadBlock = 64;
+
+/// Rows [0, rows) of a fault-free bitline read at t <= 1 s, where no cell
+/// drifts: read_site's G+ - G- per row, summed onto acc in row order.
+template <bool kDifferential>
+double sum_clean_rows(const double* gp, const double* gm, const double* zp,
+                      const double* zm, const double* dac,
+                      const double* attenuation, double sigma,
+                      std::size_t rows, double acc) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    double g = gp[r] * (1.0 + sigma * zp[r]);
+    if constexpr (kDifferential) g -= gm[r] * (1.0 + sigma * zm[r]);
+    acc += dac[r] * g * attenuation[r];
+  }
+  return acc;
+}
+
 }  // namespace
 
 void CrossbarConfig::validate() const {
@@ -50,6 +69,9 @@ void CrossbarConfig::validate() const {
   require_bits("adc_bits", adc_bits);
   core::require_at_least(where, "ir_drop_per_row", ir_drop_per_row, 0.0);
   core::require_at_least(where, "adc_energy_pj", adc_energy_pj, 0.0);
+  device.validate();
+  programming.validate();
+  validate_repair(programming, repair);
 }
 
 CrossbarHealth& CrossbarHealth::operator+=(const CrossbarHealth& other) {
@@ -72,6 +94,7 @@ Crossbar::Crossbar(const core::TensorF& weights, const CrossbarConfig& config)
       out_dim_(weights.rank() == 2 ? weights.dim(0) : 0),
       config_(config),
       rng_(config.seed),
+      read_key_(core::fault_hash(config.seed, kReadNoiseDomain)),
       injector_(config.faults, config.seed) {
   config_.validate();
   if (weights.rank() != 2) {
@@ -216,6 +239,7 @@ std::size_t Crossbar::program_pair(const core::TensorF& weights,
       if (kind == core::FaultKind::kDrift) ++health_.drift_sites;
     }
     bank.fault.push_back(kind);
+    bank.any_fault |= kind != core::FaultKind::kNone;
   };
 
   program_one(cell_plus, target_plus, 2 * cell, plus);
@@ -233,22 +257,18 @@ std::size_t Crossbar::program_pair(const core::TensorF& weights,
 }
 
 double Crossbar::read_site(const CellBank& bank, std::size_t cell,
-                           std::uint64_t site, double t_seconds) {
+                           std::uint64_t site, double t_seconds,
+                           double z) const {
   // MemoryCell::read over the SoA plane: drifted conductance (t0 = 1 s
-  // reference) with multiplicative read noise. Same formula, same single
-  // normal draw per non-stuck site.
+  // reference) with multiplicative read noise. A noiseless device has
+  // sigma = z = 0, and g * (1 + 0 * 0) is exactly g.
   const auto noisy_read = [&] {
     const double nu = bank.drift_nu[cell];
     const double g0 = bank.g_us[cell];
     const double g = (nu <= 0.0 || t_seconds <= 1.0)
                          ? g0
                          : g0 * std::pow(t_seconds, -nu);
-    // Mirrors MemoryCell::read: sigma = 0 contributes an exact 0.0, so
-    // noiseless configs skip the draw instead of burning Box-Muller per
-    // site (only the RNG stream position differs, and nothing else reads
-    // the stream mid-MVM).
-    if (config_.device.read_noise_rel <= 0.0) return g;
-    return g * (1.0 + rng_.normal(0.0, config_.device.read_noise_rel));
+    return g * (1.0 + config_.device.read_noise_rel * z);
   };
   switch (bank.fault[cell]) {
     case core::FaultKind::kStuckAtLow:
@@ -326,10 +346,19 @@ void Crossbar::mvm_finish(std::span<double> currents) {
 
 std::vector<double> Crossbar::matvec_raw(std::span<const float> x,
                                          double t_seconds) {
+  core::require_at_least("imc::Crossbar::matvec", "t_seconds", t_seconds, 0.0);
   mvm_periphery(x);
   std::vector<double> out(out_dim_);
-  // Bitline by bitline, rows ascending, G+ before G-: the read order fixes
-  // the RNG stream, which is part of the contract.
+  const double sigma = config_.device.read_noise_rel;
+  const bool differential = config_.differential;
+  const auto sum_clean =
+      differential ? sum_clean_rows<true> : sum_clean_rows<false>;
+  const std::uint64_t mvm_key = core::fault_hash(read_key_, mvm_count_);
+  // One bitline at a time, its rows in stack blocks whose normals come
+  // from the counter-based stream; every bitline keeps the ascending row
+  // sum. A noiseless device draws nothing and reads with z = 0.
+  double z_plus[kReadBlock] = {};
+  double z_minus[kReadBlock] = {};
   for (std::size_t o = 0; o < out_dim_; ++o) {
     const std::int32_t slot = remap_[o];
     const bool spare = slot >= 0;
@@ -339,16 +368,31 @@ std::vector<double> Crossbar::matvec_raw(std::span<const float> x,
         spare ? spare_physical_col_[static_cast<std::size_t>(slot)] : o;
     const CellBank& plus = spare ? spare_plus_ : plus_;
     const CellBank& minus = spare ? spare_minus_ : minus_;
+    const bool clean = !plus.any_fault && !minus.any_fault && t_seconds <= 1.0;
     double acc = 0.0;
-    for (std::size_t i = 0; i < in_dim_; ++i) {
-      const std::size_t cell = base + i;
-      const std::uint64_t site = 2 * (physical * in_dim_ + i);
-      double g = read_site(plus, cell, site, t_seconds);
-      if (config_.differential) {
-        g -= read_site(minus, cell, site + 1, t_seconds);
+    for (std::size_t i0 = 0; i0 < in_dim_; i0 += kReadBlock) {
+      const std::size_t rows = std::min(kReadBlock, in_dim_ - i0);
+      if (sigma > 0.0) {
+        core::simd::normal_pairs(mvm_key, physical * in_dim_ + i0, rows,
+                                 z_plus, z_minus);
       }
-      // Ohm's law; KCL sums onto the bitline.
-      acc += dac_[i] * g * row_attenuation_[i];
+      if (clean) {
+        acc = sum_clean(plus.g_us.data() + base + i0,
+                        minus.g_us.data() + base + i0, z_plus, z_minus,
+                        dac_.data() + i0, row_attenuation_.data() + i0, sigma,
+                        rows, acc);
+        continue;
+      }
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t i = i0 + r;
+        const std::uint64_t site = 2 * (physical * in_dim_ + i);
+        double g = read_site(plus, base + i, site, t_seconds, z_plus[r]);
+        if (differential) {
+          g -= read_site(minus, base + i, site + 1, t_seconds, z_minus[r]);
+        }
+        // Ohm's law; KCL sums onto the bitline.
+        acc += dac_[i] * g * row_attenuation_[i];
+      }
     }
     out[o] = acc;
   }

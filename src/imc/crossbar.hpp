@@ -11,6 +11,23 @@
 // bitline currents (with optional wire-resistance attenuation), and
 // digitises the result with ADCs. Every analog non-ideality of the device
 // model flows through: programming error, drift at read time, read noise.
+//
+// Read-noise contract. Programming draws from the sequential device stream
+// (core::Rng seeded by CrossbarConfig::seed); reads never touch it. The
+// read noise of MVM m of a crossbar (m counts its matvec/matvec_raw calls
+// from 0) is counter-based:
+//   - read key   = core::fault_hash(seed, kReadNoiseDomain),
+//   - k_m        = core::fault_hash(read key, m),
+//   - the cell in row i of physical column p (a spare column's p counts on
+//     from cols()) is counter c = p * rows() + i, and its Box-Muller pair
+//     is core::simd::normal_pairs(k_m, c, 1, ...): G+ reads
+//     g * (1 + read_noise_rel * z0), G- reads g * (1 + read_noise_rel * z1).
+// No read depends on another, so any order, lane or thread returns the
+// same bits, on every SIMD ISA. |z| <= sqrt(64 ln 2) ~= 6.66 (a 32-bit
+// uniform feeds the radius). Stuck and dropout cells take no noise, and a
+// noiseless device (read_noise_rel = 0) draws nothing. Each bitline sums
+// its rows in ascending order, acc += dac[i] * (G+ - G-) * attenuation[i]
+// evaluated left to right, so only the noise values depend on the stream.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +75,14 @@ struct CrossbarConfig {
 
   /// Throws core::Error unless dac_bits and adc_bits are each <= 0 (ideal)
   /// or in [2, 31] (1 bit leaves the signed quantiser no level, 32 overflows
-  /// its level count), and ir_drop_per_row and adc_energy_pj are finite and
-  /// >= 0.
+  /// its level count), ir_drop_per_row and adc_energy_pj are finite and
+  /// >= 0, device.validate() and programming.validate() pass, and
+  /// validate_repair(programming, repair) does.
   void validate() const;
 };
+
+/// Domain constant of the read-noise key (see the contract above).
+inline constexpr std::uint64_t kReadNoiseDomain = 0x2EAD'0015'E000'0001ULL;
 
 /// Reliability census of one programmed crossbar (and, via TiledMatvec,
 /// aggregated across tiles).
@@ -85,7 +106,8 @@ struct CrossbarHealth {
 ///
 /// Error contract: the constructor throws icsc::core::Error when `weights`
 /// is not rank-2 or is empty, or config.validate() does; matvec/matvec_raw
-/// throw when the input length does not match the programmed row count.
+/// throw when the input length does not match the programmed row count or
+/// the read time is not finite and >= 0.
 class Crossbar {
 public:
   /// Programs `weights` (arbitrary scale) into conductances. The weight
@@ -102,9 +124,8 @@ public:
   /// Analog MVM *without* the ADC stage: returns the raw bitline sums in
   /// weight units. Used by analog-accumulation architectures ([11]) that
   /// sum partial results in the analog domain across arrays and convert
-  /// once. No ADC energy is charged; read energy is. Each bitline reads
-  /// its cells in (row, +/-) order and sums them as it goes, so the RNG
-  /// stream and the per-bitline FP sequence are fixed by the column order.
+  /// once. No ADC energy is charged; read energy is. The read-noise
+  /// contract at the top of this header fixes every output bit.
   std::vector<double> matvec_raw(std::span<const float> x,
                                  double t_seconds = 1.0);
 
@@ -143,6 +164,9 @@ private:
     core::aligned_vector<double> g_us;
     core::aligned_vector<double> drift_nu;
     std::vector<core::FaultKind> fault;
+    /// Any cell with a fault kind: a fault-free bank read at t <= 1 s
+    /// needs neither the per-cell fault switch nor the drift test.
+    bool any_fault = false;
 
     void reserve(std::size_t n) {
       g_us.reserve(n);
@@ -156,8 +180,10 @@ private:
   std::size_t program_pair(const core::TensorF& weights, std::size_t weight_row,
                            std::size_t i, std::size_t physical_col,
                            CellBank& plus, CellBank& minus);
+  /// One cell read of any bank at any time: fault switch, drift and the
+  /// noise factor 1 + read_noise_rel * z.
   double read_site(const CellBank& bank, std::size_t cell, std::uint64_t site,
-                   double t_seconds);
+                   double t_seconds, double z) const;
   /// Front-end of the raw MVM: validates the input, sets the per-vector
   /// DAC range, and fills the dac / attenuation tables.
   void mvm_periphery(std::span<const float> x);
@@ -168,7 +194,8 @@ private:
   std::size_t in_dim_ = 0;
   std::size_t out_dim_ = 0;
   CrossbarConfig config_;
-  core::Rng rng_;
+  core::Rng rng_;                // programming only
+  std::uint64_t read_key_ = 0;   // read-noise stream (see the contract)
   core::FaultInjector injector_;
   // Differential planes, row-major [out][in].
   CellBank plus_;
@@ -186,7 +213,7 @@ private:
   double weight_scale_ = 1.0;  // conductance-units per weight-unit
   double input_scale_ = 1.0;   // max|x| assumed by the DAC
   std::uint64_t programming_pulses_ = 0;
-  std::uint64_t mvm_count_ = 0;  // operation index for transient faults
+  std::uint64_t mvm_count_ = 0;  // MVM index: read noise, transient faults
   CrossbarHealth health_;
   core::EnergyLedger energy_;
   /// Pre-resolved "analog_mvm" ledger slot: the per-pass charge in

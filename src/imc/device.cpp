@@ -3,7 +3,29 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/error.hpp"
+
 namespace icsc::imc {
+
+void DeviceSpec::validate() const {
+  const std::string where = "imc::DeviceSpec";
+  core::require_at_least(where, "g_min_us", g_min_us, 0.0);
+  if (!std::isfinite(g_max_us) || !(g_max_us > g_min_us)) {
+    throw core::Error(where, "g_max_us must be finite and > g_min_us",
+                      "got " + std::to_string(g_max_us) + " <= " +
+                          std::to_string(g_min_us));
+  }
+  core::require_at_least(where, "program_sigma_rel", program_sigma_rel, 0.0);
+  core::require_at_least(where, "program_gain", program_gain, 0.0);
+  core::require_at_least(where, "read_noise_rel", read_noise_rel, 0.0);
+  if (!std::isfinite(drift_nu)) {
+    throw core::Error(where, "drift_nu must be finite",
+                      "got " + std::to_string(drift_nu));
+  }
+  core::require_at_least(where, "drift_nu_sigma", drift_nu_sigma, 0.0);
+  core::require_at_least(where, "program_energy_pj", program_energy_pj, 0.0);
+  core::require_at_least(where, "read_energy_pj", read_energy_pj, 0.0);
+}
 
 DeviceSpec rram_spec() {
   DeviceSpec spec;

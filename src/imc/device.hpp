@@ -37,6 +37,11 @@ struct DeviceSpec {
   double read_energy_pj = 0.001;
 
   double g_range() const { return g_max_us - g_min_us; }
+
+  /// Throws core::Error unless every numeric field is finite, g_min_us >=
+  /// 0, g_max_us > g_min_us, and the sigmas, the gain and the energies are
+  /// >= 0 (drift_nu may take either sign).
+  void validate() const;
 };
 
 /// RRAM: moderate programming noise, negligible drift ([10]).

@@ -1,15 +1,24 @@
 #include "imc/pipeline.hpp"
 
+#include "core/error.hpp"
+
 namespace icsc::imc {
 
 AnalogMlpBackend::AnalogMlpBackend(const core::Mlp& mlp,
                                    const TileConfig& config) {
+  config.validate();
   TileConfig layer_config = config;
   for (const auto& layer : mlp.layers()) {
     layer_config.crossbar.seed += 1000;  // fresh devices per layer
     layers_.push_back(
         std::make_unique<TiledMatvec>(layer.weights, layer_config));
   }
+}
+
+void AnalogMlpBackend::set_read_time(double t_seconds) {
+  core::require_at_least("imc::AnalogMlpBackend", "t_seconds", t_seconds,
+                         0.0);
+  t_seconds_ = t_seconds;
 }
 
 std::vector<float> AnalogMlpBackend::matvec(std::size_t layer_index,

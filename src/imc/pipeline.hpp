@@ -22,10 +22,12 @@ namespace icsc::imc {
 /// Runs every dense layer of an MLP through tiled analog crossbars.
 class AnalogMlpBackend : public core::MatvecOverride {
 public:
+  /// Throws core::Error when config.validate() does.
   AnalogMlpBackend(const core::Mlp& mlp, const TileConfig& config);
 
-  /// Evaluation time (seconds after programming) used for drift.
-  void set_read_time(double t_seconds) { t_seconds_ = t_seconds; }
+  /// Evaluation time (seconds after programming) used for drift; throws
+  /// core::Error unless it is finite and >= 0.
+  void set_read_time(double t_seconds);
 
   std::vector<float> matvec(std::size_t layer_index,
                             const core::TensorF& weights,

@@ -1,11 +1,45 @@
 #include "imc/program_verify.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 
+#include "core/error.hpp"
 #include "core/trace.hpp"
 
 namespace icsc::imc {
+
+void ProgramVerifyConfig::validate() const {
+  const std::string where = "imc::ProgramVerifyConfig";
+  core::require_at_least(where, "max_pulses", max_pulses, 1);
+  core::require_at_least(where, "fixed_pulses", fixed_pulses, 1);
+  core::require_at_least(where, "tolerance_rel", tolerance_rel, 0.0);
+}
+
+void validate_repair(const ProgramVerifyConfig& config,
+                     const RetryPolicy& policy) {
+  const std::string where = "imc::RetryPolicy (repair)";
+  if (policy.max_retries < 0 || policy.max_retries > kMaxRepairRetries) {
+    throw core::Error(where,
+                      "max_retries must be in [0, " +
+                          std::to_string(kMaxRepairRetries) + "]",
+                      "got " + std::to_string(policy.max_retries));
+  }
+  core::require_positive(where, "backoff", policy.backoff);
+  // program_cell_retry escalates both budgets every retry round, whatever
+  // the scheme; RetryPolicy::escalate casts each to int.
+  for (double budget : {static_cast<double>(config.max_pulses),
+                        static_cast<double>(config.fixed_pulses)}) {
+    for (int r = 0; r < policy.max_retries; ++r) {
+      budget = std::ceil(budget * policy.backoff);
+      if (budget > INT_MAX) {
+        throw core::Error(where, "escalated pulse budget overflows int",
+                          "round " + std::to_string(r + 1) + " of " +
+                              std::to_string(policy.max_retries));
+      }
+    }
+  }
+}
 
 int program_cell(MemoryCell& cell, const DeviceSpec& spec, core::Rng& rng,
                  double target_us, const ProgramVerifyConfig& config) {
@@ -72,6 +106,8 @@ RepairOutcome program_cell_retry(MemoryCell& cell, const DeviceSpec& spec,
 ProgramStats measure_programming(const DeviceSpec& spec,
                                  const ProgramVerifyConfig& config,
                                  int cells, std::uint64_t seed) {
+  spec.validate();
+  config.validate();
   core::Rng rng(seed);
   ProgramStats stats;
   for (int i = 0; i < cells; ++i) {

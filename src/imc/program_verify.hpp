@@ -24,6 +24,10 @@ struct ProgramVerifyConfig {
   int max_pulses = 20;
   int fixed_pulses = 4;           // for kFixedPulses
   double tolerance_rel = 0.01;    // |G - target| <= tolerance_rel * range
+
+  /// Throws core::Error unless max_pulses and fixed_pulses are >= 1 and
+  /// tolerance_rel is finite and >= 0.
+  void validate() const;
 };
 
 /// Programs one cell to `target_us`; returns pulses spent.
@@ -40,6 +44,15 @@ int program_cell(MemoryCell& cell, const DeviceSpec& spec, core::Rng& rng,
 /// budgets follow RetryPolicy::escalate (cumulative ceil), bit-identical
 /// to the original hand-rolled controller.
 using RetryPolicy = core::RetryPolicy;
+
+/// Most retry rounds a crossbar's repair policy may ask for.
+inline constexpr int kMaxRepairRetries = 16;
+
+/// Throws core::Error unless policy.max_retries is in [0,
+/// kMaxRepairRetries], policy.backoff is finite and > 0, and every pulse
+/// budget program_cell_retry escalates from `config` fits an int.
+void validate_repair(const ProgramVerifyConfig& config,
+                     const RetryPolicy& policy);
 
 struct RepairOutcome {
   int pulses = 0;    // total pulses spent across all rounds
@@ -62,7 +75,8 @@ struct ProgramStats {
 
 /// Programs `cells` fresh cells to uniformly random targets in the device
 /// range and reports achieved accuracy (the Fig.-style P&V convergence
-/// study of [10]).
+/// study of [10]). Throws core::Error when spec.validate() or
+/// config.validate() does.
 ProgramStats measure_programming(const DeviceSpec& spec,
                                  const ProgramVerifyConfig& config,
                                  int cells, std::uint64_t seed);

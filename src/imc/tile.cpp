@@ -8,6 +8,15 @@
 
 namespace icsc::imc {
 
+namespace {
+
+/// Cell reads below which one MVM reads its tiles inline: a pool dispatch
+/// costs more than it spreads under about one 64 x 64 differential tile
+/// (E27).
+constexpr std::size_t kMinPooledReads = 2 * 64 * 64;
+
+}  // namespace
+
 void TileConfig::validate() const {
   const std::string where = "imc::TileConfig";
   core::require_at_least(where, "tile_rows", static_cast<double>(tile_rows), 1);
@@ -73,17 +82,23 @@ std::vector<float> TiledMatvec::matvec(std::span<const float> x,
                       "got " + std::to_string(x.size()) + ", expected " +
                           std::to_string(in_dim_));
   }
+  core::require_at_least("imc::TiledMatvec::matvec", "t_seconds", t_seconds,
+                         0.0);
   std::vector<float> y(out_dim_, 0.0F);
   double energy_before = total_energy_pj();
 
-  // Every tile reads on the pool: ADC'd on the digital path, raw bitline
-  // sums under analog accumulation. A read touches only its own tile's
-  // device stream, scratch, energy ledger and census.
+  // Every tile reads on the pool, unless the whole MVM is too small to
+  // pay for the dispatch: ADC'd on the digital path, raw bitline sums
+  // under analog accumulation. A read touches only its own tile's
+  // read-noise key, scratch, energy ledger and census.
   const bool analog = config_.analog_accumulation;
   std::vector<std::vector<float>> digitised(analog ? 0 : tiles_.size());
   std::vector<std::vector<double>> raw(analog ? tiles_.size() : 0);
-  core::parallel_for(0, tiles_.size(), 1, [&](std::size_t begin,
-                                              std::size_t end) {
+  const std::size_t reads =
+      in_dim_ * out_dim_ * (config_.crossbar.differential ? 2 : 1);
+  const std::size_t grain = reads >= kMinPooledReads ? 1 : tiles_.size();
+  core::parallel_for(0, tiles_.size(), grain, [&](std::size_t begin,
+                                                  std::size_t end) {
     for (std::size_t t = begin; t < end; ++t) {
       auto& slot = tiles_[t];
       const auto slice =

@@ -51,16 +51,17 @@ struct TileConfig {
 ///
 /// Error contract: the constructor throws icsc::core::Error when `weights`
 /// is not a non-empty rank-2 tensor or config.validate() does; matvec
-/// throws on an input-length mismatch. Fault injection configured in
+/// throws on an input-length mismatch or a read time that is not finite
+/// and >= 0. Fault injection configured in
 /// `config.crossbar.faults` flows through to every tile (each tile gets an
 /// independent fault stream keyed by its seed); `health()` aggregates the
 /// per-tile reliability census.
 ///
 /// The tile is the unit of pool work: the constructor programs every tile
 /// concurrently and matvec reads every tile concurrently. Each tile owns
-/// its device stream, energy ledger and census, and the partial sums fold
-/// serially in strip and row-tile order, so results do not depend on the
-/// thread count.
+/// its device stream, read-noise key, energy ledger and census, and the
+/// partial sums fold serially in strip and row-tile order, so results do
+/// not depend on the thread count.
 class TiledMatvec {
 public:
   TiledMatvec(const core::TensorF& weights, const TileConfig& config);

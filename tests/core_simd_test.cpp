@@ -18,6 +18,7 @@
 #include "approx/approx_arith.hpp"
 #include "core/aligned.hpp"
 #include "core/rng.hpp"
+#include "core/simd_scalar.hpp"
 #include "core/tensor.hpp"
 #include "hetero/dna/edit_distance.hpp"
 
@@ -620,6 +621,272 @@ TEST(SimdEquivalence, MyersBatchEmptyPatternAndEmptyBatch) {
     dna::levenshtein_myers_banded_batch(empty, ptrs.data(), 0, 3, got.data());
     EXPECT_EQ(got[0], 2);  // untouched by an empty batch
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// normal_pairs: the counter-based Box-Muller stream of the crossbar reads.
+
+/// Distance in ulps between two doubles of the same sign.
+double ulps(double got, double want) {
+  if (got == want) return 0.0;
+  return std::abs(got - want) /
+         (std::nextafter(std::abs(want), INFINITY) - std::abs(want));
+}
+
+TEST(SimdEquivalence, NormalPairsMatchScalarBitwise) {
+  // Tails of 0-7 pairs after 0, 1 and 16 full vectors, counters that wrap
+  // at 2^64 - 1, and the keys 0 and ~0.
+  IsaGuard guard;
+  const std::uint64_t keys[] = {0, ~std::uint64_t{0}, 0x5EEDULL,
+                                0x9E3779B97F4A7C15ULL};
+  const std::uint64_t firsts[] = {0, 1, 12345, ~std::uint64_t{0} - 5,
+                                  ~std::uint64_t{0}};
+  for (const std::uint64_t key : keys) {
+    for (const std::uint64_t first : firsts) {
+      for (const std::size_t base : {std::size_t{0}, std::size_t{4},
+                                     std::size_t{64}}) {
+        for (std::size_t tail = 0; tail <= 7; ++tail) {
+          const std::size_t n = base + tail;
+          std::vector<double> w0(n + 1, -7.0), w1(n + 1, -7.0);
+          scalar_impl::normal_pairs(key, first, n, w0.data(), w1.data());
+          for (const Isa isa : supported_isas()) {
+            set_active_isa(isa);
+            std::vector<double> z0(n + 1, -7.0), z1(n + 1, -7.0);
+            normal_pairs(key, first, n, z0.data(), z1.data());
+            for (std::size_t j = 0; j <= n; ++j) {
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(z0[j]),
+                        std::bit_cast<std::uint64_t>(w0[j]))
+                  << isa_name(isa) << " key=" << key << " first=" << first
+                  << " n=" << n << " j=" << j;
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(z1[j]),
+                        std::bit_cast<std::uint64_t>(w1[j]))
+                  << isa_name(isa) << " key=" << key << " first=" << first
+                  << " n=" << n << " j=" << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(NormalPairs, GoldenFirstPairs) {
+  // The first 8 pairs of two keys, from the scalar oracle; every ISA must
+  // return them, and a pair depends on its counter alone.
+  IsaGuard guard;
+  struct Golden {
+    std::uint64_t key;
+    double z0[8];
+    double z1[8];
+  };
+  const Golden goldens[] = {
+      {0x1C5CF2ULL,
+       {-1.9167638735993195, -0.21661842381109486, 1.29342109242665,
+        0.92425992592758299, -2.3709933920208388, -0.32420456062168573,
+        0.41253306763106762, 1.2499259563753107},
+       {2.4178744020477079, -0.72917662733414657, 1.3559777507719937,
+        0.56713449154876083, -0.26488584929567532, 2.6663907588408908,
+        -0.45596139399639618, -0.82098904336546752}},
+      {0xFFFFFFFFFFFFFFFFULL,
+       {0.47050481666081156, -0.042308456066235033, -1.5660666346055003,
+        -0.62515437250415806, 0.17293935932079449, -0.6175886501445732,
+        0.2549189044708724, -1.6551317486754318},
+       {-0.053403406667185863, -0.42559528180768147, -0.76184364682991568,
+        -1.1466095573016741, 0.81706102734343133, -0.064220699198762679,
+        -0.23067808911638091, -0.14740865770517506}},
+  };
+  for (const Golden& g : goldens) {
+    for (const Isa isa : supported_isas()) {
+      set_active_isa(isa);
+      double z0[8];
+      double z1[8];
+      normal_pairs(g.key, 0, 8, z0, z1);
+      for (int j = 0; j < 8; ++j) {
+        EXPECT_EQ(z0[j], g.z0[j]) << isa_name(isa) << " key " << g.key
+                                  << " pair " << j;
+        EXPECT_EQ(z1[j], g.z1[j]) << isa_name(isa) << " key " << g.key
+                                  << " pair " << j;
+        double a = 0.0;
+        double b = 0.0;
+        normal_pairs(g.key, static_cast<std::uint64_t>(j), 1, &a, &b);
+        EXPECT_EQ(a, g.z0[j]);
+        EXPECT_EQ(b, g.z1[j]);
+      }
+    }
+  }
+}
+
+TEST(NormalPairs, PolynomialsWithinUlpsOfLibm) {
+  // The log and sin/cos polynomials against glibc: ln(k 2^-32) over every
+  // k < 2^16, both sides of every power of two and of each sqrt(2)
+  // split, and 2^20 random k; sin and cos of 2^20 random angles of the
+  // first quadrant plus its two ends (the other quadrants swap and negate
+  // these exactly).
+  namespace nc = scalar_impl::normal;
+  Rng rng(0xB0C5);
+  double log_err = 0.0;
+  const auto check_log = [&](std::uint64_t k) {
+    const double want = std::log(static_cast<double>(k) * 0x1p-32);
+    const double got = nc::log_u32_unit(k);
+    if (want == 0.0) {
+      EXPECT_EQ(got, 0.0);
+      return;
+    }
+    log_err = std::max(log_err, ulps(got, want));
+  };
+  for (std::uint64_t k = 1; k < (1U << 16); ++k) check_log(k);
+  for (int b = 0; b <= 32; ++b) {
+    const auto p = std::uint64_t{1} << b;
+    const auto r = static_cast<std::uint64_t>(std::ldexp(nc::kSqrt2, b));
+    for (const std::uint64_t k : {p - 1, p, p + 1, r - 1, r, r + 1}) {
+      if (k >= 1 && k <= (std::uint64_t{1} << 32)) check_log(k);
+    }
+  }
+  for (int i = 0; i < (1 << 20); ++i) check_log(1 + rng.below(1ULL << 32));
+
+  double sin_err = 0.0;
+  double cos_err = 0.0;
+  const auto check_angle = [&](std::uint32_t f) {
+    const double phi =
+        (static_cast<double>(f) - 0x1p29 + 0.5) * nc::kAngleStep;
+    double c;
+    double s;
+    nc::sincos_u32(f, c, s);  // quadrant 0: no swap, no sign flip
+    cos_err = std::max(cos_err, ulps(c, std::cos(phi)));
+    sin_err = std::max(sin_err, ulps(s, std::sin(phi)));
+  };
+  for (const std::uint32_t f : {0U, 1U, (1U << 29) - 1, 1U << 29,
+                                (1U << 30) - 2, (1U << 30) - 1}) {
+    check_angle(f);
+  }
+  for (int i = 0; i < (1 << 20); ++i) {
+    check_angle(static_cast<std::uint32_t>(rng.below(1U << 30)));
+  }
+  // Measured against x86-64 glibc: log 2, sin 1, cos 1 ulp. The bounds
+  // leave one ulp for a libm that is itself off by one.
+  EXPECT_LE(log_err, 3.0);
+  EXPECT_LE(sin_err, 2.0);
+  EXPECT_LE(cos_err, 2.0);
+}
+
+/// 2^20 normals (2^19 pairs) of one fixed key, as z0 and z1 halves.
+struct NormalSample {
+  std::vector<double> z0, z1;
+  explicit NormalSample(std::uint64_t key)
+      : z0(std::size_t{1} << 19), z1(std::size_t{1} << 19) {
+    normal_pairs(key, 0, z0.size(), z0.data(), z1.data());
+  }
+  std::vector<double> all() const {
+    std::vector<double> z = z0;
+    z.insert(z.end(), z1.begin(), z1.end());
+    return z;
+  }
+};
+
+double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+double correlation(const double* a, const double* b, std::size_t n) {
+  double sa = 0, sb = 0, saa = 0, sbb = 0, sab = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    sa += a[i];
+    sb += b[i];
+    saa += a[i] * a[i];
+    sbb += b[i] * b[i];
+    sab += a[i] * b[i];
+  }
+  const double dn = static_cast<double>(n);
+  const double cov = sab / dn - (sa / dn) * (sb / dn);
+  return cov / std::sqrt((saa / dn - (sa / dn) * (sa / dn)) *
+                         (sbb / dn - (sb / dn) * (sb / dn)));
+}
+
+// The statistical contract of the stream, on 2^20 draws of fixed keys.
+// Every bound is fixed in advance: moments within 5 standard errors, KS
+// below its alpha = 0.001 critical value, correlations within 5/sqrt(n).
+TEST(NormalPairsStats, MomentsWithinFiveStandardErrors) {
+  const auto z = NormalSample(0xC0FFEE).all();
+  const double n = static_cast<double>(z.size());
+  double m1 = 0, m2 = 0, m3 = 0, m4 = 0;
+  for (const double v : z) {
+    m1 += v;
+    m2 += v * v;
+    m3 += v * v * v;
+    m4 += v * v * v * v;
+  }
+  m1 /= n;
+  m2 /= n;
+  m3 /= n;
+  m4 /= n;
+  const double var = m2 - m1 * m1;
+  EXPECT_NEAR(m1, 0.0, 5.0 / std::sqrt(n));
+  EXPECT_NEAR(var, 1.0, 5.0 * std::sqrt(2.0 / n));
+  // Raw third and fourth moments: Var(z^3) = 15, Var(z^4) = 105 - 9.
+  EXPECT_NEAR(m3, 0.0, 5.0 * std::sqrt(15.0 / n));
+  EXPECT_NEAR(m4, 3.0, 5.0 * std::sqrt(96.0 / n));
+  // |z| <= sqrt(-2 ln 2^-32) = sqrt(64 ln 2).
+  for (const double v : z) ASSERT_LE(std::abs(v), std::sqrt(64.0 * M_LN2));
+}
+
+TEST(NormalPairsStats, KolmogorovSmirnovAgainstStandardNormal) {
+  auto z = NormalSample(0xA11CE).all();
+  std::sort(z.begin(), z.end());
+  const double n = static_cast<double>(z.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    const double f = normal_cdf(z[i]);
+    d = std::max({d, f - static_cast<double>(i) / n,
+                  static_cast<double>(i + 1) / n - f});
+  }
+  EXPECT_LT(d, 1.949 / std::sqrt(n));  // alpha = 0.001
+}
+
+TEST(NormalPairsStats, TwoSampleKsAgainstSequentialRng) {
+  auto z = NormalSample(0xB0B).all();
+  std::vector<double> r(z.size());
+  Rng rng(0xB0B);
+  for (auto& v : r) v = rng.normal();
+  std::sort(z.begin(), z.end());
+  std::sort(r.begin(), r.end());
+  const double n = static_cast<double>(z.size());
+  double d = 0.0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < z.size() && j < r.size()) {
+    const double x = std::min(z[i], r[j]);
+    while (i < z.size() && z[i] <= x) ++i;
+    while (j < r.size() && r[j] <= x) ++j;
+    d = std::max(d, std::abs(static_cast<double>(i) - static_cast<double>(j)) /
+                        n);
+  }
+  EXPECT_LT(d, 1.949 * std::sqrt(2.0 / n));  // alpha = 0.001, m = n
+}
+
+TEST(NormalPairsStats, NoLagOneOrPairCorrelation) {
+  const NormalSample s(0xD1CE);
+  const std::size_t n = s.z0.size();
+  const double bound = 5.0 / std::sqrt(static_cast<double>(n));
+  // Neighbouring counters, in each half and across the pair.
+  EXPECT_NEAR(correlation(s.z0.data(), s.z0.data() + 1, n - 1), 0.0, bound);
+  EXPECT_NEAR(correlation(s.z1.data(), s.z1.data() + 1, n - 1), 0.0, bound);
+  EXPECT_NEAR(correlation(s.z0.data(), s.z1.data(), n), 0.0, bound);
+  // The squares too: Box-Muller pairs share a radius.
+  std::vector<double> q0(n), q1(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    q0[i] = s.z0[i] * s.z0[i];
+    q1[i] = s.z1[i] * s.z1[i];
+  }
+  EXPECT_NEAR(correlation(q0.data(), q0.data() + 1, n - 1), 0.0, bound);
+  EXPECT_NEAR(correlation(q0.data(), q1.data(), n), 0.0, bound);
+}
+
+TEST(NormalPairsStats, ThreeSigmaTailInsideBinomialInterval) {
+  const auto z = NormalSample(0x7A11).all();
+  const double n = static_cast<double>(z.size());
+  const double p = std::erfc(3.0 / std::sqrt(2.0));  // P(|z| > 3)
+  double tail = 0.0;
+  for (const double v : z) tail += std::abs(v) > 3.0 ? 1.0 : 0.0;
+  EXPECT_NEAR(tail, n * p, 5.0 * std::sqrt(n * p * (1.0 - p)));
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <span>
 #include <vector>
 
+#include "core/fault.hpp"
+#include "core/simd.hpp"
 #include "imc/dimc.hpp"
 
 namespace icsc::imc {
@@ -125,7 +127,8 @@ TEST(Crossbar, OpsPerMvm) {
 }
 
 /// Noisy, drifting, glitching config: every stochastic read path is live,
-/// so any divergence in RNG draw order shows up immediately.
+/// so any divergence in the noise keying or the fault overlay shows up
+/// immediately.
 CrossbarConfig noisy_pcm_config() {
   CrossbarConfig config;
   config.device = pcm_spec();
@@ -138,14 +141,16 @@ CrossbarConfig noisy_pcm_config() {
   return config;
 }
 
-/// Five successive matvec_raw calls at t = 10 s: the outputs in call order.
-std::vector<double> raw_mvm_trace(Crossbar& xbar, std::uint64_t input_seed) {
+/// Five successive matvec_raw calls at t_seconds: the outputs in call
+/// order.
+std::vector<double> raw_mvm_trace(Crossbar& xbar, std::uint64_t input_seed,
+                                  double t_seconds = 10.0) {
   core::Rng in_rng(input_seed);
   std::vector<double> trace;
   std::vector<float> x(xbar.rows());
   for (int m = 0; m < 5; ++m) {
     for (auto& v : x) v = static_cast<float>(in_rng.uniform(-1.0, 1.0));
-    const auto y = xbar.matvec_raw(x, 10.0);
+    const auto y = xbar.matvec_raw(x, t_seconds);
     trace.insert(trace.end(), y.begin(), y.end());
   }
   return trace;
@@ -159,27 +164,67 @@ void expect_trace(const std::vector<double>& got,
   }
 }
 
-// Golden raw-MVM outputs, exact to the bit: they pin the RNG draw order,
-// the per-bitline FP sequence, the fault overlay and the spare remap of
-// the read loop, independently of how that loop is written.
+// Golden raw-MVM outputs, exact to the bit: they pin the counter-based
+// read-noise stream, the per-bitline FP sequence, the fault overlay and
+// the spare remap of the read loop, independently of how that loop is
+// written.
 TEST(Crossbar, RawMvmGoldenNoisyPcmWithSpares) {
   auto config = noisy_pcm_config();
   config.spare_columns = 2;
   Crossbar xbar(random_weights(6, 10, 7), config);
   ASSERT_EQ(xbar.health().remapped_columns, 1u);  // a spare column is read
   expect_trace(raw_mvm_trace(xbar, 29), {
-      -0.96518324896415153, -0.0079743442999245587, -0.35050936237032626,
-      -0.3584514991005921, -2.6137315790278759, 0.50455360543493599,
-      -0.10656348711380696, -0.99413586025285128, -0.53779444446869484,
-      0.54905955620660074, 0.43179952420610368, 0.13210386284364573,
-      1.0156838418166623, 0.45634040533403725, -0.30539816075183829,
-      0.044635350554590648, -1.1594662755475722, -0.79795536240977605,
-      0.30787760622700094, 1.1287838519560625, 0.84281327974007991,
-      0.110407271634523, 0.40530118229086692, 0.86963100480974009,
-      0.35015757199075065, 0.68972206047793017, 0.47398157705275951,
-      -0.47651908209359539, 2.4350319370813485, 0.47363215753286503});
+      -0.95500507091905751, -0.014676319507613068, -0.34104104175880978,
+      -0.35930128250098725, -2.6254807251787446, 0.49207322435768347,
+      -0.11956872804834602, -0.98884715255454159, -0.4988810368340359,
+      0.57143097592368197, 0.41244131303986947, 0.12873448990081315,
+      1.0282039227630819, 0.47398805561761542, -0.31966089885839899,
+      0.032383564636931227, -1.1412541454746363, -0.81091019833345523,
+      0.30807820450325407, 1.1239137243373725, 0.80827785509788475,
+      0.12533211094020588, 0.39453481927766215, 0.867390182305802,
+      0.36760816810547603, 0.70962275189669222, 0.49018214410736749,
+      -0.473252093812285, 2.4540881937996533, 0.45845795162080366});
   EXPECT_EQ(xbar.energy().total_pj(), 12800.719999999999);
   EXPECT_EQ(xbar.health().transient_hits, 3u);
+}
+
+// The same noisy PCM array with read noise off: the outputs pin the
+// programmed state, drift, the fault overlay, the spare remap, the
+// transient glitches and the per-bitline FP sequence, independently of
+// the read-noise stream.
+TEST(Crossbar, RawMvmGoldenNoiselessReads) {
+  auto config = noisy_pcm_config();
+  config.spare_columns = 2;
+  config.device.read_noise_rel = 0.0;
+  Crossbar xbar(random_weights(6, 10, 7), config);
+  ASSERT_EQ(xbar.health().remapped_columns, 1u);
+  expect_trace(raw_mvm_trace(xbar, 29), {
+      -0.96178717668901204, -0.007080145918878844, -0.34514074508773757,
+      -0.37178080403979819, -2.6017645161801264, 0.50681667787248874,
+      -0.1036019684905632, -0.9800812756173588, -0.5080131861692142,
+      0.55541319304898495, 0.42537835215304648, 0.10312892063914929,
+      1.0173194059361601, 0.46184095455674529, -0.31565943897058585,
+      0.048880949677857034, -1.1597153631586452, -0.80836644565863081,
+      0.3052707936643318, 1.1203695355539902, 0.85394567686020051,
+      0.1156759366954556, 0.38416535876012681, 0.87766335675650842,
+      0.35269615883403632, 0.70513833458485431, 0.48922102357460318,
+      -0.49192939949404596, 2.4570142616626454, 0.47040147674887139});
+  // At t = 1 s nothing drifts, but stuck cells still read their pinned
+  // conductance and transients still flip a bitline: these banks must not
+  // take the fault-free read loop.
+  expect_trace(raw_mvm_trace(xbar, 31, 1.0), {
+      0.44158231850928675, 0.69206396468486997, 1.3300319818299862,
+      -0.73824679460417031, -0.40150980252815305, 1.8164161877096816,
+      -0.62277520655670726, 0.042324763315877111, 1.7438267625376478,
+      -1.633557777460918, -0.69156731025290352, 1.4263452959058327,
+      0.83047124397216499, 0.055921779655097544, -0.13156085436856441,
+      -0.27346509046276479, 1.5632989958981263, 0.40750466990829143,
+      0.33125126702334212, -1.4843596658396823, 0.017282530905465322,
+      -0.18937454125317402, -0.34801806193983786, 0.84222416012265122,
+      -0.62390536851943112, 0.27883489395777356, 1.6900960360346127,
+      -1.9737459482365141, 0.44839986326697145, -0.091386974101847721});
+  EXPECT_EQ(xbar.energy().total_pj(), 12801.440000000001);
+  EXPECT_EQ(xbar.health().transient_hits, 5u);
 }
 
 TEST(Crossbar, RawMvmGoldenSingleEndedRram) {
@@ -190,13 +235,81 @@ TEST(Crossbar, RawMvmGoldenSingleEndedRram) {
   config.seed = 5;
   Crossbar xbar(random_weights(3, 7, 3), config);
   expect_trace(raw_mvm_trace(xbar, 31), {
-      0.19441853646721963, 0.98702519707508285, 0.075871946905575749,
-      0.32701892150446982, -0.12422129031283631, 0.05392036760927444,
-      0.56280140034294923, 0.44119114415347815, 0.094795275517971081,
-      -0.30347825958551822, -0.41468886334699551, 0.045397286258712144,
-      0.21451414281572437, -0.10277289017078964, 0.016931690120230349});
+      0.20178884861581101, 1.0016294905293497, 0.075618020458348589,
+      0.32314978643485426, -0.12295634007155841, 0.054051020855368823,
+      0.56254701607604163, 0.43842478479071401, 0.095764245204217655,
+      -0.30678528071579841, -0.42257599461824563, 0.045572884654685328,
+      0.2129344042236273, -0.10715357710866161, 0.017321639043232095});
   EXPECT_EQ(xbar.energy().total_pj(), 612.08399999999995);
   EXPECT_EQ(xbar.health().transient_hits, 0u);
+}
+
+/// A single-ended crossbar with an ideal DAC and ideal wires: a one-hot
+/// input reads one cell per bitline, so raw outputs are g (1 + sigma z)
+/// over the weight scale.
+CrossbarConfig single_ended_rram(double read_noise_rel) {
+  CrossbarConfig config;
+  config.differential = false;
+  config.dac_bits = 0;
+  config.adc_bits = 0;
+  config.seed = 9;
+  config.device.read_noise_rel = read_noise_rel;
+  return config;
+}
+
+TEST(Crossbar, ReadNoiseHasCorrectScale) {
+  // The crossbar twin of MemoryCell.ReadNoiseHasCorrectScale: repeated
+  // reads of a 1 x 1 array spread by read_noise_rel around the noiseless
+  // read.
+  for (const double sigma : {rram_spec().read_noise_rel,
+                             pcm_spec().read_noise_rel}) {
+    const core::TensorF w({1, 1}, 1.0F);
+    Crossbar quiet(w, single_ended_rram(0.0));
+    Crossbar noisy(w, single_ended_rram(sigma));
+    const std::vector<float> x{1.0F};
+    const double g = quiet.matvec_raw(x)[0];
+    double sum = 0.0, sum_sq = 0.0;
+    const int n = 20000;
+    for (int i = 0; i < n; ++i) {
+      const double r = noisy.matvec_raw(x)[0];
+      sum += r;
+      sum_sq += r * r;
+    }
+    const double mean = sum / n;
+    const double stddev = std::sqrt(sum_sq / n - mean * mean);
+    EXPECT_NEAR(mean, g, 0.01 * g);
+    EXPECT_NEAR(stddev / g, sigma, 0.002);
+  }
+}
+
+TEST(Crossbar, ReadNoiseFollowsTheCounterContract) {
+  // MVM m of the crossbar scales the cell in row i of column o by
+  // 1 + sigma z0, z0 from the pair of fault_hash(k_m, o * rows + i), with
+  // k_m = fault_hash(fault_hash(seed, kReadNoiseDomain), m). A noiseless
+  // twin (same seed, so the same programmed cells) divides it out.
+  core::TensorF w({2, 3});
+  for (std::size_t k = 0; k < 6; ++k) {
+    w.data()[k] = 0.2F + 0.1F * static_cast<float>(k);
+  }
+  const double sigma = 0.05;
+  Crossbar quiet(w, single_ended_rram(0.0));
+  Crossbar noisy(w, single_ended_rram(sigma));
+  const std::uint64_t read_key = core::fault_hash(9, kReadNoiseDomain);
+  for (std::uint64_t m = 0; m < 6; ++m) {
+    const std::size_t i = m % 3;
+    std::vector<float> x(3, 0.0F);
+    x[i] = 1.0F;
+    const auto want = quiet.matvec_raw(x);
+    const auto got = noisy.matvec_raw(x);
+    for (std::size_t o = 0; o < 2; ++o) {
+      double z0 = 0.0;
+      double z1 = 0.0;
+      core::simd::normal_pairs(core::fault_hash(read_key, m), o * 3 + i, 1,
+                               &z0, &z1);
+      EXPECT_NEAR((got[o] / want[o] - 1.0) / sigma, z0, 1e-9)
+          << "mvm " << m << " column " << o;
+    }
+  }
 }
 
 TEST(Dimc, ExactAtFullPrecisionInputs) {

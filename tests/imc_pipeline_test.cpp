@@ -113,26 +113,26 @@ std::vector<TiledCase> tiled_cases() {
   return {
       {"e2ebench 128x128", 128, 128, TileConfig{}, 1.0,
        {82034,
-        {0xa03ffec01f84572fULL, 0x810229cde5e7e1c3ULL, 0x1a5f1670aab22cd3ULL},
+        {0xe2ee2988986450dbULL, 0xc10d259e48787093ULL, 0xe3625cd6377b183aULL},
         0x412e0f807c84b5dcULL,
         "sites=32768 stuck=0 drift=0 unrepairable=0 repaired=0 unverified=0 "
         "rounds=0 wasted=0 bad_cols=0 remapped=0 transients=0"}},
       {"e2ebench 10x128", 10, 128, TileConfig{}, 1.0,
        {6513,
-        {0xf889f55bd22549d6ULL, 0x4485c7caded417aaULL, 0xa490de50ee134654ULL},
+        {0x5d7f9110d8e88afcULL, 0x71a8f8168997825dULL, 0x214a3d4f6886bdebULL},
         0x40f317c24dd2f1aaULL,
         "sites=2560 stuck=0 drift=0 unrepairable=0 repaired=0 unverified=0 "
         "rounds=0 wasted=0 bad_cols=0 remapped=0 transients=0"}},
       {"ragged faulty PCM", 70, 90, faulty, 1e4,
        {38085,
-        {0x34bf11ac940dca0dULL, 0xd289ce3ac18a1e00ULL, 0x9882f7c1352bdddeULL},
+        {0x167dbcff553f7369ULL, 0x3b6a4df2664efec3ULL, 0x48ed1ae4ddf50f78ULL},
         0x412d1246b851eb86ULL,
         "sites=13628 stuck=32 drift=261 unrepairable=32 repaired=5514 "
         "unverified=618 rounds=6164 wasted=96 bad_cols=31 remapped=17 "
         "transients=7"}},
       {"analog accumulation", 20, 64, chained, 1.0,
        {6705,
-        {0x5d7dde496dfb07c0ULL, 0x81bbb071a1bf5484ULL, 0x1e00c1ea5b926b17ULL},
+        {0x26adbde9156c3020ULL, 0x24544f330a40523cULL, 0x59205fd6a889a02aULL},
         0x40f3a7024dd2f1aaULL,
         "sites=2560 stuck=0 drift=0 unrepairable=0 repaired=0 unverified=0 "
         "rounds=0 wasted=0 bad_cols=0 remapped=0 transients=0"}},
@@ -147,11 +147,32 @@ void expect_golden_runs(const std::string& where) {
 }
 
 TEST(TiledMatvec, ProgramAndReadBitsGolden) {
-  // Programming and reads of four tile grids, pinned: every tile draws
-  // from its own seeded stream in a fixed cell order, and the partial sums
-  // and hop noise fold in strip and row-tile order, so no thread count may
-  // move a bit, a pulse or a census count.
+  // Programming and reads of four tile grids, pinned: every tile programs
+  // from its own seeded stream in a fixed cell order, reads from its own
+  // counter-based noise key, and the partial sums and hop noise fold in
+  // strip and row-tile order, so no thread count may move a bit, a pulse
+  // or a census count.
   expect_golden_runs("default pool");
+}
+
+TEST(TiledMatvec, NoiselessReadBitsGolden) {
+  // The four grids with read noise off: programming is untouched, so
+  // pulses, energy and census equal the noisy goldens, and the reads pin
+  // the programmed conductances and the per-bitline FP sequence alone.
+  const std::array<std::array<std::uint64_t, 3>, 4> reads = {{
+      {0xd9e40d0e4acaf5e2ULL, 0x9bead082dd329438ULL, 0x99341dab337f5d0aULL},
+      {0xc76d99e58b307022ULL, 0xef5108007335aae6ULL, 0x3991a0ffb6c7c0f2ULL},
+      {0xf1a93ae542157f54ULL, 0xfd284c9e68eb0ccbULL, 0xde310228f557ddedULL},
+      {0xc155844d4562bb69ULL, 0x87a9b11e2a55bfd0ULL, 0x443890647f52b3d3ULL},
+  }};
+  const auto cases = tiled_cases();
+  ASSERT_EQ(cases.size(), reads.size());
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    TiledCase c = cases[k];
+    c.config.crossbar.device.read_noise_rel = 0.0;
+    c.golden.reads = reads[k];
+    EXPECT_EQ(run_tiled(c), c.golden) << c.name;
+  }
 }
 
 TEST(TiledMatvec, BitsIndependentOfThreadCount) {

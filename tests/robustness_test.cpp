@@ -27,8 +27,13 @@
 #include "hls/dse.hpp"
 #include "hls/scheduling.hpp"
 #include "hls/sparta.hpp"
+#include "core/nn.hpp"
+#include "core/sampling.hpp"
+#include "imc/characterization.hpp"
 #include "imc/crossbar.hpp"
 #include "imc/dimc.hpp"
+#include "imc/pipeline.hpp"
+#include "imc/program_verify.hpp"
 #include "imc/tile.hpp"
 #include "scf/compute_unit.hpp"
 #include "scf/fabric.hpp"
@@ -1235,6 +1240,118 @@ TEST(Robustness, ImcValidationThrows) {
     rejects_tiles([bad](imc::TileConfig& c) { c.noc_energy_pj = bad; });
     rejects_tiles([bad](imc::TileConfig& c) { c.tile_mvm_ns = bad; });
     rejects_tiles([bad](imc::TileConfig& c) { c.noc_hop_ns = bad; });
+  }
+}
+
+TEST(Robustness, ImcNestedConfigsAndReadTimeValidated) {
+  // CrossbarConfig::validate() checks the device, programming and repair
+  // configs it nests, so a tile config rejects them too; the entry points
+  // that take a DeviceSpec or ProgramVerifyConfig directly check them, and
+  // every read checks its time.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const core::TensorF w({4, 4}, 0.5F);
+  const auto rejects = [&w](auto edit) {
+    imc::CrossbarConfig config;
+    edit(config);
+    EXPECT_THROW(imc::Crossbar(w, config), core::Error);
+    imc::TileConfig tiles;
+    tiles.crossbar = config;
+    EXPECT_THROW(imc::TiledMatvec(w, tiles), core::Error);
+  };
+  using Config = imc::CrossbarConfig;
+  for (const double bad : {-0.01, kNan, kInf}) {
+    rejects([bad](Config& c) { c.device.g_min_us = bad; });
+    rejects([bad](Config& c) { c.device.program_sigma_rel = bad; });
+    rejects([bad](Config& c) { c.device.program_gain = bad; });
+    rejects([bad](Config& c) { c.device.read_noise_rel = bad; });
+    rejects([bad](Config& c) { c.device.drift_nu_sigma = bad; });
+    rejects([bad](Config& c) { c.device.program_energy_pj = bad; });
+    rejects([bad](Config& c) { c.device.read_energy_pj = bad; });
+    rejects([bad](Config& c) { c.programming.tolerance_rel = bad; });
+  }
+  for (const double bad : {kNan, kInf, -kInf}) {
+    rejects([bad](Config& c) { c.device.drift_nu = bad; });
+    rejects([bad](Config& c) { c.device.g_max_us = bad; });
+  }
+  // g_max <= g_min would hand std::clamp an inverted range.
+  rejects([](Config& c) {
+    c.device.g_min_us = 10.0;
+    c.device.g_max_us = 1.0;
+  });
+  rejects([](Config& c) { c.device.g_max_us = c.device.g_min_us; });
+  for (const int bad : {0, -3}) {
+    rejects([bad](Config& c) { c.programming.max_pulses = bad; });
+    rejects([bad](Config& c) { c.programming.fixed_pulses = bad; });
+  }
+  for (const int bad : {-1, imc::kMaxRepairRetries + 1, 2000}) {
+    rejects([bad](Config& c) { c.repair.max_retries = bad; });
+  }
+  for (const double bad : {0.0, -2.0, kNan, kInf}) {
+    rejects([bad](Config& c) { c.repair.backoff = bad; });
+  }
+  // 10^9 pulses escalated by 4 once no longer fits an int.
+  rejects([](Config& c) {
+    c.programming.max_pulses = 1'000'000'000;
+    c.repair.max_retries = 1;
+    c.repair.backoff = 4.0;
+  });
+
+  // The edges stay legal: a noiseless device, a negative drift mean and
+  // the longest repair policy with a flat budget.
+  {
+    Config edge;
+    edge.device.read_noise_rel = 0.0;
+    edge.device.drift_nu = -0.01;
+    edge.repair.max_retries = imc::kMaxRepairRetries;
+    edge.repair.backoff = 1.0;
+    imc::Crossbar xbar(w, edge);
+    for (const float y : xbar.matvec(std::vector<float>(4, 0.5F), 0.0)) {
+      EXPECT_TRUE(std::isfinite(y));
+    }
+  }
+
+  imc::DeviceSpec bad_spec = imc::rram_spec();
+  bad_spec.g_min_us = kNan;
+  imc::ProgramVerifyConfig bad_pv;
+  bad_pv.max_pulses = 0;
+  const imc::DeviceSpec spec = imc::rram_spec();
+  const imc::ProgramVerifyConfig pv;
+  const core::sampling::EarlyStopConfig stop;
+  EXPECT_THROW(imc::measure_programming(bad_spec, pv, 4, 1), core::Error);
+  EXPECT_THROW(imc::measure_programming(spec, bad_pv, 4, 1), core::Error);
+  EXPECT_THROW(imc::characterize_drift(bad_spec, 4, 3, 1), core::Error);
+  EXPECT_THROW(imc::characterize_programming_error(bad_spec, pv, 50.0, 4, 1),
+               core::Error);
+  EXPECT_THROW(imc::characterize_programming_error(spec, bad_pv, 50.0, 4, 1),
+               core::Error);
+  EXPECT_THROW(imc::characterize_read_noise(bad_spec, 4, 1), core::Error);
+  EXPECT_THROW(imc::characterize_programming_error_sequential(
+                   bad_spec, pv, 50.0, 10, 1, stop),
+               core::Error);
+  EXPECT_THROW(imc::characterize_programming_error_sequential(
+                   spec, bad_pv, 50.0, 10, 1, stop),
+               core::Error);
+  EXPECT_THROW(imc::characterize_read_noise_sequential(bad_spec, 10, 1, stop),
+               core::Error);
+
+  // A read time outside [0, inf) would poison every drifting cell through
+  // pow(t, -nu).
+  imc::Crossbar xbar(w, imc::CrossbarConfig{});
+  imc::TiledMatvec tiled(w, imc::TileConfig{});
+  const core::Mlp mlp({4, 4}, 3);
+  imc::AnalogMlpBackend backend(mlp, imc::TileConfig{});
+  const std::vector<float> x(4, 0.5F);
+  for (const double bad : {kNan, -1.0, kInf, -kInf}) {
+    EXPECT_THROW(xbar.matvec(x, bad), core::Error) << bad;
+    EXPECT_THROW(xbar.matvec_raw(x, bad), core::Error) << bad;
+    EXPECT_THROW(tiled.matvec(x, bad), core::Error) << bad;
+    EXPECT_THROW(backend.set_read_time(bad), core::Error) << bad;
+  }
+  for (const double t : {0.0, 1.0, 1e6}) {
+    for (const float y : xbar.matvec(x, t)) EXPECT_TRUE(std::isfinite(y));
+    for (const float y : tiled.matvec(x, t)) EXPECT_TRUE(std::isfinite(y));
+    backend.set_read_time(t);
   }
 }
 
