@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,7 @@ namespace {
 using namespace icsc;
 
 // --early-stop: replace the sweeps with the statistical-acceleration study
-// (CI early stopping vs the exhaustive oracle, Neyman stratification, and
-// the truncate/resume stop-identity check).
+// (CI early stopping vs the exhaustive oracle, and Neyman stratification).
 bool g_early_stop = false;
 
 // ---------------------------------------------------------------------------
@@ -227,8 +225,8 @@ void print_dna_sweep() {
 // ---------------------------------------------------------------------------
 // Statistical acceleration study (--early-stop): the same crossbar campaign
 // run three ways -- exhaustively (the oracle), with CI-driven early
-// stopping, and with pilot-round Neyman stratification -- plus the
-// truncate/resume identity check the stopping rule's prefix-purity promises.
+// stopping, and with pilot-round Neyman stratification. The early-stopped
+// results must be the oracle's first trials, bit for bit (prefix purity).
 
 constexpr double kEsStuckRate = 0.01;
 constexpr std::size_t kEsSpares = 6;
@@ -262,6 +260,11 @@ void print_early_stop_vs_oracle() {
   run.early_stop = stop;
   const auto outcome = campaign.run(es_trial, run);
   const bool inside = outcome.metric_estimate.contains(oracle.mean);
+  const bool prefix_identical = core::campaign_results_identical(
+      outcome.results,
+      {oracle_results.begin(),
+       oracle_results.begin() +
+           static_cast<std::ptrdiff_t>(outcome.trials_run())});
   const double saved = outcome.trials_run() > 0
                            ? static_cast<double>(kBudget) /
                                  static_cast<double>(outcome.trials_run())
@@ -271,14 +274,16 @@ void print_early_stop_vs_oracle() {
       "\"trials_run\":%zu,\"saved_factor\":%s,\"stop_reason\":\"%s\","
       "\"confidence\":%s,\"rel_target\":%s,"
       "\"estimate\":%s,\"half_width\":%s,"
-      "\"oracle_mean\":%s,\"oracle_inside_ci\":%s}\n",
+      "\"oracle_mean\":%s,\"oracle_inside_ci\":%s,"
+      "\"prefix_identical\":%s}\n",
       kBudget, outcome.trials_run(), core::json_num(saved, 2).c_str(),
       core::sampling::stop_reason_name(outcome.stop_reason),
       core::json_num(stop.confidence, 2).c_str(),
       core::json_num(stop.relative_half_width, 3).c_str(),
       core::json_num(outcome.metric_estimate.mean, 6).c_str(),
       core::json_num(outcome.metric_estimate.half_width, 6).c_str(),
-      core::json_num(oracle.mean, 6).c_str(), inside ? "true" : "false");
+      core::json_num(oracle.mean, 6).c_str(), inside ? "true" : "false",
+      prefix_identical ? "true" : "false");
 }
 
 void print_stratified_study() {
@@ -342,55 +347,12 @@ void print_stratified_study() {
       est_neyman.half_width <= est_prop.half_width * 1.05 ? "true" : "false");
 }
 
-void print_early_stop_resume() {
-  // Prefix-purity check: an early-stopped campaign truncated into small
-  // trial_budget slices against a checkpoint stops at the identical trial
-  // with identical results and estimates.
-  const std::size_t kBudget = 1000;
-  const core::FaultCampaign campaign(0xE5'70'11ULL, kBudget);
-  core::CampaignRunOptions straight;
-  straight.early_stop = es_config();
-  const auto reference = campaign.run(es_trial, straight);
-
-  char tmpl[] = "/tmp/bench_fault_early_stop_XXXXXX";
-  char* dir = mkdtemp(tmpl);
-  if (!dir) {
-    std::fprintf(stderr, "mkdtemp failed\n");
-    std::exit(1);
-  }
-  const std::string ckpt = std::string(dir) + "/early_stop.snap";
-  core::CampaignRunOutcome sliced;
-  for (;;) {
-    core::CampaignRunOptions slice;
-    slice.early_stop = es_config();
-    slice.checkpoint_path = ckpt;
-    slice.trial_budget = 17;  // deliberately misaligned with check_every
-    sliced = campaign.run(es_trial, slice);
-    if (sliced.completed) break;
-  }
-  std::remove(ckpt.c_str());
-
-  const bool identical =
-      sliced.trials_run() == reference.trials_run() &&
-      sliced.stopped_early == reference.stopped_early &&
-      core::campaign_results_identical(sliced.results, reference.results) &&
-      sliced.metric_estimate.mean == reference.metric_estimate.mean &&
-      sliced.metric_estimate.half_width ==
-          reference.metric_estimate.half_width;
-  std::printf(
-      "JSON {\"bench\":\"fault_early_stop_resume\",\"trials_run\":%zu,"
-      "\"stopped_early\":%s,\"resume_identical\":%s}\n",
-      reference.trials_run(), reference.stopped_early ? "true" : "false",
-      identical ? "true" : "false");
-}
-
 void print_early_stop_study() {
   if (core::parallel_threads() <= 1) core::set_parallel_threads(4);
-  std::printf("\n=== Statistical acceleration: early stopping, "
-              "stratification, resume identity ===\n");
+  std::printf("\n=== Statistical acceleration: early stopping and "
+              "stratification ===\n");
   print_early_stop_vs_oracle();
   print_stratified_study();
-  print_early_stop_resume();
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 #include "core/fault.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <limits>
-#include <optional>
 #include <span>
+#include <string>
 
-#include "core/checkpoint.hpp"
+#include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "core/trace.hpp"
 
@@ -43,10 +44,32 @@ constexpr std::uint64_t kTransientDomain = 0xFA'04;
 
 }  // namespace
 
+void FaultConfig::validate() const {
+  const std::string where = "core::FaultConfig";
+  const auto require_rate = [&](const char* field, double rate, double max) {
+    core::require_at_least(where, field, rate, 0.0);
+    if (rate <= max) return;
+    char got[40];
+    std::snprintf(got, sizeof got, "got %g", rate);
+    throw Error(where, std::string(field) + " must be <= 1", got);
+  };
+  require_rate("stuck_at_rate", stuck_at_rate, 1.0);
+  require_rate("transient_rate", transient_rate, 1.0);
+  require_rate("drift_rate", drift_rate, 1.0);
+  require_rate("dropout_rate", dropout_rate, 1.0);
+  require_rate("delay_rate", delay_rate, 1.0);
+  // Rounding slack: 0.1 + 0.2 + 0.3 + 0.4 is a hair above 1 in doubles.
+  require_rate("stuck_at_rate + drift_rate + dropout_rate + delay_rate",
+               stuck_at_rate + drift_rate + dropout_rate + delay_rate,
+               1.0 + 1e-12);
+}
+
 FaultInjector::FaultInjector(const FaultConfig& config, std::uint64_t stream)
     : config_(config),
       key_(fault_hash(config.seed, stream ^ 0x51'7E'AD'5ULL)),
-      enabled_(config.any()) {}
+      enabled_(config.any()) {
+  config.validate();
+}
 
 FaultKind FaultInjector::at(std::uint64_t site) const {
   if (!enabled_) return FaultKind::kNone;
@@ -90,192 +113,57 @@ std::vector<TrialResult> FaultCampaign::run(
   });
 }
 
-namespace {
-
-constexpr std::uint32_t kCampaignSnapshotKind = 0x46434D50;  // "FCMP"
-constexpr std::uint32_t kCampaignSnapshotVersion = 1;
-
-void put_trial(SnapshotWriter& writer, const TrialResult& trial) {
-  writer.put_f64(trial.metric);
-  writer.put_f64(trial.latency);
-  writer.put_bool(trial.completed);
-  writer.put_u64(trial.faults_injected);
-  writer.put_u64(trial.repairs);
-}
-
-TrialResult get_trial(SnapshotReader& reader) {
-  TrialResult trial;
-  trial.metric = reader.get_f64();
-  trial.latency = reader.get_f64();
-  trial.completed = reader.get_bool();
-  trial.faults_injected = reader.get_u64();
-  trial.repairs = reader.get_u64();
-  return trial;
-}
-
-void save_campaign_snapshot(const std::string& path, std::uint64_t fingerprint,
-                            const std::vector<TrialResult>& results,
-                            bool completed) {
-  SnapshotWriter writer;
-  writer.put_u64(fingerprint);
-  writer.put_bool(completed);
-  writer.put_u64(results.size());
-  for (const auto& trial : results) put_trial(writer, trial);
-  writer.save(path, kCampaignSnapshotKind, kCampaignSnapshotVersion);
-}
-
-}  // namespace
-
-namespace {
-
-/// Fills the early-stop accounting of a finished (or truncated) outcome
-/// from its trial prefix; pure function of the prefix, so resumed and
-/// uninterrupted runs report bit-identical estimates.
-void finalize_sequential(CampaignRunOutcome& outcome, std::size_t budget,
-                         const CampaignRunOptions& options) {
-  if (!options.early_stop.enabled) return;
-  sampling::OnlineStats metric, latency;
-  for (const auto& r : outcome.results) {
-    metric.push(r.metric);
-    latency.push(r.latency);
-  }
-  const double confidence = options.early_stop.confidence;
-  outcome.metric_estimate = sampling::mean_estimate(metric, confidence);
-  outcome.latency_estimate = sampling::mean_estimate(latency, confidence);
-  outcome.stopped_early =
-      outcome.completed && outcome.results.size() < budget;
-  if (outcome.stopped_early) {
-    outcome.stop_reason = sampling::StopReason::kConverged;
-  } else if (outcome.results.size() == budget) {
-    outcome.stop_reason = sampling::StopReason::kBudget;
-  } else {
-    outcome.stop_reason = sampling::StopReason::kNone;
-  }
-  if (outcome.completed) {
-    ICSC_TRACE_COUNT("sampling.trials_run", outcome.results.size());
-    ICSC_TRACE_COUNT("sampling.trials_saved",
-                     budget - outcome.results.size());
-    if (outcome.stop_reason == sampling::StopReason::kConverged) {
-      ICSC_TRACE_COUNT("sampling.stop.converged", 1);
-    } else {
-      ICSC_TRACE_COUNT("sampling.stop.budget", 1);
-    }
-  }
-}
-
-}  // namespace
-
 CampaignRunOutcome FaultCampaign::run(
     const std::function<TrialResult(std::uint64_t, std::size_t)>& fn,
     const CampaignRunOptions& options) const {
-  ICSC_TRACE_SPAN("campaign/run_resilient");
-  const bool sequential = options.early_stop.enabled;
-  // The fingerprint pins a snapshot to this exact campaign: resuming a
-  // different (seed, trials) run from it would silently mix experiments.
-  // The early-stop rule is folded in so a snapshot taken under one
-  // stopping rule (or none) is never resumed under another.
-  std::uint64_t fingerprint = fault_hash(seed_ ^ 0xC4'3C'4B'01ULL, trials_);
-  if (sequential) {
-    fingerprint = fault_hash(
-        fingerprint, options.early_stop.fingerprint() ^
-                         (options.early_stop_track_latency ? 0x1A7E0C1ULL : 0));
-  }
-  // The controller only ever sees trials in trial order, so its verdict is
-  // a pure function of the completed prefix regardless of thread count,
-  // checkpoint granularity, or how many kill/resume cycles preceded us.
-  std::optional<sampling::SequentialController> controller;
-  if (sequential) {
-    controller.emplace(options.early_stop,
-                       options.early_stop_track_latency ? 2u : 1u);
-  }
-  auto feed = [&](const TrialResult& r) {
-    if (!controller) return false;
-    if (options.early_stop_track_latency) {
-      const double kpis[2] = {r.metric, r.latency};
-      return controller->observe(kpis);
-    }
-    return controller->observe(std::span<const double>(&r.metric, 1));
-  };
-
   CampaignRunOutcome outcome;
   outcome.trials_budgeted = trials_;
-  bool snapshot_completed = false;
-  if (!options.checkpoint_path.empty()) {
-    if (auto snapshot = SnapshotReader::try_load(options.checkpoint_path,
-                                                 kCampaignSnapshotKind,
-                                                 kCampaignSnapshotVersion)) {
-      if (snapshot->get_u64() != fingerprint) {
-        throw Error("core::fault",
-                    "checkpoint belongs to a different campaign",
-                    options.checkpoint_path);
-      }
-      snapshot_completed = snapshot->get_bool();
-      const std::uint64_t done = snapshot->get_u64();
-      outcome.results.reserve(static_cast<std::size_t>(done));
-      for (std::uint64_t t = 0; t < done; ++t) {
-        outcome.results.push_back(get_trial(*snapshot));
-      }
-      outcome.resumed_trials = outcome.results.size();
-    }
-  }
-  // Replay the resumed prefix through the stopping rule. A prior process
-  // never persists past its own stop point, but truncate defensively so a
-  // hand-edited snapshot cannot push the campaign beyond it.
-  bool stopped = false;
-  if (controller) {
-    for (std::size_t t = 0; t < outcome.results.size() && !stopped; ++t) {
-      if (feed(outcome.results[t])) {
-        outcome.results.resize(t + 1);
-        outcome.resumed_trials = outcome.results.size();
-        stopped = true;
-      }
-    }
-  }
-  if (snapshot_completed || stopped) {
-    outcome.completed = true;
-    finalize_sequential(outcome, trials_, options);
+  if (!options.early_stop.enabled) {
+    outcome.results = run(fn);
     return outcome;
   }
-
-  const CancelToken token = options.cancel.with_deadline(options.deadline);
-  const std::size_t block = std::max<std::size_t>(1, options.checkpoint_every);
-  const std::size_t stop_at =
-      options.trial_budget == 0
-          ? trials_
-          : std::min(trials_, outcome.results.size() + options.trial_budget);
-  bool cancelled = false;
-  while (outcome.results.size() < stop_at && !cancelled && !stopped) {
-    if (token.cancelled()) {
-      cancelled = true;
-      break;
-    }
+  ICSC_TRACE_SPAN("campaign/run_early_stop");
+  // The controller sees trials in trial order and fires only at a check
+  // point, so each block runs up to the next check point on the pool and
+  // the stop lands on the block's last trial: nothing runs past it.
+  const sampling::EarlyStopConfig& stop = options.early_stop;
+  const std::size_t kpis = options.early_stop_track_latency ? 2 : 1;
+  sampling::SequentialController controller(stop, kpis);
+  bool stopped = false;
+  while (outcome.results.size() < trials_ && !stopped) {
     const std::size_t base = outcome.results.size();
-    const std::size_t block_end = std::min(stop_at, base + block);
-    auto results = parallel_map(
-        block_end - base, 1,
-        [&](std::size_t i) { return fn(trial_seed(base + i), base + i); },
-        token);
-    cancelled = results.size() < block_end - base;
+    const std::size_t check = base < stop.min_trials
+                                  ? stop.min_trials
+                                  : base + stop.check_every;
+    const std::size_t block_end = std::min(trials_, check);
+    auto results = parallel_map(block_end - base, 1, [&](std::size_t i) {
+      return fn(trial_seed(base + i), base + i);
+    });
     ICSC_TRACE_COUNT("campaign.trials", results.size());
-    for (auto& trial : results) {
-      outcome.results.push_back(trial);
-      if (feed(trial)) {
-        // Stop point reached: any trials computed past it in this block
-        // are discarded so the persisted prefix IS the stop prefix.
+    for (const TrialResult& r : results) {
+      outcome.results.push_back(r);
+      const double values[2] = {r.metric, r.latency};
+      if (controller.observe(std::span<const double>(values, kpis))) {
         stopped = true;
         break;
       }
     }
-    outcome.completed =
-        (outcome.results.size() == trials_ && !cancelled) || stopped;
-    if (!options.checkpoint_path.empty()) {
-      save_campaign_snapshot(options.checkpoint_path, fingerprint,
-                             outcome.results, outcome.completed);
-    }
   }
-  outcome.completed =
-      (outcome.results.size() == trials_ && !cancelled) || stopped;
-  finalize_sequential(outcome, trials_, options);
+  const std::size_t trials_run = outcome.results.size();
+  outcome.metric_estimate =
+      campaign_metric_estimate(outcome.results, stop.confidence);
+  outcome.latency_estimate =
+      campaign_latency_estimate(outcome.results, stop.confidence);
+  outcome.stopped_early = trials_run < trials_;
+  ICSC_TRACE_COUNT("sampling.trials_run", trials_run);
+  ICSC_TRACE_COUNT("sampling.trials_saved", trials_ - trials_run);
+  if (outcome.stopped_early) {
+    outcome.stop_reason = sampling::StopReason::kConverged;
+    ICSC_TRACE_COUNT("sampling.stop.converged", 1);
+  } else {
+    outcome.stop_reason = sampling::StopReason::kBudget;
+    ICSC_TRACE_COUNT("sampling.stop.budget", 1);
+  }
   return outcome;
 }
 

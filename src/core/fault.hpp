@@ -22,10 +22,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "core/cancel.hpp"
 #include "core/sampling.hpp"
 
 namespace icsc::core {
@@ -85,6 +83,15 @@ struct FaultConfig {
     return stuck_at_rate > 0.0 || transient_rate > 0.0 || drift_rate > 0.0 ||
            dropout_rate > 0.0 || delay_rate > 0.0;
   }
+
+  /// Throws core::Error unless every rate is finite and in [0, 1], and the
+  /// site kinds' rates sum to at most 1: FaultInjector::at classifies a
+  /// site with one uniform against the cumulative stuck, drift, dropout
+  /// and delay thresholds, so a larger sum would silently shrink the later
+  /// kinds' rates. The sum allows 1e-12 of rounding (0.1 + 0.2 + 0.3 + 0.4
+  /// is a hair above 1 in doubles). transient_rate is a separate
+  /// per-operation draw. The FaultInjector constructor calls it.
+  void validate() const;
 };
 
 /// Order-independent fault oracle for one array/fabric/channel instance.
@@ -141,34 +148,16 @@ struct CampaignSummary {
   std::uint64_t total_repairs = 0;
 };
 
-/// Resilience controls for FaultCampaign::run. Default-constructed options
-/// reproduce the plain open-loop run: no deadline, no cancellation, no
-/// checkpointing.
+/// Options of FaultCampaign::run. Default-constructed options reproduce
+/// the plain fixed-budget run.
 struct CampaignRunOptions {
-  /// Wall-clock budget; combined with `cancel` (whichever fires first).
-  Deadline deadline;
-  /// External cooperative stop handle.
-  CancelToken cancel;
-  /// Snapshot file for checkpoint/resume (core/checkpoint.hpp). Empty
-  /// disables persistence. An existing snapshot for the same (seed,
-  /// trials) campaign is resumed; a snapshot from a different campaign
-  /// throws core::Error.
-  std::string checkpoint_path;
-  /// Trials folded between snapshot saves; 1 (the default) persists after
-  /// every completed trial, so a killed process replays at most one trial.
-  std::size_t checkpoint_every = 1;
-  /// Max trials to execute in *this* invocation (0 = no limit) -- lets the
-  /// kill/resume benches truncate a run at a deterministic point.
-  std::size_t trial_budget = 0;
   /// Sequential CI-driven early stopping (core/sampling.hpp). Disabled by
   /// default, which keeps the run bit-identical to the fixed-budget path.
   /// When enabled, the campaign's `trials` count becomes a *budget*: the
   /// run stops at the first checked trial prefix whose tracked KPI
-  /// confidence intervals are all inside the target, and the stop decision
-  /// is a pure function of that prefix -- a killed and resumed campaign
-  /// replays its checkpointed prefix and stops at the identical trial with
-  /// bit-identical estimates. The early-stop parameters are folded into
-  /// the checkpoint fingerprint, so snapshots never mix stopping rules.
+  /// confidence intervals are all inside the target. The stop decision is
+  /// a pure function of that prefix, so the early-stopped results are the
+  /// first trials_run() trials of the fixed-budget run, bit for bit.
   sampling::EarlyStopConfig early_stop;
   /// Track TrialResult::latency as a second stopped-on KPI (metric is
   /// always tracked). Off by default: many campaigns' latency converges
@@ -176,13 +165,10 @@ struct CampaignRunOptions {
   bool early_stop_track_latency = false;
 };
 
-/// Outcome of a resilient campaign run: the trial-order prefix completed so
-/// far (all trials when `completed`; a converged early-stopped prefix also
-/// counts as completed -- the campaign met its statistical goal).
+/// Outcome of FaultCampaign::run with options: the trial-order results,
+/// all of them or the early-stopped prefix.
 struct CampaignRunOutcome {
   std::vector<TrialResult> results;
-  bool completed = true;        // false when truncated by deadline/cancel/budget
-  std::size_t resumed_trials = 0;  // restored from the checkpoint, not re-run
   /// Early-stop accounting, filled when options.early_stop.enabled:
   std::size_t trials_budgeted = 0;    // the campaign's full trial budget
   bool stopped_early = false;         // converged before the budget ran out
@@ -196,9 +182,7 @@ struct CampaignRunOutcome {
 /// Seeded Monte-Carlo fault-campaign driver. Trials fan out over the
 /// shared pool; per-trial seeds are pre-derived from the campaign seed, so
 /// results are bit-identical between ICSC_THREADS=1 and any thread count.
-/// The options overload adds deadlines, cooperative cancellation, and
-/// per-trial checkpointing: a killed or cancelled campaign resumed from its
-/// snapshot finishes with results bit-identical to an uninterrupted run.
+/// The options overload adds CI-driven early stopping.
 class FaultCampaign {
 public:
   FaultCampaign(std::uint64_t seed, std::size_t trials)
@@ -214,10 +198,11 @@ public:
   std::vector<TrialResult> run(
       const std::function<TrialResult(std::uint64_t, std::size_t)>& fn) const;
 
-  /// Resilient run: honours options.deadline / options.cancel by draining
-  /// in-flight trials and returning the completed prefix, and persists
-  /// progress to options.checkpoint_path so a later call resumes after the
-  /// last durable trial instead of restarting.
+  /// Run with options. With early stopping off it is run(fn). With it on,
+  /// trials run on the pool in blocks that end at the stop rule's check
+  /// points (min_trials, then every check_every, and the budget), so no
+  /// trial runs past the stop point and the results do not depend on the
+  /// thread count.
   CampaignRunOutcome run(
       const std::function<TrialResult(std::uint64_t, std::size_t)>& fn,
       const CampaignRunOptions& options) const;

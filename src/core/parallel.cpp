@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <memory>
@@ -121,13 +120,8 @@ struct LoopState {
   std::size_t count = 0;
   std::size_t grain = 1;
   const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
-  const CancelToken* cancel = nullptr;  // null = non-cancellable loop
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
-  /// First chunk offset that observed cancellation; chunks at or past it
-  /// are skipped. Monotonically lowered (fetch-min), so every chunk below
-  /// the final value is guaranteed to have executed.
-  std::atomic<std::size_t> stop_at{SIZE_MAX};
   std::mutex mutex;
   std::condition_variable done_cv;
   std::size_t completed = 0;        // guarded by mutex
@@ -142,18 +136,7 @@ void drain_chunks(const std::shared_ptr<LoopState>& state) {
     const std::size_t chunk_begin = state->begin + i;
     const std::size_t chunk_end =
         state->begin + std::min(state->count, i + state->grain);
-    bool skip = state->failed.load(std::memory_order_acquire) ||
-                i >= state->stop_at.load(std::memory_order_acquire);
-    if (!skip && state->cancel && state->cancel->cancelled()) {
-      // Lower stop_at to this chunk. A skip triggered by an *existing*
-      // stop_at value never needs this: that value is already <= i.
-      std::size_t current = state->stop_at.load(std::memory_order_relaxed);
-      while (i < current && !state->stop_at.compare_exchange_weak(
-                                current, i, std::memory_order_acq_rel)) {
-      }
-      skip = true;
-    }
-    if (!skip) {
+    if (!state->failed.load(std::memory_order_acquire)) {
       try {
         (*state->fn)(chunk_begin, chunk_end);
       } catch (...) {
@@ -166,58 +149,6 @@ void drain_chunks(const std::shared_ptr<LoopState>& state) {
     state->completed += chunk_end - chunk_begin;
     if (state->completed == state->count) state->done_cv.notify_all();
   }
-}
-
-/// Shared driver behind both parallel_for overloads; returns the executed
-/// prefix length (== count when cancel is null or never fires).
-std::size_t run_loop(std::size_t begin, std::size_t end, std::size_t grain,
-                     const std::function<void(std::size_t, std::size_t)>& fn,
-                     const CancelToken* cancel) {
-  if (begin >= end) return 0;
-  if (grain == 0) grain = 1;
-  const std::size_t count = end - begin;
-  ICSC_TRACE_COUNT("parallel.loops", 1);
-  ThreadPool& pool = ThreadPool::instance();
-  const std::size_t threads =
-      (t_force_serial || t_in_worker) ? 1 : pool.concurrency();
-  if (threads == 1 || count <= grain) {
-    if (!cancel) {
-      fn(begin, end);
-      return count;
-    }
-    // Inline execution still honours the chunk-granular poll contract so
-    // serial and pooled runs cancel at the same granularity.
-    for (std::size_t i = 0; i < count; i += grain) {
-      if (cancel->cancelled()) {
-        ICSC_TRACE_COUNT("parallel.cancelled_loops", 1);
-        return i;
-      }
-      fn(begin + i, begin + std::min(count, i + grain));
-    }
-    return count;
-  }
-
-  auto state = std::make_shared<LoopState>();
-  state->begin = begin;
-  state->count = count;
-  state->grain = grain;
-  state->fn = &fn;
-  state->cancel = cancel;
-
-  const std::size_t chunks = (count + grain - 1) / grain;
-  const std::size_t helpers = std::min(threads - 1, chunks - 1);
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool.submit([state] { drain_chunks(state); });
-  }
-  drain_chunks(state);
-
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->done_cv.wait(lock, [&] { return state->completed == count; });
-  if (state->error) std::rethrow_exception(state->error);
-  const std::size_t prefix =
-      std::min(count, state->stop_at.load(std::memory_order_acquire));
-  if (prefix < count) ICSC_TRACE_COUNT("parallel.cancelled_loops", 1);
-  return prefix;
 }
 
 }  // namespace
@@ -236,14 +167,34 @@ ScopedSerial::~ScopedSerial() { t_force_serial = previous_; }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn) {
-  run_loop(begin, end, grain, fn, nullptr);
-}
+  if (begin >= end) return;
+  if (grain == 0) grain = 1;
+  const std::size_t count = end - begin;
+  ICSC_TRACE_COUNT("parallel.loops", 1);
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t threads =
+      (t_force_serial || t_in_worker) ? 1 : pool.concurrency();
+  if (threads == 1 || count <= grain) {
+    fn(begin, end);
+    return;
+  }
 
-std::size_t parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn,
-    const CancelToken& cancel) {
-  return run_loop(begin, end, grain, fn, &cancel);
+  auto state = std::make_shared<LoopState>();
+  state->begin = begin;
+  state->count = count;
+  state->grain = grain;
+  state->fn = &fn;
+
+  const std::size_t chunks = (count + grain - 1) / grain;
+  const std::size_t helpers = std::min(threads - 1, chunks - 1);
+  for (std::size_t h = 0; h < helpers; ++h) {
+    pool.submit([state] { drain_chunks(state); });
+  }
+  drain_chunks(state);
+
+  std::unique_lock<std::mutex> lock(state->mutex);
+  state->done_cv.wait(lock, [&] { return state->completed == count; });
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 }  // namespace icsc::core

@@ -19,13 +19,6 @@
 // reproducibility by (a) drawing all RNG values serially before fanning
 // out, and (b) combining results in index order -- parallel_map guarantees
 // (b) by construction.
-//
-// Cancellation: the overloads taking a CancelToken poll it once per chunk
-// claim. When the token fires, no new chunks start, in-flight chunks
-// drain, and the call returns the length of the *prefix* of iterations
-// guaranteed to have executed -- the cooperative-cancellation substrate of
-// the resilient campaign runtime (core/cancel.hpp). The token-free
-// overloads are unchanged and pay zero overhead.
 #pragma once
 
 #include <cstddef>
@@ -33,8 +26,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "core/cancel.hpp"
 
 namespace icsc::core {
 
@@ -69,17 +60,6 @@ class ScopedSerial {
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                   const std::function<void(std::size_t, std::size_t)>& fn);
 
-/// Cancellable variant: polls `cancel` once per chunk claim and stops
-/// issuing work once it fires, letting claimed chunks drain. Returns n
-/// such that every iteration in [begin, begin + n) executed. Under the
-/// pool, fn may additionally have run on a few chunks past that prefix
-/// before cancellation became visible to every worker; callers must derive
-/// results only from the returned prefix (fn must be pure w.r.t. anything
-/// outside its own chunk, which the determinism contract already demands).
-std::size_t parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                         const std::function<void(std::size_t, std::size_t)>& fn,
-                         const CancelToken& cancel);
-
 /// Order-preserving map: out[i] = fn(i) for i in [0, count). The result
 /// type must be default-constructible; elements are move-assigned in place
 /// by whichever thread computes them, and the returned vector is always in
@@ -92,26 +72,6 @@ auto parallel_map(std::size_t count, std::size_t grain, Fn&& fn)
   parallel_for(0, count, grain, [&out, &fn](std::size_t b, std::size_t e) {
     for (std::size_t i = b; i < e; ++i) out[i] = fn(i);
   });
-  return out;
-}
-
-/// Cancellable order-preserving map: evaluates fn(i) until `cancel` fires,
-/// then returns the completed prefix only (the vector is truncated to the
-/// iterations guaranteed to have executed, in index order). A full-length
-/// result therefore means the map ran to completion.
-template <typename Fn>
-auto parallel_map(std::size_t count, std::size_t grain, Fn&& fn,
-                  const CancelToken& cancel)
-    -> std::vector<std::decay_t<decltype(fn(std::size_t{}))>> {
-  using Result = std::decay_t<decltype(fn(std::size_t{}))>;
-  std::vector<Result> out(count);
-  const std::size_t done = parallel_for(
-      0, count, grain,
-      [&out, &fn](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i) out[i] = fn(i);
-      },
-      cancel);
-  out.resize(done);
   return out;
 }
 

@@ -130,18 +130,4 @@ std::vector<std::size_t> Rng::permutation(std::size_t n) {
 
 Rng Rng::split() { return Rng((*this)() ^ 0xA5A5'5A5A'DEAD'BEEFULL); }
 
-Rng::State Rng::state() const {
-  State state;
-  for (int i = 0; i < 4; ++i) state.s[i] = s_[i];
-  state.cached_normal = cached_normal_;
-  state.has_cached_normal = has_cached_normal_;
-  return state;
-}
-
-void Rng::restore(const State& state) {
-  for (int i = 0; i < 4; ++i) s_[i] = state.s[i];
-  cached_normal_ = state.cached_normal;
-  has_cached_normal_ = state.has_cached_normal;
-}
-
 }  // namespace icsc::core

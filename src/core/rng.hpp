@@ -62,18 +62,6 @@ public:
   /// Derives an independent child generator (stream splitting).
   Rng split();
 
-  /// Complete serializable generator state: the four xoshiro words plus the
-  /// Box-Muller cache. Saving and restoring it makes any sequential
-  /// RNG-driven loop checkpointable mid-stream (core/checkpoint.hpp) with
-  /// bit-identical continuation.
-  struct State {
-    std::uint64_t s[4] = {0, 0, 0, 0};
-    double cached_normal = 0.0;
-    bool has_cached_normal = false;
-  };
-  State state() const;
-  void restore(const State& state);
-
 private:
   std::uint64_t s_[4];
   double cached_normal_ = 0.0;

@@ -95,31 +95,6 @@ void EarlyStopConfig::validate() const {
   }
 }
 
-std::uint64_t EarlyStopConfig::fingerprint() const {
-  // splitmix64 fold over every parameter's bit pattern; any change to the
-  // stopping rule changes the fingerprint, so checkpoints never mix rules.
-  auto mix = [](std::uint64_t h, std::uint64_t v) {
-    std::uint64_t z = h ^ (v + 0x9E37'79B9'7F4A'7C15ULL + (h << 6) + (h >> 2));
-    z = (z ^ (z >> 30)) * 0xBF58'476D'1CE4'E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D0'49BB'1331'11EBULL;
-    return z ^ (z >> 31);
-  };
-  auto bits = [](double v) {
-    std::uint64_t u = 0;
-    static_assert(sizeof(u) == sizeof(v));
-    __builtin_memcpy(&u, &v, sizeof(u));
-    return u;
-  };
-  std::uint64_t h = 0x5A4D'F11E'57A7'5EEDULL;
-  h = mix(h, enabled ? 1 : 0);
-  h = mix(h, bits(confidence));
-  h = mix(h, bits(relative_half_width));
-  h = mix(h, bits(absolute_floor));
-  h = mix(h, min_trials);
-  h = mix(h, check_every);
-  return h;
-}
-
 SequentialController::SequentialController(const EarlyStopConfig& config,
                                            std::size_t kpis)
     : config_(config), kpis_(kpis) {

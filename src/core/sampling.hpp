@@ -16,9 +16,8 @@
 //                           every tracked KPI falls below a target. The
 //                           stop decision is a *pure function of the
 //                           completed-trial prefix* (no wall clock, no
-//                           RNG), so a killed and resumed campaign replays
-//                           its prefix and lands on the identical stop
-//                           point with bit-identical estimates.
+//                           RNG), so the stop point and its estimates do
+//                           not depend on how the trials were scheduled.
 //   neyman_allocation    -- split a campaign into strata (fault model,
 //   combine_strata          injected-cell count, SPARTA phase, ...), pilot
 //                           each stratum, then spend the remaining budget
@@ -39,8 +38,7 @@
 namespace icsc::core::sampling {
 
 /// One-pass Welford accumulator for mean and variance. Deterministic: the
-/// state after pushing a sequence is a pure function of that sequence, so
-/// replaying a checkpointed trial prefix reproduces it bit-identically.
+/// state after pushing a sequence is a pure function of that sequence.
 class OnlineStats {
 public:
   void push(double x);
@@ -115,10 +113,6 @@ struct EarlyStopConfig {
 
   /// Throws core::Error on out-of-range parameters.
   void validate() const;
-  /// Deterministic hash of every parameter (and enablement), folded into
-  /// campaign checkpoint fingerprints so a snapshot taken under one
-  /// stopping rule is never resumed under another.
-  std::uint64_t fingerprint() const;
 };
 
 /// Outcome of one stop-rule evaluation.
@@ -129,8 +123,7 @@ struct StopDecision {
 
 /// Feeds per-trial KPI vectors in trial order and evaluates the stopping
 /// rule at the configured check points. All state is a pure function of
-/// the observed prefix: kill/resume replays the completed prefix through a
-/// fresh controller and reaches the identical decision.
+/// the observed prefix.
 class SequentialController {
 public:
   /// `kpis` is the number of KPIs tracked per trial (>= 1). Validates the

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
-#include "core/checkpoint.hpp"
 #include "core/error.hpp"
-#include "core/fault.hpp"
 #include "core/trace.hpp"
 
 namespace icsc::hetero::dna {
@@ -132,64 +129,6 @@ ReadSet simulate_channel(const std::vector<Strand>& strands,
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Journaled re-read (core/checkpoint.hpp). One record per completed strand
-// batch carries the absolute counters, the per-strand coverage/loss state
-// for its range, the RNG position after the batch, and the reads it
-// emitted -- everything needed to replay the journal into the exact live
-// state and continue, so a SIGKILL costs at most one batch of re-work.
-
-constexpr std::uint32_t kRereadJournalKind = 0x4A414E44;  // "DNAJ"
-constexpr std::uint8_t kRecHeader = 0;    // fingerprint pin
-constexpr std::uint8_t kRecBatch = 1;     // one completed strand batch
-constexpr std::uint8_t kRecPassDone = 2;  // starved bitmap after pass 1
-
-std::uint64_t fold_f64(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return core::fault_hash(h, bits);
-}
-
-/// Fingerprint of everything that determines the read stream: channel and
-/// re-read parameters plus the strand pool itself.
-std::uint64_t reread_fingerprint(const std::vector<Strand>& strands,
-                                 const ChannelParams& params,
-                                 const RereadParams& reread) {
-  std::uint64_t h = core::fault_hash(0xD4A'0C11ULL, params.seed);
-  h = fold_f64(h, params.substitution_rate);
-  h = fold_f64(h, params.insertion_rate);
-  h = fold_f64(h, params.deletion_rate);
-  h = fold_f64(h, params.mean_coverage);
-  h = fold_f64(h, params.dropout_rate);
-  h = fold_f64(h, params.burst_rate);
-  h = fold_f64(h, params.burst_length_mean);
-  h = core::fault_hash(h, static_cast<std::uint64_t>(reread.max_passes));
-  h = core::fault_hash(h, reread.min_coverage);
-  h = core::fault_hash(h, strands.size());
-  for (const Strand& strand : strands) {
-    h = core::fault_hash(h, strand.size());
-    for (const Base base : strand) {
-      h = core::fault_hash(h, static_cast<std::uint8_t>(base));
-    }
-  }
-  return h;
-}
-
-void put_rng(core::SnapshotWriter& w, const core::Rng& rng) {
-  const core::Rng::State st = rng.state();
-  for (const std::uint64_t word : st.s) w.put_u64(word);
-  w.put_f64(st.cached_normal);
-  w.put_bool(st.has_cached_normal);
-}
-
-void get_rng(core::SnapshotReader& r, core::Rng& rng) {
-  core::Rng::State st;
-  for (std::uint64_t& word : st.s) word = r.get_u64();
-  st.cached_normal = r.get_f64();
-  st.has_cached_normal = r.get_bool();
-  rng.restore(st);
-}
-
 std::uint64_t pass_stream_seed(const ChannelParams& params, int pass) {
   return params.seed +
          0x9E37'79B9'7F4A'7C15ULL * static_cast<std::uint64_t>(pass - 1);
@@ -197,143 +136,30 @@ std::uint64_t pass_stream_seed(const ChannelParams& params, int pass) {
 
 }  // namespace
 
-RereadRunOutcome simulate_channel_reread_resilient(
-    const std::vector<Strand>& strands, const ChannelParams& params,
-    const RereadParams& reread, const RereadRunOptions& options) {
+RereadResult simulate_channel_reread(const std::vector<Strand>& strands,
+                                     const ChannelParams& params,
+                                     const RereadParams& reread) {
   params.validate();
-  RereadRunOutcome outcome;
-  RereadResult& result = outcome.result;
+  RereadResult result;
   ReadSet& set = result.set;
   set.source_strands = strands.size();
   std::vector<std::size_t> coverage(strands.size(), 0);
   std::vector<char> lost(strands.size(), 0);  // permanent synthesis dropout
   std::vector<char> starved(strands.size(), 0);  // zero coverage after pass 1
   const int max_passes = std::max(1, reread.max_passes);
-  const std::size_t batch = std::max<std::size_t>(1, options.journal_batch);
-
-  // Live cursor: pass number, next strand to sequence, the pass's RNG.
-  int pass = 1;
-  std::size_t next_s = 0;
-  core::Rng rng(pass_stream_seed(params, 1));
-  bool pass1_recorded = false;  // kRecPassDone durable
-
-  const bool persist = !options.journal_path.empty();
-  core::RunJournal journal;
-  std::uint64_t fingerprint = 0;
-  if (persist) {
-    fingerprint = reread_fingerprint(strands, params, reread);
-    journal = core::RunJournal(options.journal_path, kRereadJournalKind);
-    // Replay the recovered prefix into the live state machine.
-    for (const core::JournalRecord& record : journal.recovered()) {
-      core::SnapshotReader r(record.payload);
-      switch (r.get_u8()) {
-        case kRecHeader:
-          if (r.get_u64() != fingerprint) {
-            throw core::Error("dna::channel",
-                              "journal belongs to a different run",
-                              options.journal_path);
-          }
-          break;
-        case kRecPassDone:
-          for (std::size_t s = 0; s < strands.size(); ++s) {
-            starved[s] = static_cast<char>(r.get_bool());
-          }
-          pass1_recorded = true;
-          break;
-        case kRecBatch: {
-          pass = static_cast<int>(r.get_u32());
-          const auto s_begin = static_cast<std::size_t>(r.get_u64());
-          const auto s_end = static_cast<std::size_t>(r.get_u64());
-          get_rng(r, rng);
-          set.substitutions = r.get_u64();
-          set.insertions = r.get_u64();
-          set.deletions = r.get_u64();
-          set.burst_events = r.get_u64();
-          set.dropped_strands = static_cast<std::size_t>(r.get_u64());
-          for (std::size_t s = s_begin; s < s_end && s < strands.size(); ++s) {
-            coverage[s] = static_cast<std::size_t>(r.get_u64());
-            lost[s] = static_cast<char>(r.get_bool());
-          }
-          const std::uint64_t reads = r.get_u64();
-          for (std::uint64_t i = 0; i < reads; ++i) {
-            Read read;
-            read.origin = static_cast<std::size_t>(r.get_u64());
-            const auto len = static_cast<std::size_t>(r.get_u64());
-            const auto bytes = r.get_bytes(len);
-            read.bases.reserve(len);
-            for (const std::uint8_t b : bytes) {
-              read.bases.push_back(static_cast<Base>(b & 0x3));
-            }
-            set.reads.push_back(std::move(read));
-          }
-          result.passes_used = pass;
-          next_s = s_end;
-          ++outcome.resumed_batches;
-          break;
-        }
-        default:
-          throw core::Error("dna::channel", "unknown journal record type",
-                            options.journal_path);
-      }
-    }
-    if (journal.recovered().empty()) {
-      core::SnapshotWriter header;
-      header.put_u8(kRecHeader);
-      header.put_u64(fingerprint);
-      journal.append(header);
-    }
-  }
-
-  const core::CancelToken token = options.cancel.with_deadline(options.deadline);
-  bool cancelled = false;
-  bool finished = false;
-  std::size_t executed_batches = 0;
-  while (!finished && !cancelled) {
-    if (next_s >= strands.size()) {
-      // Pass boundary: derive the starved set after pass 1 (recomputed on
-      // replay paths that died before the kRecPassDone record landed),
-      // then either converge or put the under-covered strands back on the
-      // sequencer for another pass.
-      if (pass == 1) {
-        for (std::size_t s = 0; s < strands.size(); ++s) {
-          starved[s] = static_cast<char>(!lost[s] && coverage[s] == 0);
-        }
-        if (persist && !pass1_recorded) {
-          core::SnapshotWriter w;
-          w.put_u8(kRecPassDone);
-          for (std::size_t s = 0; s < strands.size(); ++s) {
-            w.put_bool(starved[s] != 0);
-          }
-          journal.append(w);
-          pass1_recorded = true;
-        }
-      }
+  for (int pass = 1; pass <= max_passes; ++pass) {
+    if (pass > 1) {
+      // Converged once every surviving strand has min_coverage reads.
       bool needed = false;
       for (std::size_t s = 0; s < strands.size() && !needed; ++s) {
         needed = !lost[s] && coverage[s] < reread.min_coverage;
       }
-      if (!needed || pass >= max_passes) {
-        finished = true;
-        break;
-      }
-      ++pass;
-      next_s = 0;
-      rng = core::Rng(pass_stream_seed(params, pass));
-      continue;
+      if (!needed) break;
     }
-    if (token.cancelled() || (options.batch_budget != 0 &&
-                              executed_batches >= options.batch_budget)) {
-      cancelled = true;
-      break;
-    }
-    ++executed_batches;
-    ICSC_TRACE_SPAN("dna/archival_batch");
-    ICSC_TRACE_COUNT("dna.archival_batches", 1);
+    ICSC_TRACE_SPAN("dna/reread_pass");
     result.passes_used = pass;
-    const std::size_t s_begin = next_s;
-    const std::size_t s_end = std::min(strands.size(), s_begin + batch);
-    const std::size_t reads_before = set.reads.size();
-    for (std::size_t s = s_begin; s < s_end; ++s) {
+    core::Rng rng(pass_stream_seed(params, pass));
+    for (std::size_t s = 0; s < strands.size(); ++s) {
       if (pass == 1) {
         if (params.dropout_rate > 0.0 && rng.bernoulli(params.dropout_rate)) {
           lost[s] = 1;  // never synthesised: no pass can read it back
@@ -347,48 +173,17 @@ RereadRunOutcome simulate_channel_reread_resilient(
       if (pass == 1 && copies == 0) ++set.dropped_strands;
       coverage[s] += static_cast<std::size_t>(copies);
     }
-    next_s = s_end;
-    if (persist) {
-      core::SnapshotWriter w;
-      w.put_u8(kRecBatch);
-      w.put_u32(static_cast<std::uint32_t>(pass));
-      w.put_u64(s_begin);
-      w.put_u64(s_end);
-      put_rng(w, rng);
-      w.put_u64(set.substitutions);
-      w.put_u64(set.insertions);
-      w.put_u64(set.deletions);
-      w.put_u64(set.burst_events);
-      w.put_u64(set.dropped_strands);
-      for (std::size_t s = s_begin; s < s_end; ++s) {
-        w.put_u64(coverage[s]);
-        w.put_bool(lost[s] != 0);
+    if (pass == 1) {
+      for (std::size_t s = 0; s < strands.size(); ++s) {
+        starved[s] = static_cast<char>(!lost[s] && coverage[s] == 0);
       }
-      w.put_u64(set.reads.size() - reads_before);
-      for (std::size_t i = reads_before; i < set.reads.size(); ++i) {
-        const Read& read = set.reads[i];
-        w.put_u64(read.origin);
-        w.put_u64(read.bases.size());
-        for (const Base base : read.bases) {
-          w.put_u8(static_cast<std::uint8_t>(base));
-        }
-      }
-      journal.append(w);
     }
   }
-
   for (std::size_t s = 0; s < strands.size(); ++s) {
     if (starved[s] && coverage[s] > 0) ++result.rescued_strands;
     if (lost[s] || coverage[s] == 0) ++result.unrecovered_strands;
   }
-  outcome.completed = !cancelled;
-  return outcome;
-}
-
-RereadResult simulate_channel_reread(const std::vector<Strand>& strands,
-                                     const ChannelParams& params,
-                                     const RereadParams& reread) {
-  return simulate_channel_reread_resilient(strands, params, reread, {}).result;
+  return result;
 }
 
 }  // namespace icsc::hetero::dna

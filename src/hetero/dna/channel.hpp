@@ -9,10 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "core/cancel.hpp"
 #include "core/rng.hpp"
 #include "hetero/dna/encoding.hpp"
 
@@ -85,9 +83,11 @@ struct RereadResult {
   std::size_t unrecovered_strands = 0;
 };
 
-/// Runs the channel with the re-read policy: the resilient run below with
-/// default options (no journal, no deadline). With max_passes == 1 the
-/// result's ReadSet is bit-identical to simulate_channel (same seed).
+/// Runs the channel with the re-read policy. Pass p draws from its own
+/// stream (seed + (p - 1) * golden-ratio step) over the strands in order;
+/// pass 1 reads every strand, a later pass only the strands still below
+/// min_coverage. With max_passes == 1 the result's ReadSet is
+/// bit-identical to simulate_channel (same seed).
 /// ReadSet::dropped_strands counts pass-1 loss events even when a later
 /// pass rescues the strand; `unrecovered_strands` is the final census.
 /// Throws core::Error unless params.validate() passes.
@@ -101,40 +101,5 @@ Strand corrupt_strand(const Strand& strand, const ChannelParams& params,
                       core::Rng& rng, std::uint64_t* subs = nullptr,
                       std::uint64_t* ins = nullptr,
                       std::uint64_t* dels = nullptr);
-
-/// Resilience controls for the journaled channel run (core/cancel.hpp,
-/// core/checkpoint.hpp). Defaults reproduce the plain in-memory run.
-struct RereadRunOptions {
-  /// Wall-clock budget; combined with `cancel` (whichever fires first).
-  core::Deadline deadline;
-  /// External cooperative stop handle, polled between strand batches.
-  core::CancelToken cancel;
-  /// Crash-safe run journal: one fsync'd record per completed strand
-  /// batch, so a killed run resumed from the journal replays at most one
-  /// batch of sequencing work. Empty disables journaling. A journal from a
-  /// different (strands, channel, reread) run throws core::Error.
-  std::string journal_path;
-  /// Strands folded per journal record.
-  std::size_t journal_batch = 64;
-  /// Max batches to sequence in *this* invocation (0 = no limit); lets the
-  /// kill/resume benches truncate a run at a deterministic point.
-  std::size_t batch_budget = 0;
-};
-
-struct RereadRunOutcome {
-  RereadResult result;
-  bool completed = true;            // false when truncated by deadline/cancel
-  std::size_t resumed_batches = 0;  // journal records replayed, not re-run
-};
-
-/// Journaled, cancellable re-read run; simulate_channel_reread is this run
-/// with default options. A run killed at any point and re-invoked with
-/// the same journal path resumes after the last durable batch and finishes
-/// bit-identical to an uninterrupted run. Cancelled runs return the reads
-/// accumulated so far as a valid partial flagged `completed = false`.
-/// Throws core::Error unless params.validate() passes.
-RereadRunOutcome simulate_channel_reread_resilient(
-    const std::vector<Strand>& strands, const ChannelParams& params,
-    const RereadParams& reread, const RereadRunOptions& options);
 
 }  // namespace icsc::hetero::dna

@@ -78,14 +78,7 @@ StorageSimResult run_storage_sim(const StorageSimParams& params,
   return result;
 }
 
-namespace {
-
-/// Derives the deterministic payload, runs the channel via `channel_fn`,
-/// and finishes the archival pipeline (cluster -> consensus -> ECC decode)
-/// on whatever reads the channel produced -- partial or complete.
-template <typename ChannelFn>
-ArchivalSimResult archival_pipeline(const ArchivalSimParams& params,
-                                    ChannelFn&& channel_fn) {
+ArchivalSimResult run_archival_sim(const ArchivalSimParams& params) {
   // Same payload derivation as run_storage_sim for a given channel seed.
   core::Rng rng(params.channel.seed ^ 0xDA7A'57A7ULL);
   std::vector<std::uint8_t> payload(params.payload_bytes);
@@ -93,8 +86,8 @@ ArchivalSimResult archival_pipeline(const ArchivalSimParams& params,
 
   const OligoSet oligos =
       encode_payload_ecc(payload, params.chunk_bytes, params.ecc);
-  ArchivalSimResult result;
-  const RereadResult channel = channel_fn(oligos.strands, result);
+  const RereadResult channel =
+      simulate_channel_reread(oligos.strands, params.channel, params.reread);
 
   ClusterResult clusters =
       cluster_reads(channel.set.reads, params.clustering);
@@ -107,6 +100,7 @@ ArchivalSimResult archival_pipeline(const ArchivalSimParams& params,
   const EccDecodeResult decoded = decode_payload_ecc(
       consensus, params.payload_bytes, params.chunk_bytes, params.ecc);
 
+  ArchivalSimResult result;
   result.strands = oligos.strands.size();
   result.reads = channel.set.reads.size();
   result.clusters = clusters.clusters.size();
@@ -125,34 +119,6 @@ ArchivalSimResult archival_pipeline(const ArchivalSimParams& params,
   result.rescued_strands = channel.rescued_strands;
   result.unrecovered_strands = channel.unrecovered_strands;
   return result;
-}
-
-}  // namespace
-
-ArchivalSimResult run_archival_sim(const ArchivalSimParams& params) {
-  return archival_pipeline(
-      params, [&](const std::vector<Strand>& strands, ArchivalSimResult&) {
-        return simulate_channel_reread(strands, params.channel, params.reread);
-      });
-}
-
-ArchivalSimResult run_archival_sim(const ArchivalSimParams& params,
-                                   const ArchivalRunOptions& options) {
-  return archival_pipeline(
-      params,
-      [&](const std::vector<Strand>& strands, ArchivalSimResult& result) {
-        RereadRunOptions run;
-        run.deadline = options.deadline;
-        run.cancel = options.cancel;
-        run.journal_path = options.journal_path;
-        run.journal_batch = options.journal_batch;
-        run.batch_budget = options.batch_budget;
-        RereadRunOutcome outcome = simulate_channel_reread_resilient(
-            strands, params.channel, params.reread, run);
-        result.completed = outcome.completed;
-        result.resumed_batches = outcome.resumed_batches;
-        return std::move(outcome.result);
-      });
 }
 
 }  // namespace icsc::hetero::dna

@@ -79,38 +79,10 @@ struct ArchivalSimResult {
   int passes_used = 1;
   std::size_t rescued_strands = 0;
   std::size_t unrecovered_strands = 0;
-  /// False when the sequencing phase was truncated by a deadline or
-  /// cancellation: the pipeline still clusters and decodes the reads
-  /// gathered so far, so the result is a well-formed partial.
-  bool completed = true;
-  /// Journal records replayed on resume instead of re-sequenced.
-  std::size_t resumed_batches = 0;
-};
-
-/// Resilience controls for run_archival_sim (core/cancel.hpp,
-/// core/checkpoint.hpp): the sequencing phase -- the pipeline's long-running
-/// campaign stage -- honours the deadline/cancel pair and journals one
-/// fsync'd record per completed strand batch, so a killed run resumed with
-/// the same journal path replays at most one batch and finishes with a
-/// result bit-identical to an uninterrupted run.
-struct ArchivalRunOptions {
-  core::Deadline deadline;
-  core::CancelToken cancel;
-  std::string journal_path;        // empty disables journaling
-  std::size_t journal_batch = 64;  // strands per journal record
-  /// Max batches to sequence in *this* invocation (0 = no limit); used by
-  /// the kill/resume benches to truncate runs at deterministic points.
-  std::size_t batch_budget = 0;
 };
 
 /// Runs the archival pipeline on a deterministic pseudo-random payload
 /// (same payload derivation as run_storage_sim for a given channel seed).
 ArchivalSimResult run_archival_sim(const ArchivalSimParams& params);
-
-/// Resilient variant: same pipeline, with the sequencing phase journaled
-/// and cancellable per `options`. Default options are bit-identical to the
-/// plain overload.
-ArchivalSimResult run_archival_sim(const ArchivalSimParams& params,
-                                   const ArchivalRunOptions& options);
 
 }  // namespace icsc::hetero::dna

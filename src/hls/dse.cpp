@@ -11,9 +11,7 @@
 #include <string>
 #include <utility>
 
-#include "core/checkpoint.hpp"
 #include "core/error.hpp"
-#include "core/fault.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
 #include "core/trace.hpp"
@@ -272,195 +270,30 @@ void fold_cache_stats(DseResult& result, const EvalCache* cache) {
   ICSC_TRACE_COUNT("dse/cache_misses", result.cache_misses);
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoint/resume plumbing (core/checkpoint.hpp). A snapshot pins the
-// exact run it belongs to -- strategy, seed, kernel, device, space -- via a
-// fingerprint, stores the folded partial result plus the number of
-// completed units, and is rewritten atomically after every block, so a
-// killed process resumes after the last durable block.
-
-constexpr std::uint32_t kDseSnapshotKind = 0x31455344;  // "DSE1"
-constexpr std::uint32_t kDseSnapshotVersion = 1;
-
-enum DseStrategy : std::uint64_t {
-  kStrategyExhaustive = 1,
-  kStrategyRandom = 2,
-  kStrategyHillClimb = 3,
-};
-
-std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
-  return core::fault_hash(h, v);
-}
-
-/// Fingerprint of everything that determines the evaluation sequence.
-std::uint64_t run_fingerprint(const Kernel& body, const DseConfig& config,
-                              DseStrategy strategy, std::uint64_t arg0,
-                              std::uint64_t arg1) {
-  std::uint64_t h = fold(0x1C5C'D5E1ULL, strategy);
-  h = fold(h, static_cast<std::uint64_t>(config.iterations));
-  h = fold(h, config.pipelined ? 1 : 0);
-  for (const char c : config.device.part) {
-    h = fold(h, static_cast<unsigned char>(c));
-  }
-  h = fold(h, static_cast<std::uint64_t>(config.device.luts));
-  h = fold(h, static_cast<std::uint64_t>(config.device.dsps));
-  for (const auto* axis :
-       {&config.space.unroll_factors, &config.space.alu_counts,
-        &config.space.mul_counts, &config.space.mem_port_counts}) {
-    h = fold(h, axis->size());
-    for (const int v : *axis) h = fold(h, static_cast<std::uint64_t>(v));
-  }
-  h = fold(h, body.size());
-  for (const Op& op : body.ops()) {
-    h = fold(h, static_cast<std::uint64_t>(op.kind));
-    for (const std::size_t operand : op.operands) h = fold(h, operand);
-  }
-  h = fold(h, arg0);
-  return fold(h, arg1);
-}
-
-void put_point(core::SnapshotWriter& w, const DesignPoint& p) {
-  w.put_i32(p.unroll);
-  w.put_i32(p.budget.alus);
-  w.put_i32(p.budget.muls);
-  w.put_i32(p.budget.divs);
-  w.put_i32(p.budget.mem_ports);
-  w.put_i32(p.cost.luts);
-  w.put_i32(p.cost.ffs);
-  w.put_i32(p.cost.dsps);
-  w.put_f64(p.cost.bram_kb);
-  w.put_f64(p.cost.fmax_mhz);
-  w.put_i32(p.cost.cycles);
-  w.put_f64(p.cost.latency_us);
-  w.put_f64(p.cost.device_utilization);
-  w.put_bool(p.cost.fits);
-  w.put_f64(p.total_latency_us);
-  w.put_f64(p.area_score);
-}
-
-DesignPoint get_point(core::SnapshotReader& r) {
-  DesignPoint p;
-  p.unroll = r.get_i32();
-  p.budget.alus = r.get_i32();
-  p.budget.muls = r.get_i32();
-  p.budget.divs = r.get_i32();
-  p.budget.mem_ports = r.get_i32();
-  p.cost.luts = r.get_i32();
-  p.cost.ffs = r.get_i32();
-  p.cost.dsps = r.get_i32();
-  p.cost.bram_kb = r.get_f64();
-  p.cost.fmax_mhz = r.get_f64();
-  p.cost.cycles = r.get_i32();
-  p.cost.latency_us = r.get_f64();
-  p.cost.device_utilization = r.get_f64();
-  p.cost.fits = r.get_bool();
-  p.total_latency_us = r.get_f64();
-  p.area_score = r.get_f64();
-  return p;
-}
-
-void save_dse_snapshot(const std::string& path, std::uint64_t fingerprint,
-                       std::size_t units_done, const DseResult& result,
-                       bool completed) {
-  core::SnapshotWriter w;
-  w.put_u64(fingerprint);
-  w.put_bool(completed);
-  w.put_u64(units_done);
-  w.put_u64(result.evaluations);
-  w.put_u64(result.feasible);
-  w.put_u64(result.evaluated.size());
-  for (const auto& point : result.evaluated) put_point(w, point);
-  w.save(path, kDseSnapshotKind, kDseSnapshotVersion);
-}
-
-/// Restores a snapshot into `result`; returns the number of completed
-/// units, or 0 with `result` untouched when no snapshot exists. Sets
-/// `*completed` to the stored completion flag.
-std::size_t load_dse_snapshot(const std::string& path,
-                              std::uint64_t fingerprint, DseResult& result,
-                              bool* completed) {
-  auto snapshot = core::SnapshotReader::try_load(path, kDseSnapshotKind,
-                                                 kDseSnapshotVersion);
-  if (!snapshot) return 0;
-  if (snapshot->get_u64() != fingerprint) {
-    throw core::Error("hls::dse", "checkpoint belongs to a different run",
-                      path);
-  }
-  *completed = snapshot->get_bool();
-  const std::uint64_t units_done = snapshot->get_u64();
-  result.evaluations = static_cast<std::size_t>(snapshot->get_u64());
-  result.feasible = static_cast<std::size_t>(snapshot->get_u64());
-  const std::uint64_t points = snapshot->get_u64();
-  result.evaluated.clear();
-  result.evaluated.reserve(static_cast<std::size_t>(points));
-  for (std::uint64_t i = 0; i < points; ++i) {
-    result.evaluated.push_back(get_point(*snapshot));
-  }
-  result.resumed_units = static_cast<std::size_t>(units_done);
-  return static_cast<std::size_t>(units_done);
-}
-
-/// Resilient driver shared by the candidate-list strategies (exhaustive,
-/// random): evaluates `candidates` in checkpoint-sized blocks on the pool,
-/// folding each block back in candidate order, honouring deadline/cancel
-/// between chunks and persisting progress after every block. Units =
-/// candidates; counters cover exactly the folded prefix.
+/// Driver shared by the candidate-list strategies (exhaustive, random):
+/// evaluates every candidate in one pass over the pool and folds the
+/// points back in candidate order.
 DseResult run_candidates(const Kernel& body, const DseConfig& config,
                          const std::vector<Candidate>& candidates,
-                         std::uint64_t fingerprint, bool prewarm = false) {
+                         bool prewarm = false) {
   ICSC_TRACE_SPAN("dse/run_candidates");
-  DseResult result;
-  std::size_t done = 0;
-  bool snapshot_completed = false;
-  const bool persist = !config.checkpoint_path.empty();
-  if (persist) {
-    done = load_dse_snapshot(config.checkpoint_path, fingerprint, result,
-                             &snapshot_completed);
-  }
   std::unique_ptr<EvalCache> cache;
   if (config.memoize) cache = std::make_unique<EvalCache>(body, config);
-  auto evaluate = [&](const Candidate& candidate) {
-    return cache ? cache->evaluate(candidate)
-                 : evaluate_design(body, candidate.unroll, candidate.budget,
-                                   config);
-  };
-  if (!snapshot_completed) {
-    // An exhaustive sweep visits every unroll factor, so computing the
-    // whole axis up front (in parallel) beats first-touch laziness.
-    if (cache && prewarm) cache->prewarm_unrolls();
-    const core::CancelToken token = config.cancel.with_deadline(config.deadline);
-    const std::size_t block = std::max<std::size_t>(1, config.checkpoint_every);
-    const std::size_t stop_at =
-        config.unit_budget == 0
-            ? candidates.size()
-            : std::min(candidates.size(), done + config.unit_budget);
-    bool cancelled = false;
-    while (done < stop_at && !cancelled) {
-      if (token.cancelled()) {
-        cancelled = true;
-        break;
-      }
-      const std::size_t block_end = std::min(stop_at, done + block);
-      auto points = core::parallel_map(
-          block_end - done, 1,
-          [&](std::size_t i) { return evaluate(candidates[done + i]); },
-          token);
-      cancelled = points.size() < block_end - done;
-      done += points.size();
-      result.evaluations += points.size();
-      ICSC_TRACE_COUNT("dse.evaluations", points.size());
-      if (cancelled) ICSC_TRACE_COUNT("dse.cancelled_blocks", 1);
-      for (auto& point : points) {
-        if (!point.cost.fits || !point_finite(point)) continue;
-        ++result.feasible;
-        result.evaluated.push_back(std::move(point));
-      }
-      if (persist) {
-        save_dse_snapshot(config.checkpoint_path, fingerprint, done, result,
-                          done == candidates.size() && !cancelled);
-      }
-    }
-    result.completed = done == candidates.size() && !cancelled;
+  // An exhaustive sweep visits every unroll factor, so computing the whole
+  // axis up front (in parallel) beats first-touch laziness.
+  if (cache && prewarm) cache->prewarm_unrolls();
+  auto points = core::parallel_map(candidates.size(), 1, [&](std::size_t i) {
+    return cache ? cache->evaluate(candidates[i])
+                 : evaluate_design(body, candidates[i].unroll,
+                                   candidates[i].budget, config);
+  });
+  DseResult result;
+  result.evaluations = points.size();
+  ICSC_TRACE_COUNT("dse.evaluations", points.size());
+  for (auto& point : points) {
+    if (!point.cost.fits || !point_finite(point)) continue;
+    ++result.feasible;
+    result.evaluated.push_back(std::move(point));
   }
   fold_cache_stats(result, cache.get());
   result.front = to_pareto(result.evaluated);
@@ -479,8 +312,15 @@ void DseConfig::validate() const {
         std::pair{"space.mem_port_counts.size()", &space.mem_port_counts}}) {
     core::require_at_least(where, field, static_cast<double>(axis->size()), 1);
   }
-  for (const int unroll : space.unroll_factors) {
-    core::require_at_least(where, "each space.unroll_factors entry", unroll, 1);
+  for (const auto& [field, axis] :
+       {std::pair{"each space.unroll_factors entry", &space.unroll_factors},
+        std::pair{"each space.alu_counts entry", &space.alu_counts},
+        std::pair{"each space.mul_counts entry", &space.mul_counts},
+        std::pair{"each space.mem_port_counts entry",
+                  &space.mem_port_counts}}) {
+    for (const int value : *axis) {
+      core::require_at_least(where, field, value, 1);
+    }
   }
 }
 
@@ -509,9 +349,13 @@ DesignPoint evaluate_design(const Kernel& body, int unroll,
                             const ResourceBudget& budget,
                             const DseConfig& config) {
   ICSC_TRACE_SPAN("dse/evaluate");
-  core::require_at_least("hls::evaluate_design", "unroll", unroll, 1);
-  core::require_at_least("hls::evaluate_design", "config.iterations",
-                         config.iterations, 1);
+  const std::string where = "hls::evaluate_design";
+  core::require_at_least(where, "unroll", unroll, 1);
+  core::require_at_least(where, "config.iterations", config.iterations, 1);
+  core::require_at_least(where, "budget.alus", budget.alus, 1);
+  core::require_at_least(where, "budget.muls", budget.muls, 1);
+  core::require_at_least(where, "budget.divs", budget.divs, 1);
+  core::require_at_least(where, "budget.mem_ports", budget.mem_ports, 1);
   Candidate candidate;
   candidate.unroll = unroll;
   candidate.budget = budget;
@@ -525,10 +369,7 @@ DseResult dse_exhaustive(const Kernel& body, const DseConfig& config) {
   config.validate();
   // Materialise the full grid in canonical row-major order (dse_grid),
   // then fan the independent evaluations out.
-  const std::vector<Candidate> grid = dse_grid(config.space);
-  return run_candidates(body, config, grid,
-                        run_fingerprint(body, config, kStrategyExhaustive,
-                                        grid.size(), 0),
+  return run_candidates(body, config, dse_grid(config.space),
                         /*prewarm=*/true);
 }
 
@@ -540,8 +381,7 @@ DseResult dse_random(const Kernel& body, const DseConfig& config,
   // Pre-draw every trial's coordinates serially, in the same per-trial
   // draw order (unroll, alus, muls, ports) as a serial loop would, so the
   // sampled sequence -- and therefore the result -- is bit-identical for a
-  // given seed regardless of thread count. A resumed run re-derives the
-  // full list from the seed and skips the checkpointed prefix.
+  // given seed regardless of thread count.
   std::vector<Candidate> trials(budget);
   for (auto& trial : trials) {
     trial.unroll = space.unroll_factors[rng.below(space.unroll_factors.size())];
@@ -550,9 +390,7 @@ DseResult dse_random(const Kernel& body, const DseConfig& config,
     trial.budget.mem_ports =
         space.mem_port_counts[rng.below(space.mem_port_counts.size())];
   }
-  return run_candidates(body, config, trials,
-                        run_fingerprint(body, config, kStrategyRandom,
-                                        budget, seed));
+  return run_candidates(body, config, trials);
 }
 
 DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
@@ -589,66 +427,22 @@ DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
                  : evaluate_design(body, candidate.unroll, candidate.budget,
                                    config);
   };
+  auto record = [&](const DesignPoint& point) {
+    ++result.evaluations;
+    if (!point.cost.fits || !point_finite(point)) return;
+    ++result.feasible;
+    result.evaluated.push_back(point);
+  };
 
-  // The resume unit is one restart: restart boundaries are the only points
-  // where the walk's state is just (RNG position, folded results). A
-  // cancelled mid-climb restart is discarded wholesale -- its scratch
-  // counters never fold in -- and re-runs from its start draws on resume,
-  // which keeps counters exact and resumed results bit-identical.
-  const std::size_t total = restarts > 0 ? static_cast<std::size_t>(restarts) : 0;
-  const std::uint64_t fingerprint =
-      run_fingerprint(body, config, kStrategyHillClimb, total, seed);
-  std::size_t done = 0;
-  bool snapshot_completed = false;
-  const bool persist = !config.checkpoint_path.empty();
-  if (persist) {
-    done = load_dse_snapshot(config.checkpoint_path, fingerprint, result,
-                             &snapshot_completed);
-  }
-  if (snapshot_completed) {
-    result.front = to_pareto(result.evaluated);
-    return result;
-  }
-  // Replay the start-point draws of the checkpointed restarts so the RNG
-  // stream lines up exactly with an uninterrupted run. Braced-init draws
-  // evaluate left-to-right: u, a, m, p -- the same order as below.
-  for (std::size_t r = 0; r < done; ++r) {
-    Coord replay{rng.below(space.unroll_factors.size()),
-                 rng.below(space.alu_counts.size()),
-                 rng.below(space.mul_counts.size()),
-                 rng.below(space.mem_port_counts.size())};
-    (void)replay;
-  }
-
-  const core::CancelToken token = config.cancel.with_deadline(config.deadline);
-  const std::size_t block = std::max<std::size_t>(1, config.checkpoint_every);
-  const std::size_t stop_at =
-      config.unit_budget == 0 ? total
-                              : std::min(total, done + config.unit_budget);
-  bool cancelled = false;
-  std::size_t last_saved = done;
-  while (done < stop_at && !cancelled) {
-    if (token.cancelled()) {
-      cancelled = true;
-      break;
-    }
-    // Scratch accounting for this restart, folded in only if it completes.
-    std::vector<DesignPoint> scratch;
-    std::size_t scratch_evals = 0;
-    auto record = [&](const DesignPoint& point) {
-      ++scratch_evals;
-      if (point.cost.fits && point_finite(point)) scratch.push_back(point);
-    };
-
+  for (int r = 0; r < restarts; ++r) {
     Coord current{rng.below(space.unroll_factors.size()),
                   rng.below(space.alu_counts.size()),
                   rng.below(space.mul_counts.size()),
                   rng.below(space.mem_port_counts.size())};
-    const Candidate start = to_candidate(current);
-    DesignPoint best = evaluate(start);
+    DesignPoint best = evaluate(to_candidate(current));
     record(best);
     bool improved = true;
-    while (improved && !cancelled) {
+    while (improved) {
       improved = false;
       // Explore all +-1 neighbours along each axis.
       std::vector<Coord> neighbours;
@@ -666,12 +460,7 @@ DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
       // order below reproduces the serial scan exactly.
       const auto points = core::parallel_map(
           neighbours.size(), 1,
-          [&](std::size_t i) { return evaluate(to_candidate(neighbours[i])); },
-          token);
-      if (points.size() < neighbours.size()) {
-        cancelled = true;
-        break;
-      }
+          [&](std::size_t i) { return evaluate(to_candidate(neighbours[i])); });
       for (std::size_t i = 0; i < points.size(); ++i) {
         record(points[i]);
         if (points[i].cost.fits && point_finite(points[i]) &&
@@ -682,25 +471,8 @@ DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
         }
       }
     }
-    if (cancelled) break;  // discard the aborted restart's scratch
-    ICSC_TRACE_COUNT("dse.evaluations", scratch_evals);
-    result.evaluations += scratch_evals;
-    result.feasible += scratch.size();
-    for (auto& point : scratch) result.evaluated.push_back(std::move(point));
-    ++done;
-    if (persist && (done % block == 0 || done == total)) {
-      save_dse_snapshot(config.checkpoint_path, fingerprint, done, result,
-                        done == total);
-      last_saved = done;
-    }
   }
-  // Persist the tail on any early exit (cancellation or unit budget) so a
-  // later invocation resumes after the last completed restart.
-  if (persist && done != last_saved) {
-    save_dse_snapshot(config.checkpoint_path, fingerprint, done, result,
-                      done == total && !cancelled);
-  }
-  result.completed = done == total && !cancelled;
+  ICSC_TRACE_COUNT("dse.evaluations", result.evaluations);
   fold_cache_stats(result, cache.get());
   result.front = to_pareto(result.evaluated);
   return result;

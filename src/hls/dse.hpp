@@ -6,23 +6,14 @@
 // estimations". A design point = (unroll factor, resource budget); its
 // objectives are total latency for a given iteration count and area. Three
 // strategies -- exhaustive, random sampling, and hill climbing -- are
-// compared by Pareto hypervolume in the ablation bench.
-//
-// Resilience: a DSE run carries an optional wall-clock deadline, a
-// cooperative CancelToken, and a checkpoint path (core/cancel.hpp,
-// core/checkpoint.hpp). A cancelled run drains in-flight evaluations and
-// returns a valid partial result flagged `completed = false`; a
-// checkpointed run killed at any point resumes from the last durable
-// snapshot and finishes with a result bit-identical to an uninterrupted
-// run (same seed, index-ordered merge).
+// compared by Pareto hypervolume in the ablation bench. Evaluations run on
+// the shared pool and fold back in a fixed order, so a result is
+// bit-identical for a given config and seed at any thread count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
-#include "core/cancel.hpp"
 #include "core/pareto.hpp"
 #include "hls/estimate.hpp"
 
@@ -64,24 +55,6 @@ struct DseConfig {
   bool pipelined = false;
   DseSpace space;
 
-  // --- resilient-runtime controls (defaults reproduce the open-loop run) ---
-  /// Wall-clock budget for the run; expiry drains in-flight evaluations
-  /// and returns the completed prefix with `completed = false`.
-  core::Deadline deadline;
-  /// External cooperative stop handle (polled between evaluation chunks).
-  core::CancelToken cancel;
-  /// Snapshot file for checkpoint/resume; empty disables persistence. An
-  /// existing snapshot for the same (strategy, seed, config) run is
-  /// resumed; one from a different run throws core::Error.
-  std::string checkpoint_path;
-  /// Completed units (design points; hill-climb: restarts) folded between
-  /// snapshot saves -- the most work a killed process can lose.
-  std::size_t checkpoint_every = 16;
-  /// Max units to evaluate in *this* invocation (0 = no limit); used by
-  /// the kill/resume benches to truncate runs at deterministic points.
-  std::size_t unit_budget = 0;
-
-  // --- evaluation memoization ---------------------------------------------
   /// Share scheduling work across the run through a per-call cache: the
   /// unrolled kernel is computed once per unroll factor, and the
   /// schedule/binding/cost pipeline once per (unroll, effective budget).
@@ -94,16 +67,18 @@ struct DseConfig {
   /// and `false` restores the uncached seed path for A/B benchmarking.
   bool memoize = true;
 
-  /// Throws core::Error unless `iterations` and every unroll factor are
-  /// >= 1 and all four space axes are non-empty. The three strategies call
-  /// it before any evaluation.
+  /// Throws core::Error unless `iterations` and every entry of the four
+  /// space axes (unroll factors and ALU, multiplier and memory-port
+  /// counts) are >= 1 and no axis is empty. The three strategies call it
+  /// before any evaluation.
   void validate() const;
 };
 
 /// Evaluates one (kernel, unroll, budget) configuration: schedules the
 /// unrolled body under the budget and rolls up iteration latency and area.
 /// Always uncached (the strategies go through the per-run memo instead).
-/// Throws core::Error unless `unroll` and `config.iterations` are >= 1.
+/// Throws core::Error unless `unroll`, `config.iterations` and every class
+/// count of `budget` are >= 1.
 /// A degenerate estimate whose Fmax is zero, negative, or non-finite is
 /// marked infeasible explicitly (`cost.fits = false`, infinite latency)
 /// instead of silently dividing by it.
@@ -124,25 +99,20 @@ DesignPoint evaluate_design(const Kernel& body, int unroll,
 /// pass) -- and that ordering is identical whether the evaluations ran
 /// serially or on the thread pool, so `front` indices and all counters are
 /// bit-reproducible for a given config/seed.
-/// When a run is truncated (deadline, cancellation, or unit budget) the
-/// counters cover exactly the completed units -- `evaluations` counts only
-/// design points whose evaluation finished and was folded in, never
-/// in-flight or discarded work -- and `completed` is false so callers can
-/// distinguish a full sweep from a valid partial one.
 struct DseResult {
   std::vector<DesignPoint> evaluated;
   std::vector<core::ParetoPoint> front;  // objectives {latency_us, area}
   std::size_t evaluations = 0;  // all attempts, fitting or not
   std::size_t feasible = 0;     // attempts that fit (== evaluated.size())
-  bool completed = true;        // false = truncated partial result
-  std::size_t resumed_units = 0;  // units restored from checkpoint, not re-run
-  /// Memoization accounting for *this* invocation (not persisted in
-  /// checkpoints): `cache_misses` counts evaluations that actually ran the
-  /// unroll/schedule/bind/estimate pipeline, `cache_hits` the ones served
-  /// from an already-computed (unroll, effective budget) slot. Hits +
-  /// misses equals the evaluations attempted this invocation when
-  /// `DseConfig::memoize` is on; both stay zero when it is off. Also
-  /// exported as the `dse/cache_hits` / `dse/cache_misses` trace counters.
+  /// Always true: every strategy runs to the end of its space, budget or
+  /// restarts. Kept for callers that still check it.
+  bool completed = true;
+  /// Memoization accounting: `cache_misses` counts evaluations that
+  /// actually ran the unroll/schedule/bind/estimate pipeline, `cache_hits`
+  /// the ones served from an already-computed (unroll, effective budget)
+  /// slot. Hits + misses equals `evaluations` when `DseConfig::memoize` is
+  /// on; both stay zero when it is off. Also exported as the
+  /// `dse/cache_hits` / `dse/cache_misses` trace counters.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
 };

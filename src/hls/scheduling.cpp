@@ -218,6 +218,11 @@ bool schedule_is_valid(const Kernel& kernel, const Schedule& schedule,
 }
 
 int min_initiation_interval(const Kernel& kernel, const ResourceBudget& budget) {
+  const std::string where = "hls::min_initiation_interval";
+  core::require_at_least(where, "budget.alus", budget.alus, 1);
+  core::require_at_least(where, "budget.muls", budget.muls, 1);
+  core::require_at_least(where, "budget.divs", budget.divs, 1);
+  core::require_at_least(where, "budget.mem_ports", budget.mem_ports, 1);
   int ii = 1;
   for (const FuClass cls :
        {FuClass::kAlu, FuClass::kMul, FuClass::kDiv, FuClass::kMemPort}) {

@@ -80,7 +80,8 @@ bool schedule_is_valid(const Kernel& kernel, const Schedule& schedule,
                        const ResourceBudget& budget);
 
 /// Resource-constrained minimum initiation interval of a pipelined loop
-/// whose body is `kernel`: max over classes of ceil(uses / units).
+/// whose body is `kernel`: max over classes of ceil(uses / units). Throws
+/// core::Error unless every class count of `budget` is >= 1.
 int min_initiation_interval(const Kernel& kernel, const ResourceBudget& budget);
 
 }  // namespace icsc::hls

@@ -72,6 +72,7 @@ void CrossbarConfig::validate() const {
   device.validate();
   programming.validate();
   validate_repair(programming, repair);
+  faults.validate();
 }
 
 CrossbarHealth& CrossbarHealth::operator+=(const CrossbarHealth& other) {

@@ -76,8 +76,8 @@ struct CrossbarConfig {
   /// Throws core::Error unless dac_bits and adc_bits are each <= 0 (ideal)
   /// or in [2, 31] (1 bit leaves the signed quantiser no level, 32 overflows
   /// its level count), ir_drop_per_row and adc_energy_pj are finite and
-  /// >= 0, device.validate() and programming.validate() pass, and
-  /// validate_repair(programming, repair) does.
+  /// >= 0, device.validate(), programming.validate() and faults.validate()
+  /// pass, and validate_repair(programming, repair) does.
   void validate() const;
 };
 

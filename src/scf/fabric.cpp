@@ -32,6 +32,7 @@ void FabricConfig::validate() const {
   core::require_at_least(where, "dispatch_cycles", dispatch_cycles, 0.0);
   core::require_at_least(where, "uncore_power_mw", uncore_power_mw, 0.0);
   core::require_at_least(where, "slow_cu_penalty", slow_cu_penalty, 1.0);
+  faults.validate();
 }
 
 namespace {

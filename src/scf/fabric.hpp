@@ -70,8 +70,8 @@ struct FabricConfig {
   /// (bulk-synchronous execution waits on the laggard).
   double slow_cu_penalty = 2.0;
 
-  /// Throws core::Error when cu.validate() or vector_cu.validate() does,
-  /// or unless num_cus >= 1, vector_cus >= 0, interconnect_bytes_per_cycle
+  /// Throws core::Error when cu.validate(), vector_cu.validate() or
+  /// faults.validate() does, or unless num_cus >= 1, vector_cus >= 0, interconnect_bytes_per_cycle
   /// is finite and > 0, dispatch_cycles and uncore_power_mw are finite and
   /// >= 0, and slow_cu_penalty is finite and >= 1.
   void validate() const;

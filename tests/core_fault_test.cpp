@@ -4,9 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <random>
-#include <string>
 #include <vector>
 
 #include "core/error.hpp"
@@ -222,121 +221,11 @@ TEST(FaultCampaign, ResultsIdenticalIsExact) {
   EXPECT_FALSE(campaign_results_identical(a, b));
 }
 
-/// Per-test scratch directory for the checkpoint/resume campaign tests.
-class CampaignResumeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    char tmpl[] = "/tmp/icsc_campaign_test_XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    dir_ = tmpl;
-  }
-  void TearDown() override {
-    const std::string cmd = "rm -rf '" + dir_ + "'";
-    [[maybe_unused]] const int rc = std::system(cmd.c_str());
-  }
-
-  std::string ckpt() const { return dir_ + "/campaign.snap"; }
-
-  std::string dir_;
-};
-
-TEST_F(CampaignResumeTest, DefaultOptionsMatchThePlainRun) {
+TEST(FaultCampaign, DefaultOptionsMatchThePlainRun) {
   const FaultCampaign campaign(0xC0FFEE, 24);
   const auto plain = campaign.run(synthetic_trial);
   const auto outcome = campaign.run(synthetic_trial, CampaignRunOptions{});
-  EXPECT_TRUE(outcome.completed);
-  EXPECT_EQ(outcome.resumed_trials, 0u);
   EXPECT_TRUE(campaign_results_identical(outcome.results, plain));
-}
-
-TEST_F(CampaignResumeTest, TrialBudgetReturnsTheExactPrefix) {
-  const FaultCampaign campaign(0xC0FFEE, 24);
-  const auto plain = campaign.run(synthetic_trial);
-  CampaignRunOptions options;
-  options.trial_budget = 7;
-  const auto outcome = campaign.run(synthetic_trial, options);
-  EXPECT_FALSE(outcome.completed);
-  ASSERT_EQ(outcome.results.size(), 7u);
-  // The partial is the trial-order prefix of the full campaign: no lost
-  // and no double-counted trials.
-  EXPECT_TRUE(campaign_results_identical(
-      outcome.results,
-      std::vector<TrialResult>(plain.begin(), plain.begin() + 7)));
-}
-
-TEST_F(CampaignResumeTest, KillAndResumeIsBitIdentical) {
-  const FaultCampaign campaign(0xC0FFEE, 24);
-  const auto plain = campaign.run(synthetic_trial);
-  CampaignRunOptions options;
-  options.checkpoint_path = ckpt();
-  options.checkpoint_every = 3;
-  options.trial_budget = 10;  // "kill" after 10 trials
-  const auto partial = campaign.run(synthetic_trial, options);
-  EXPECT_FALSE(partial.completed);
-  options.trial_budget = 0;
-  const auto resumed = campaign.run(synthetic_trial, options);
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_GE(resumed.resumed_trials, 10u);
-  EXPECT_TRUE(campaign_results_identical(resumed.results, plain));
-  // Re-running a completed campaign re-executes nothing.
-  const auto again = campaign.run(synthetic_trial, options);
-  EXPECT_TRUE(again.completed);
-  EXPECT_EQ(again.resumed_trials, 24u);
-  EXPECT_TRUE(campaign_results_identical(again.results, plain));
-}
-
-TEST_F(CampaignResumeTest, ResumeCrossesSerialAndParallelExecution) {
-  const FaultCampaign campaign(0xF00D, 32);
-  std::vector<TrialResult> serial_reference;
-  {
-    ScopedSerial guard;
-    serial_reference = campaign.run(synthetic_trial);
-  }
-  CampaignRunOptions options;
-  options.checkpoint_path = ckpt();
-  options.checkpoint_every = 4;
-  options.trial_budget = 13;
-  (void)campaign.run(synthetic_trial, options);  // partial on the pool
-  options.trial_budget = 0;
-  CampaignRunOutcome resumed;
-  {
-    ScopedSerial guard;
-    resumed = campaign.run(synthetic_trial, options);
-  }
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_TRUE(campaign_results_identical(resumed.results, serial_reference));
-}
-
-TEST_F(CampaignResumeTest, SnapshotFromAnotherCampaignIsRejected) {
-  CampaignRunOptions options;
-  options.checkpoint_path = ckpt();
-  options.trial_budget = 5;
-  (void)FaultCampaign(1, 24).run(synthetic_trial, options);
-  EXPECT_THROW((void)FaultCampaign(2, 24).run(synthetic_trial, options),
-               Error);  // different seed
-  EXPECT_THROW((void)FaultCampaign(1, 16).run(synthetic_trial, options),
-               Error);  // different trial count
-}
-
-TEST_F(CampaignResumeTest, ExpiredDeadlineYieldsWellFormedEmptyPartial) {
-  const FaultCampaign campaign(7, 16);
-  CampaignRunOptions options;
-  options.deadline = Deadline::after(0.0);
-  const auto outcome = campaign.run(synthetic_trial, options);
-  EXPECT_FALSE(outcome.completed);
-  EXPECT_TRUE(outcome.results.empty());
-  // summarize() copes with an empty partial instead of dividing by zero.
-  const auto summary = FaultCampaign::summarize(outcome.results);
-  EXPECT_EQ(summary.trials, 0u);
-}
-
-TEST_F(CampaignResumeTest, PreCancelledTokenStopsBeforeAnyTrial) {
-  const FaultCampaign campaign(7, 16);
-  CampaignRunOptions options;
-  options.cancel.request_stop();
-  const auto outcome = campaign.run(synthetic_trial, options);
-  EXPECT_FALSE(outcome.completed);
-  EXPECT_TRUE(outcome.results.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -362,7 +251,6 @@ TEST(FaultCampaignEarlyStop, ConvergesBeforeBudgetAndCoversOracle) {
   CampaignRunOptions options;
   options.early_stop = loose_stop();
   const auto outcome = campaign.run(synthetic_trial, options);
-  EXPECT_TRUE(outcome.completed);
   EXPECT_TRUE(outcome.stopped_early);
   EXPECT_EQ(outcome.stop_reason, sampling::StopReason::kConverged);
   EXPECT_EQ(outcome.trials_budgeted, 600u);
@@ -398,65 +286,54 @@ TEST(FaultCampaignEarlyStop, BudgetExhaustionIsReported) {
   options.early_stop.relative_half_width = 1e-6;  // unreachable target
   const FaultCampaign campaign(0xBEEF, 32);
   const auto outcome = campaign.run(synthetic_trial, options);
-  EXPECT_TRUE(outcome.completed);
   EXPECT_FALSE(outcome.stopped_early);
   EXPECT_EQ(outcome.stop_reason, sampling::StopReason::kBudget);
   EXPECT_EQ(outcome.trials_run(), 32u);
 }
 
-TEST_F(CampaignResumeTest, EarlyStopKillAndResumeLandsOnIdenticalStop) {
+TEST(FaultCampaignEarlyStop, StopPointGolden) {
+  // Pins the stop point and the bits of the reported estimate, inline and
+  // on 4 threads. The stop rule fires only at its check points, so however
+  // the campaign groups its trials into pool dispatches it must land here.
+  struct Golden {
+    bool track_latency;
+    std::size_t trials_run;
+    sampling::StopReason reason;
+    std::uint64_t mean_bits;
+    std::uint64_t half_width_bits;
+  };
+  const Golden goldens[] = {
+      {false, 56, sampling::StopReason::kConverged, 0x3fde90ac4ab308dcULL,
+       0x3fb15cc7e1a63f0eULL},
+      {true, 64, sampling::StopReason::kConverged, 0x3fdcf0affae58f3bULL,
+       0x3fb0d68340f1599fULL},
+  };
+  const auto bits = [](double v) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+  };
   const FaultCampaign campaign(0xBEEF, 600);
-  CampaignRunOptions straight;
-  straight.early_stop = loose_stop();
-  const auto reference = campaign.run(synthetic_trial, straight);
-  ASSERT_TRUE(reference.stopped_early);
-
-  // Truncated slices against a checkpoint, deliberately misaligned with
-  // check_every: the resumed run must stop at the identical trial with
-  // bit-identical estimates.
-  CampaignRunOutcome sliced;
-  for (;;) {
-    CampaignRunOptions slice;
-    slice.early_stop = loose_stop();
-    slice.checkpoint_path = ckpt();
-    slice.trial_budget = 5;
-    sliced = campaign.run(synthetic_trial, slice);
-    if (sliced.completed) break;
+  for (const auto& golden : goldens) {
+    SCOPED_TRACE(golden.track_latency ? "metric + latency" : "metric only");
+    CampaignRunOptions options;
+    options.early_stop = loose_stop();
+    options.early_stop_track_latency = golden.track_latency;
+    CampaignRunOutcome inline_run;
+    {
+      ScopedSerial guard;
+      inline_run = campaign.run(synthetic_trial, options);
+    }
+    set_parallel_threads(4);
+    CampaignRunOutcome pooled = campaign.run(synthetic_trial, options);
+    set_parallel_threads(0);
+    for (const auto* got : {&inline_run, &pooled}) {
+      EXPECT_EQ(got->trials_run(), golden.trials_run);
+      EXPECT_EQ(got->stop_reason, golden.reason);
+      EXPECT_EQ(bits(got->metric_estimate.mean), golden.mean_bits);
+      EXPECT_EQ(bits(got->metric_estimate.half_width), golden.half_width_bits);
+    }
   }
-  EXPECT_TRUE(sliced.stopped_early);
-  EXPECT_EQ(sliced.trials_run(), reference.trials_run());
-  EXPECT_TRUE(campaign_results_identical(sliced.results, reference.results));
-  EXPECT_EQ(sliced.metric_estimate.mean, reference.metric_estimate.mean);
-  EXPECT_EQ(sliced.metric_estimate.half_width,
-            reference.metric_estimate.half_width);
-
-  // A converged snapshot resumes as a no-op: same outcome, no new trials.
-  CampaignRunOptions resume;
-  resume.early_stop = loose_stop();
-  resume.checkpoint_path = ckpt();
-  const auto again = campaign.run(synthetic_trial, resume);
-  EXPECT_TRUE(again.completed);
-  EXPECT_EQ(again.resumed_trials, reference.trials_run());
-  EXPECT_TRUE(campaign_results_identical(again.results, reference.results));
-}
-
-TEST_F(CampaignResumeTest, SnapshotPinsTheStoppingRule) {
-  const FaultCampaign campaign(0xBEEF, 64);
-  CampaignRunOptions options;
-  options.early_stop = loose_stop();
-  options.checkpoint_path = ckpt();
-  options.trial_budget = 8;
-  (void)campaign.run(synthetic_trial, options);
-
-  // Same campaign, different stopping rule: the snapshot must be rejected
-  // rather than silently mixing stop decisions.
-  CampaignRunOptions other = options;
-  other.early_stop.relative_half_width = 0.5;
-  EXPECT_THROW(campaign.run(synthetic_trial, other), Error);
-  // And an early-stop snapshot is not resumable by a plain run.
-  CampaignRunOptions plain;
-  plain.checkpoint_path = ckpt();
-  EXPECT_THROW(campaign.run(synthetic_trial, plain), Error);
 }
 
 TEST(FaultCampaignEarlyStop, LatencyTrackingDelaysTheStop) {

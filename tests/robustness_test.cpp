@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -672,7 +671,7 @@ TEST(Robustness, DnaRereadRescuesLowCoverageStrands) {
   EXPECT_LT(reread.unrecovered_strands, uncovered_single);
 }
 
-/// Strand pool shared by the resilient-channel tests.
+/// Strand pool shared by the re-read channel tests.
 std::vector<hetero::dna::Strand> make_strands(std::uint64_t seed,
                                               std::size_t count,
                                               std::size_t length) {
@@ -684,39 +683,6 @@ std::vector<hetero::dna::Strand> make_strands(std::uint64_t seed,
   }
   return strands;
 }
-
-/// Bit-exact equality of two re-read outcomes (reads, counters, census).
-void expect_reread_identical(const hetero::dna::RereadResult& a,
-                             const hetero::dna::RereadResult& b) {
-  EXPECT_EQ(a.passes_used, b.passes_used);
-  EXPECT_EQ(a.rescued_strands, b.rescued_strands);
-  EXPECT_EQ(a.unrecovered_strands, b.unrecovered_strands);
-  EXPECT_EQ(a.set.substitutions, b.set.substitutions);
-  EXPECT_EQ(a.set.insertions, b.set.insertions);
-  EXPECT_EQ(a.set.deletions, b.set.deletions);
-  EXPECT_EQ(a.set.dropped_strands, b.set.dropped_strands);
-  EXPECT_EQ(a.set.burst_events, b.set.burst_events);
-  ASSERT_EQ(a.set.reads.size(), b.set.reads.size());
-  for (std::size_t i = 0; i < a.set.reads.size(); ++i) {
-    EXPECT_EQ(a.set.reads[i].origin, b.set.reads[i].origin);
-    EXPECT_EQ(a.set.reads[i].bases, b.set.reads[i].bases);
-  }
-}
-
-/// mkdtemp-backed scratch directory, removed on scope exit.
-struct TempDir {
-  TempDir() {
-    char tmpl[] = "/tmp/icsc_robust_test_XXXXXX";
-    if (::mkdtemp(tmpl) != nullptr) path = tmpl;
-  }
-  ~TempDir() {
-    if (path.empty()) return;
-    const std::string cmd = "rm -rf '" + path + "'";
-    [[maybe_unused]] const int rc = std::system(cmd.c_str());
-  }
-  std::string file(const std::string& name) const { return path + "/" + name; }
-  std::string path;
-};
 
 /// FNV-1a over a ReadSet: every read's origin, length and bases, then the
 /// error and loss counters.
@@ -745,9 +711,8 @@ std::uint64_t read_set_hash(const hetero::dna::ReadSet& set) {
 
 TEST(Robustness, DnaRereadGolden) {
   // Pins the re-read pass loop -- the ReadSet bytes and the re-read census
-  // -- for one pass and for three, with dropout, with bursts and with an
-  // empty strand pool. The plain and the resilient entry points both
-  // reproduce it.
+  // -- for one pass and for three, with dropout, with bursts, with an
+  // empty strand pool and with a 200-strand pool.
   struct Golden {
     const char* name;
     std::size_t strands;
@@ -767,6 +732,8 @@ TEST(Robustness, DnaRereadGolden) {
       {"3 passes, bursts", 40, 3, 0.0, 0.3, 115, 0x928261929567cbc0ULL, 3, 6, 0},
       {"3 passes, empty pool", 0, 3, 0.05, 0.3, 0, 0x8ac123d6f7dce585ULL, 1, 0,
        0},
+      {"200 strands, 3 passes", 200, 3, 0.05, 0.3, 512, 0xfd343208ba57e3e4ULL,
+       3, 43, 14},
   };
   for (const auto& golden : goldens) {
     SCOPED_TRACE(golden.name);
@@ -779,18 +746,13 @@ TEST(Robustness, DnaRereadGolden) {
     hetero::dna::RereadParams retry;
     retry.max_passes = golden.max_passes;
     retry.min_coverage = 2;
-    const auto plain =
+    const auto got =
         hetero::dna::simulate_channel_reread(strands, params, retry);
-    const auto resilient = hetero::dna::simulate_channel_reread_resilient(
-                               strands, params, retry, {})
-                               .result;
-    for (const auto* got : {&plain, &resilient}) {
-      EXPECT_EQ(got->set.reads.size(), golden.reads);
-      EXPECT_EQ(read_set_hash(got->set), golden.hash);
-      EXPECT_EQ(got->passes_used, golden.passes_used);
-      EXPECT_EQ(got->rescued_strands, golden.rescued);
-      EXPECT_EQ(got->unrecovered_strands, golden.unrecovered);
-    }
+    EXPECT_EQ(got.set.reads.size(), golden.reads);
+    EXPECT_EQ(read_set_hash(got.set), golden.hash);
+    EXPECT_EQ(got.passes_used, golden.passes_used);
+    EXPECT_EQ(got.rescued_strands, golden.rescued);
+    EXPECT_EQ(got.unrecovered_strands, golden.unrecovered);
   }
 }
 
@@ -841,9 +803,6 @@ TEST(Robustness, DnaChannelParamsValidated) {
     EXPECT_THROW((void)hetero::dna::simulate_channel_reread(
                      strands, params, hetero::dna::RereadParams{}),
                  core::Error);
-    EXPECT_THROW((void)hetero::dna::simulate_channel_reread_resilient(
-                     strands, params, {}, {}),
-                 core::Error);
     core::Rng rng(1);
     EXPECT_THROW((void)hetero::dna::corrupt_strand(strands[0], params, rng),
                  core::Error);
@@ -872,123 +831,6 @@ TEST(Robustness, DnaChannelParamsValidated) {
   edge.dropout_rate = 0.0;
   edge.mean_coverage = 2.0;
   EXPECT_FALSE(hetero::dna::simulate_channel(strands, edge).reads.empty());
-}
-
-TEST(Robustness, DnaResilientRereadDefaultsMatchThePlainRun) {
-  const auto strands = make_strands(19, 48, 90);
-  hetero::dna::ChannelParams params;
-  params.seed = 77;
-  params.mean_coverage = 2.0;
-  params.dropout_rate = 0.02;
-  hetero::dna::RereadParams retry;
-  retry.max_passes = 3;
-  retry.min_coverage = 2;
-  const auto plain =
-      hetero::dna::simulate_channel_reread(strands, params, retry);
-  const auto outcome = hetero::dna::simulate_channel_reread_resilient(
-      strands, params, retry, hetero::dna::RereadRunOptions{});
-  EXPECT_TRUE(outcome.completed);
-  EXPECT_EQ(outcome.resumed_batches, 0u);
-  expect_reread_identical(outcome.result, plain);
-}
-
-TEST(Robustness, DnaRereadJournalKillAndResumeIsBitIdentical) {
-  const TempDir tmp;
-  ASSERT_FALSE(tmp.path.empty());
-  const auto strands = make_strands(19, 48, 90);
-  hetero::dna::ChannelParams params;
-  params.seed = 77;
-  params.mean_coverage = 2.0;
-  params.dropout_rate = 0.02;
-  hetero::dna::RereadParams retry;
-  retry.max_passes = 3;
-  retry.min_coverage = 2;
-  const auto plain =
-      hetero::dna::simulate_channel_reread(strands, params, retry);
-
-  hetero::dna::RereadRunOptions options;
-  options.journal_path = tmp.file("reread.jnl");
-  options.journal_batch = 8;
-  options.batch_budget = 3;  // "kill" after three sequencing batches
-  const auto partial = hetero::dna::simulate_channel_reread_resilient(
-      strands, params, retry, options);
-  EXPECT_FALSE(partial.completed);
-  EXPECT_LT(partial.result.set.reads.size(), plain.set.reads.size());
-
-  options.batch_budget = 0;
-  const auto resumed = hetero::dna::simulate_channel_reread_resilient(
-      strands, params, retry, options);
-  EXPECT_TRUE(resumed.completed);
-  // Bounded replay: everything the first invocation journaled is restored,
-  // not re-sequenced.
-  EXPECT_GE(resumed.resumed_batches, 3u);
-  expect_reread_identical(resumed.result, plain);
-}
-
-TEST(Robustness, DnaRereadJournalFromAnotherRunIsRejected) {
-  const TempDir tmp;
-  ASSERT_FALSE(tmp.path.empty());
-  const auto strands = make_strands(19, 32, 80);
-  hetero::dna::ChannelParams params;
-  params.seed = 77;
-  hetero::dna::RereadParams retry;
-  retry.max_passes = 2;
-  hetero::dna::RereadRunOptions options;
-  options.journal_path = tmp.file("reread.jnl");
-  options.batch_budget = 1;
-  (void)hetero::dna::simulate_channel_reread_resilient(strands, params, retry,
-                                                       options);
-  hetero::dna::ChannelParams other = params;
-  other.seed = 78;  // a different run must not silently mix into this journal
-  EXPECT_THROW((void)hetero::dna::simulate_channel_reread_resilient(
-                   strands, other, retry, options),
-               core::Error);
-}
-
-TEST(Robustness, DnaRereadPreCancelledTokenReturnsWellFormedPartial) {
-  const auto strands = make_strands(23, 32, 80);
-  hetero::dna::ChannelParams params;
-  params.seed = 5;
-  hetero::dna::RereadParams retry;
-  retry.max_passes = 2;
-  hetero::dna::RereadRunOptions options;
-  options.cancel.request_stop();
-  const auto outcome = hetero::dna::simulate_channel_reread_resilient(
-      strands, params, retry, options);
-  EXPECT_FALSE(outcome.completed);
-  EXPECT_TRUE(outcome.result.set.reads.empty());
-}
-
-TEST(Robustness, DnaArchivalJournaledKillAndResumeMatchesPlainRun) {
-  const TempDir tmp;
-  ASSERT_FALSE(tmp.path.empty());
-  hetero::dna::ArchivalSimParams params;
-  params.payload_bytes = 256;
-  params.channel.seed = 97;
-  params.channel.mean_coverage = 3.0;
-  params.channel.dropout_rate = 0.02;
-  params.reread.max_passes = 3;
-  params.reread.min_coverage = 2;
-  const auto plain = hetero::dna::run_archival_sim(params);
-
-  hetero::dna::ArchivalRunOptions options;
-  options.journal_path = tmp.file("archival.jnl");
-  options.journal_batch = 8;
-  options.batch_budget = 2;
-  const auto partial = hetero::dna::run_archival_sim(params, options);
-  EXPECT_FALSE(partial.completed);
-
-  options.batch_budget = 0;
-  const auto resumed = hetero::dna::run_archival_sim(params, options);
-  EXPECT_TRUE(resumed.completed);
-  EXPECT_GE(resumed.resumed_batches, 2u);
-  EXPECT_EQ(resumed.reads, plain.reads);
-  EXPECT_EQ(resumed.clusters, plain.clusters);
-  EXPECT_EQ(resumed.byte_error_rate, plain.byte_error_rate);
-  EXPECT_EQ(resumed.missing_after_repair, plain.missing_after_repair);
-  EXPECT_EQ(resumed.passes_used, plain.passes_used);
-  EXPECT_EQ(resumed.rescued_strands, plain.rescued_strands);
-  EXPECT_EQ(resumed.unrecovered_strands, plain.unrecovered_strands);
 }
 
 TEST(Robustness, DnaBurstErrorsAreCountedAndOffByDefault) {
@@ -1106,6 +948,40 @@ TEST(Robustness, DseConfigValidationThrows) {
     config.iterations = bad;
     EXPECT_THROW(hls::evaluate_design(body, 1, {}, config), core::Error);
   }
+  // A zero resource count divided by zero in the modulo scheduler's
+  // initiation-interval bound (SIGFPE) on the uncached path, and the
+  // memoized path clamped it up to one unit and reported the point as
+  // feasible with a zero budget. Negative counts fared no better.
+  for (const bool pipelined : {false, true}) {
+    for (const bool memoize : {false, true}) {
+      for (const int bad : {0, -1}) {
+        const auto with = [&](auto axis) {
+          return [=](hls::DseConfig& c) {
+            c.pipelined = pipelined;
+            c.memoize = memoize;
+            c.space.*axis = {1, bad};
+          };
+        };
+        rejects(with(&hls::DseSpace::alu_counts));
+        rejects(with(&hls::DseSpace::mul_counts));
+        rejects(with(&hls::DseSpace::mem_port_counts));
+      }
+    }
+  }
+  for (const bool pipelined : {false, true}) {
+    hls::DseConfig config;
+    config.pipelined = pipelined;
+    for (const int bad : {0, -1}) {
+      for (int hls::ResourceBudget::*cls :
+           {&hls::ResourceBudget::alus, &hls::ResourceBudget::muls,
+            &hls::ResourceBudget::divs, &hls::ResourceBudget::mem_ports}) {
+        hls::ResourceBudget budget;
+        budget.*cls = bad;
+        EXPECT_THROW(hls::evaluate_design(body, 1, budget, config),
+                     core::Error);
+      }
+    }
+  }
   rejects([](hls::DseConfig& c) { c.space.unroll_factors.clear(); });
   rejects([](hls::DseConfig& c) { c.space.alu_counts.clear(); });
   rejects([](hls::DseConfig& c) { c.space.mul_counts.clear(); });
@@ -1119,6 +995,103 @@ TEST(Robustness, DseConfigValidationThrows) {
   EXPECT_EQ(hls::dse_random(body, tiny, 3, 1).evaluations, 3u);
   EXPECT_GT(hls::dse_hill_climb(body, tiny, 1, 1).evaluations, 0u);
   EXPECT_GT(hls::evaluate_design(body, 1, {}, tiny).total_latency_us, 0.0);
+}
+
+TEST(Robustness, FaultConfigValidated) {
+  // FaultInjector::at classifies a site with one uniform against the
+  // cumulative stuck/drift/dropout/delay thresholds, so a bad rate silently
+  // changed the other kinds' rates: stuck 0.6 with drift 0.6 gave a drift
+  // rate near 0.4, and a NaN or negative stuck rate hid all drift. Every
+  // entry point that takes a FaultConfig rejects it before it injects.
+  using core::FaultConfig;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    const char* field;
+    double FaultConfig::*member;
+    double value;
+  };
+  const Bad bad[] = {
+      {"stuck_at_rate", &FaultConfig::stuck_at_rate, nan},
+      {"stuck_at_rate", &FaultConfig::stuck_at_rate, -0.5},
+      {"stuck_at_rate", &FaultConfig::stuck_at_rate, 2.0},
+      {"transient_rate", &FaultConfig::transient_rate, -1e-9},
+      {"transient_rate", &FaultConfig::transient_rate, 1.5},
+      {"drift_rate", &FaultConfig::drift_rate, inf},
+      {"dropout_rate", &FaultConfig::dropout_rate, 1.01},
+      {"delay_rate", &FaultConfig::delay_rate, -inf},
+  };
+  const core::TensorF w({4, 4}, 0.25F);
+  const auto rejected_everywhere = [&w](const FaultConfig& faults) {
+    EXPECT_THROW((void)core::FaultInjector{faults}, core::Error);
+    imc::CrossbarConfig xbar;
+    xbar.faults = faults;
+    EXPECT_THROW(xbar.validate(), core::Error);
+    EXPECT_THROW((void)imc::Crossbar(w, xbar), core::Error);
+    imc::TileConfig tile;
+    tile.crossbar.faults = faults;
+    EXPECT_THROW((void)imc::TiledMatvec(w, tile), core::Error);
+    scf::FabricConfig fabric;
+    fabric.faults = faults;
+    EXPECT_THROW(fabric.validate(), core::Error);
+    EXPECT_THROW((void)scf::ScalableComputeFabric{fabric}, core::Error);
+  };
+  for (const auto& b : bad) {
+    SCOPED_TRACE(std::string(b.field) + " = " + std::to_string(b.value));
+    FaultConfig faults;
+    faults.*b.member = b.value;
+    rejected_everywhere(faults);
+  }
+  {
+    SCOPED_TRACE("stuck 0.6 + drift 0.6");
+    FaultConfig faults;
+    faults.stuck_at_rate = 0.6;
+    faults.drift_rate = 0.6;
+    rejected_everywhere(faults);
+  }
+  {
+    SCOPED_TRACE("site kinds summing to 1.2");
+    FaultConfig faults;
+    faults.drift_rate = 0.3;
+    faults.dropout_rate = 0.5;
+    faults.delay_rate = 0.4;
+    rejected_everywhere(faults);
+  }
+
+  // The ends of the range pass: every rate 0, any one rate 1 (transient
+  // included, since it is a separate per-operation draw), and site kinds
+  // that sum to exactly 1.
+  std::vector<FaultConfig> good(1);
+  for (double FaultConfig::*member :
+       {&FaultConfig::stuck_at_rate, &FaultConfig::transient_rate,
+        &FaultConfig::drift_rate, &FaultConfig::dropout_rate,
+        &FaultConfig::delay_rate}) {
+    FaultConfig one;
+    one.*member = 1.0;
+    good.push_back(one);
+  }
+  FaultConfig sum_one;
+  sum_one.stuck_at_rate = 0.25;
+  sum_one.drift_rate = 0.25;
+  sum_one.dropout_rate = 0.25;
+  sum_one.delay_rate = 0.25;
+  sum_one.transient_rate = 1.0;
+  good.push_back(sum_one);
+  FaultConfig tenths;  // 0.1 + 0.2 + 0.3 + 0.4 rounds a hair above 1
+  tenths.stuck_at_rate = 0.1;
+  tenths.drift_rate = 0.2;
+  tenths.dropout_rate = 0.3;
+  tenths.delay_rate = 0.4;
+  good.push_back(tenths);
+  for (const auto& faults : good) {
+    EXPECT_NO_THROW((void)core::FaultInjector{faults});
+    imc::CrossbarConfig xbar;
+    xbar.faults = faults;
+    EXPECT_NO_THROW(xbar.validate());
+    scf::FabricConfig fabric;
+    fabric.faults = faults;
+    EXPECT_NO_THROW(fabric.validate());
+  }
 }
 
 TEST(Robustness, SpartaConfigValidationThrows) {
@@ -1423,7 +1396,7 @@ TEST(Robustness, ScfHardwareConfigValidationThrows) {
   const auto rejects_fabric = [](auto edit) {
     scf::FabricConfig fabric;
     edit(fabric);
-    EXPECT_THROW(scf::ScalableComputeFabric{fabric}, core::Error);
+    EXPECT_THROW((void)scf::ScalableComputeFabric{fabric}, core::Error);
     scf::FabricConfig mixed;
     mixed.vector_cus = 4;
     edit(mixed);
