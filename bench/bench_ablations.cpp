@@ -22,6 +22,7 @@
 #include "hls/pipelining.hpp"
 #include "hls/tool_profile.hpp"
 #include "imc/mlc.hpp"
+#include "report.hpp"
 #include "scf/fabric.hpp"
 
 namespace {
@@ -241,8 +242,7 @@ void print_dna_ablation() {
       }
       return std::pair{static_cast<double>(wrong) / payload.size(), repaired};
     };
-    const auto [plain_err, plain_rep] = run(false);
-    (void)plain_rep;
+    const double plain_err = run(false).first;
     const auto [ecc_err, repaired] = run(true);
     t.add_row({core::TextTable::num(coverage, 0),
                core::TextTable::num(plain_err, 4),
@@ -273,9 +273,7 @@ void print_scf_ablation() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  report::run_micro_timings(argc, argv);
   print_hls_ablation();
   print_imc_ablation();
   print_approx_ablation();

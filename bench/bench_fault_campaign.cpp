@@ -10,26 +10,21 @@
 
 #include <cmath>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "core/fault.hpp"
 #include "core/sampling.hpp"
 #include "core/parallel.hpp"
 #include "core/rng.hpp"
-#include "core/table.hpp"
 #include "core/tensor.hpp"
 #include "hetero/dna/storage_sim.hpp"
 #include "imc/crossbar.hpp"
+#include "report.hpp"
 #include "scf/fabric.hpp"
 
 namespace {
 
 using namespace icsc;
-
-// --early-stop: replace the sweeps with the statistical-acceleration study
-// (CI early stopping vs the exhaustive oracle, and Neyman stratification).
-bool g_early_stop = false;
 
 // ---------------------------------------------------------------------------
 // Microkernel timings: the fault oracle must stay cheap enough to sit on
@@ -85,7 +80,8 @@ core::TrialResult crossbar_trial(std::uint64_t seed, double stuck_rate,
   return r;
 }
 
-void print_imc_sweep() {
+/// Returns false when a parallel campaign differs from its serial run.
+bool print_imc_sweep() {
   // The serial-vs-parallel bit-identity check is only meaningful when the
   // campaign actually fans out over a pool.
   if (core::parallel_threads() <= 1) core::set_parallel_threads(4);
@@ -98,6 +94,7 @@ void print_imc_sweep() {
   double prev_raw = -1.0;
   bool monotone = true;
   bool always_improves = true;
+  bool all_identical = true;
   for (const double rate : rates) {
     const core::FaultCampaign campaign(0xF2A1, kTrials);
     const auto raw_trial = [rate](std::uint64_t seed, std::size_t) {
@@ -117,6 +114,7 @@ void print_imc_sweep() {
     const bool bit_identical =
         core::campaign_results_identical(raw, raw_serial) &&
         core::campaign_results_identical(prot, prot_serial);
+    all_identical = all_identical && bit_identical;
     const auto raw_sum = core::FaultCampaign::summarize(raw);
     const auto prot_sum = core::FaultCampaign::summarize(prot);
     if (rate > 0.0 && prot_sum.mean_metric >= raw_sum.mean_metric) {
@@ -124,26 +122,25 @@ void print_imc_sweep() {
     }
     if (raw_sum.mean_metric < prev_raw) monotone = false;
     prev_raw = raw_sum.mean_metric;
-    // json_num: locale-independent doubles (printf %f honours LC_NUMERIC).
-    std::printf(
-        "JSON {\"bench\":\"fault_imc\",\"stuck_rate\":%s,"
-        "\"trials\":%zu,\"rmse_raw\":%s,\"rmse_protected\":%s,"
-        "\"stuck_sites\":%llu,\"repairs\":%llu,"
-        "\"improved\":%s,\"bit_identical\":%s}\n",
-        core::json_num(rate, 4).c_str(), kTrials,
-        core::json_num(raw_sum.mean_metric, 6).c_str(),
-        core::json_num(prot_sum.mean_metric, 6).c_str(),
-        static_cast<unsigned long long>(raw_sum.total_faults),
-        static_cast<unsigned long long>(prot_sum.total_repairs),
-        rate == 0.0 || prot_sum.mean_metric < raw_sum.mean_metric ? "true"
-                                                                  : "false",
-        bit_identical ? "true" : "false");
+    report::Json("fault_imc")
+        .num("stuck_rate", rate, 4)
+        .num("trials", kTrials)
+        .num("rmse_raw", raw_sum.mean_metric, 6)
+        .num("rmse_protected", prot_sum.mean_metric, 6)
+        .num("stuck_sites", raw_sum.total_faults)
+        .num("repairs", prot_sum.total_repairs)
+        .flag("improved",
+              rate == 0.0 || prot_sum.mean_metric < raw_sum.mean_metric)
+        .flag("bit_identical", bit_identical)
+        .print();
   }
-  std::printf(
-      "JSON {\"bench\":\"fault_imc_summary\",\"monotone_raw\":%s,"
-      "\"remap_always_improves\":%s,\"spares\":%zu,\"retries\":%d}\n",
-      monotone ? "true" : "false", always_improves ? "true" : "false",
-      kSpares, kRetries);
+  report::Json("fault_imc_summary")
+      .flag("monotone_raw", monotone)
+      .flag("remap_always_improves", always_improves)
+      .num("spares", kSpares)
+      .num("retries", kRetries)
+      .print();
+  return all_identical;
 }
 
 // ---------------------------------------------------------------------------
@@ -166,16 +163,15 @@ void print_scf_sweep() {
     config.repartition_on_failure = false;
     const scf::ScalableComputeFabric rigid(config);
     const auto rigid_stats = rigid.run_trace(trace);
-    std::printf(
-        "JSON {\"bench\":\"fault_scf\",\"num_cus\":%d,\"failed_cus\":%d,"
-        "\"completed\":%s,\"slowdown\":%s,\"degraded_gflops\":%s,"
-        "\"completed_no_repartition\":%s,\"lost_kernels_no_repartition\":%zu}"
-        "\n",
-        fabric.config().num_cus, kpi.health.failed_cus,
-        kpi.completed ? "true" : "false",
-        core::json_num(kpi.slowdown, 3).c_str(),
-        core::json_num(kpi.degraded_gflops, 2).c_str(),
-        rigid_stats.completed ? "true" : "false", rigid_stats.lost_kernels);
+    report::Json("fault_scf")
+        .num("num_cus", fabric.config().num_cus)
+        .num("failed_cus", kpi.health.failed_cus)
+        .flag("completed", kpi.completed)
+        .num("slowdown", kpi.slowdown, 3)
+        .num("degraded_gflops", kpi.degraded_gflops, 2)
+        .flag("completed_no_repartition", rigid_stats.completed)
+        .num("lost_kernels_no_repartition", rigid_stats.lost_kernels)
+        .print();
   }
   // Pool fallback on a 12 tensor + 4 vector CU fabric: GEMMs complete on
   // the vector pool when the whole tensor pool is down.
@@ -184,11 +180,11 @@ void print_scf_sweep() {
   mixed.vector_cus = 4;
   mixed.forced_failed_cus = mixed.num_cus;
   const auto kpi = scf::ScalableComputeFabric(mixed).degraded_kpi(trace);
-  std::printf(
-      "JSON {\"bench\":\"fault_scf_hetero\",\"tensor_cus_failed\":%d,"
-      "\"completed\":%s,\"fallback_slowdown\":%s}\n",
-      kpi.health.failed_cus, kpi.completed ? "true" : "false",
-      core::json_num(kpi.slowdown, 3).c_str());
+  report::Json("fault_scf_hetero")
+      .num("tensor_cus_failed", kpi.health.failed_cus)
+      .flag("completed", kpi.completed)
+      .num("fallback_slowdown", kpi.slowdown, 3)
+      .print();
 }
 
 // ---------------------------------------------------------------------------
@@ -208,17 +204,16 @@ void print_dna_sweep() {
     const auto single = hetero::dna::run_archival_sim(params);
     params.reread.max_passes = 4;
     const auto retried = hetero::dna::run_archival_sim(params);
-    std::printf(
-        "JSON {\"bench\":\"fault_dna\",\"dropout_rate\":%s,"
-        "\"burst_rate\":%s,\"ber_single\":%s,\"ber_reread\":%s,"
-        "\"passes\":%d,\"rescued_strands\":%zu,\"unrecovered\":%zu,"
-        "\"repaired_chunks\":%zu}\n",
-        core::json_num(dropout, 3).c_str(),
-        core::json_num(params.channel.burst_rate, 3).c_str(),
-        core::json_num(single.byte_error_rate, 5).c_str(),
-        core::json_num(retried.byte_error_rate, 5).c_str(),
-        retried.passes_used, retried.rescued_strands,
-        retried.unrecovered_strands, retried.repaired_chunks);
+    report::Json("fault_dna")
+        .num("dropout_rate", dropout, 3)
+        .num("burst_rate", params.channel.burst_rate, 3)
+        .num("ber_single", single.byte_error_rate, 5)
+        .num("ber_reread", retried.byte_error_rate, 5)
+        .num("passes", retried.passes_used)
+        .num("rescued_strands", retried.rescued_strands)
+        .num("unrecovered", retried.unrecovered_strands)
+        .num("repaired_chunks", retried.repaired_chunks)
+        .print();
   }
 }
 
@@ -246,7 +241,8 @@ core::sampling::EarlyStopConfig es_config() {
   return stop;
 }
 
-void print_early_stop_vs_oracle() {
+/// Returns whether the early-stopped trials are the oracle's first trials.
+bool print_early_stop_vs_oracle() {
   const std::size_t kBudget = 1000;
   const core::sampling::EarlyStopConfig stop = es_config();
   const core::FaultCampaign campaign(0xE5'70'11ULL, kBudget);
@@ -269,21 +265,20 @@ void print_early_stop_vs_oracle() {
                            ? static_cast<double>(kBudget) /
                                  static_cast<double>(outcome.trials_run())
                            : 1.0;
-  std::printf(
-      "JSON {\"bench\":\"fault_early_stop\",\"budget\":%zu,"
-      "\"trials_run\":%zu,\"saved_factor\":%s,\"stop_reason\":\"%s\","
-      "\"confidence\":%s,\"rel_target\":%s,"
-      "\"estimate\":%s,\"half_width\":%s,"
-      "\"oracle_mean\":%s,\"oracle_inside_ci\":%s,"
-      "\"prefix_identical\":%s}\n",
-      kBudget, outcome.trials_run(), core::json_num(saved, 2).c_str(),
-      core::sampling::stop_reason_name(outcome.stop_reason),
-      core::json_num(stop.confidence, 2).c_str(),
-      core::json_num(stop.relative_half_width, 3).c_str(),
-      core::json_num(outcome.metric_estimate.mean, 6).c_str(),
-      core::json_num(outcome.metric_estimate.half_width, 6).c_str(),
-      core::json_num(oracle.mean, 6).c_str(), inside ? "true" : "false",
-      prefix_identical ? "true" : "false");
+  report::Json("fault_early_stop")
+      .num("budget", kBudget)
+      .num("trials_run", outcome.trials_run())
+      .num("saved_factor", saved, 2)
+      .str("stop_reason", core::sampling::stop_reason_name(outcome.stop_reason))
+      .num("confidence", stop.confidence, 2)
+      .num("rel_target", stop.relative_half_width, 3)
+      .num("estimate", outcome.metric_estimate.mean, 6)
+      .num("half_width", outcome.metric_estimate.half_width, 6)
+      .num("oracle_mean", oracle.mean, 6)
+      .flag("oracle_inside_ci", inside)
+      .flag("prefix_identical", prefix_identical)
+      .print();
+  return prefix_identical;
 }
 
 void print_stratified_study() {
@@ -331,52 +326,38 @@ void print_stratified_study() {
   const auto est_neyman = estimate_with(neyman);
   const auto est_prop = estimate_with(proportional);
 
-  std::string alloc_json = "[";
-  for (std::size_t h = 0; h < neyman.size(); ++h) {
-    alloc_json += (h ? "," : "") + std::to_string(neyman[h]);
-  }
-  alloc_json += "]";
-  std::printf(
-      "JSON {\"bench\":\"fault_stratified\",\"budget\":%zu,\"pilot\":%zu,"
-      "\"neyman_alloc\":%s,\"estimate\":%s,\"half_width\":%s,"
-      "\"half_width_proportional\":%s,\"neyman_no_worse\":%s}\n",
-      kBudget, kPilot * rates.size(), alloc_json.c_str(),
-      core::json_num(est_neyman.mean, 6).c_str(),
-      core::json_num(est_neyman.half_width, 6).c_str(),
-      core::json_num(est_prop.half_width, 6).c_str(),
-      est_neyman.half_width <= est_prop.half_width * 1.05 ? "true" : "false");
+  report::Json("fault_stratified")
+      .num("budget", kBudget)
+      .num("pilot", kPilot * rates.size())
+      .list("neyman_alloc", neyman)
+      .num("estimate", est_neyman.mean, 6)
+      .num("half_width", est_neyman.half_width, 6)
+      .num("half_width_proportional", est_prop.half_width, 6)
+      .flag("neyman_no_worse",
+            est_neyman.half_width <= est_prop.half_width * 1.05)
+      .print();
 }
 
-void print_early_stop_study() {
+/// Returns false when the early-stopped trials leave the oracle prefix.
+bool print_early_stop_study() {
   if (core::parallel_threads() <= 1) core::set_parallel_threads(4);
   std::printf("\n=== Statistical acceleration: early stopping and "
               "stratification ===\n");
-  print_early_stop_vs_oracle();
+  const bool prefix_identical = print_early_stop_vs_oracle();
   print_stratified_study();
+  return prefix_identical;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--early-stop") {
-      g_early_stop = true;
-      // Consume the flag so google-benchmark doesn't reject it.
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (g_early_stop) {
-    print_early_stop_study();
-    return 0;
-  }
-  print_imc_sweep();
+  // --early-stop: the statistical-acceleration study (CI early stopping vs
+  // the exhaustive oracle, and Neyman stratification) replaces the sweeps.
+  const bool early_stop = report::take_flag(argc, argv, "--early-stop");
+  report::run_micro_timings(argc, argv);
+  if (early_stop) return print_early_stop_study() ? 0 : 1;
+  const bool identical = print_imc_sweep();
   print_scf_sweep();
   print_dna_sweep();
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -11,6 +11,7 @@
 #include "core/rng.hpp"
 #include "core/table.hpp"
 #include "imc/dimc.hpp"
+#include "report.hpp"
 #include "scf/fabric.hpp"
 #include "scf/kpi.hpp"
 
@@ -102,9 +103,7 @@ void print_tables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  report::run_micro_timings(argc, argv);
   print_tables();
   return 0;
 }

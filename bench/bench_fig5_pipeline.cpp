@@ -9,6 +9,7 @@
 #include "core/table.hpp"
 #include "hetero/dl_pipeline.hpp"
 #include "hetero/unet_profile.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -152,9 +153,7 @@ void print_tables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  report::run_micro_timings(argc, argv);
   print_tables();
   return 0;
 }

@@ -7,7 +7,6 @@
 //     ~90% efficiency, and its speedup over the measured CPU kernels.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 
 #include "core/rng.hpp"
@@ -16,6 +15,7 @@
 #include "hetero/dna/edit_distance.hpp"
 #include "hetero/dna/fpga_accel.hpp"
 #include "hetero/dna/storage_sim.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -45,9 +45,6 @@ std::vector<std::pair<Strand, Strand>> make_pairs(std::size_t count,
   return pairs;
 }
 
-// Measured CPU CUPS, filled by the kernels below and reused in the tables.
-double g_myers_gcups = 0.0;
-
 void BM_EditDistanceFullDp(benchmark::State& state) {
   const auto pairs = make_pairs(64, static_cast<std::size_t>(state.range(0)));
   std::uint64_t cells = 0;
@@ -75,41 +72,36 @@ BENCHMARK(BM_EditDistanceBanded)->Arg(100)->Arg(150)->Arg(200);
 void BM_EditDistanceMyers(benchmark::State& state) {
   const auto pairs = make_pairs(64, static_cast<std::size_t>(state.range(0)));
   std::uint64_t cells = 0;
-  double seconds = 0.0;
   for (auto _ : state) {
     for (const auto& [a, b] : pairs) {
       benchmark::DoNotOptimize(levenshtein_myers(a, b));
       cells += dp_cells(a, b);
     }
   }
-  seconds = state.iterations() > 0
-                ? static_cast<double>(state.iterations()) : 1.0;
-  (void)seconds;
   state.counters["GCUPS"] = benchmark::Counter(
       static_cast<double>(cells) * 1e-9, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EditDistanceMyers)->Arg(100)->Arg(150)->Arg(200);
 
-void measure_myers_gcups() {
+/// Measured single-core Myers throughput (GCUPS), for the accelerator table.
+double measure_myers_gcups() {
   const auto pairs = make_pairs(256, 150);
-  const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t cells = 0;
   int sink = 0;
-  for (int rep = 0; rep < 20; ++rep) {
-    for (const auto& [a, b] : pairs) {
-      sink += levenshtein_myers(a, b);
-      cells += dp_cells(a, b);
+  const double ms = report::wall_ms([&] {
+    for (int rep = 0; rep < 20; ++rep) {
+      for (const auto& [a, b] : pairs) {
+        sink += levenshtein_myers(a, b);
+        cells += dp_cells(a, b);
+      }
     }
-  }
+  });
   benchmark::DoNotOptimize(sink);
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  g_myers_gcups = static_cast<double>(cells) / secs * 1e-9;
+  return static_cast<double>(cells) / ms * 1e-6;
 }
 
 void print_tables() {
-  measure_myers_gcups();
+  const double myers_gcups = measure_myers_gcups();
 
   std::printf("\n=== Fig. 6b: end-to-end DNA storage pipeline ===\n");
   core::TextTable pipe({"error rate", "coverage", "strands", "reads",
@@ -139,8 +131,9 @@ void print_tables() {
   }
   std::printf("%s", pipe.to_string().c_str());
 
-  std::printf("\n=== DNAssim stage wall-clock split ([26]: why the FPGA "
-              "targets clustering) ===\n");
+  report::timing_section(
+      "DNAssim stage wall-clock split ([26]: why the FPGA targets "
+      "clustering)");
   {
     StorageSimParams params;
     params.payload_bytes = 2048;
@@ -213,14 +206,14 @@ void print_tables() {
               core::TextTable::num(accel.config().resource_usage * 100.0, 0) + "%"});
   std::printf("%s", tk.to_string().c_str());
 
-  std::printf("\n=== Accelerator vs measured CPU (Myers bit-parallel) ===\n");
+  report::timing_section("Accelerator vs measured CPU (Myers bit-parallel)");
   CpuEditProfile cpu;
-  cpu.cups = g_myers_gcups * 1e9;
+  cpu.cups = myers_gcups * 1e9;
   core::TextTable cmp({"backend", "GCUPS", "pairs/s (150x150)", "speedup",
                        "energy ratio"});
   const auto vs = compare_backends(accel, cpu, 1'000'000, 150, 150);
   cmp.add_row({"CPU 1-core Myers (measured)",
-               core::TextTable::num(g_myers_gcups, 2),
+               core::TextTable::num(myers_gcups, 2),
                core::TextTable::si(cpu.cups / (150.0 * 150.0), 2), "1.0",
                "1.0"});
   cmp.add_row({"Alveo U50 systolic model",
@@ -234,9 +227,7 @@ void print_tables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  report::run_micro_timings(argc, argv);
   print_tables();
   return 0;
 }

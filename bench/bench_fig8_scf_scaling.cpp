@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "core/table.hpp"
+#include "report.hpp"
 #include "scf/fabric.hpp"
 
 namespace {
@@ -76,9 +77,7 @@ void print_tables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  report::run_micro_timings(argc, argv);
   print_tables();
   return 0;
 }

@@ -11,6 +11,7 @@
 
 #include "approx/softmax.hpp"
 #include "core/table.hpp"
+#include "report.hpp"
 #include "scf/compute_unit.hpp"
 #include "scf/model.hpp"
 #include "scf/transformer.hpp"
@@ -175,9 +176,7 @@ void print_tables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  report::run_micro_timings(argc, argv);
   print_tables();
   return 0;
 }

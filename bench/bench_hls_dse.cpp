@@ -5,13 +5,14 @@
 // hypervolume per evaluation.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <functional>
+#include <string>
 
 #include "core/parallel.hpp"
 #include "core/table.hpp"
 #include "hls/dse.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -39,41 +40,13 @@ void BM_ScheduleKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleKernel)->Arg(1)->Arg(8);
 
-double wall_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
-bool results_identical(const DseResult& a, const DseResult& b) {
-  if (a.evaluations != b.evaluations || a.feasible != b.feasible ||
-      a.evaluated.size() != b.evaluated.size() ||
-      a.front.size() != b.front.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.evaluated.size(); ++i) {
-    const auto& pa = a.evaluated[i];
-    const auto& pb = b.evaluated[i];
-    if (pa.unroll != pb.unroll || pa.budget.alus != pb.budget.alus ||
-        pa.budget.muls != pb.budget.muls ||
-        pa.budget.mem_ports != pb.budget.mem_ports ||
-        pa.total_latency_us != pb.total_latency_us ||
-        pa.area_score != pb.area_score) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.front.size(); ++i) {
-    if (a.front[i].id != b.front[i].id) return false;
-  }
-  return true;
-}
-
 /// Serial-vs-parallel wall-clock comparison on a >= 500-point grid, with a
 /// bit-exactness cross-check and a machine-readable JSON line per row.
-void print_parallel_comparison() {
-  std::printf("\n=== Parallel DSE: serial vs thread pool (%zu threads) ===\n",
-              core::parallel_threads());
+/// Returns false when a parallel result differs from its serial run.
+bool print_parallel_comparison() {
+  report::timing_section("Parallel DSE: serial vs thread pool (" +
+                         std::to_string(core::parallel_threads()) +
+                         " threads)");
   const auto kernel = make_spmv_row_kernel(8);
   DseConfig config;
   config.iterations = 4096;
@@ -84,38 +57,40 @@ void print_parallel_comparison() {
 
   core::TextTable t({"strategy", "points", "serial (ms)", "parallel (ms)",
                      "speedup", "bit-identical"});
+  bool all_identical = true;
   auto compare = [&](const char* name,
                      const std::function<DseResult()>& run) {
     DseResult serial_result, parallel_result;
-    const double serial_ms = wall_ms([&] {
+    const double serial_ms = report::wall_ms([&] {
       core::ScopedSerial guard;
       serial_result = run();
     });
-    const double parallel_ms = wall_ms([&] { parallel_result = run(); });
-    const bool identical = results_identical(serial_result, parallel_result);
+    const double parallel_ms =
+        report::wall_ms([&] { parallel_result = run(); });
+    const bool identical =
+        dse_results_identical(serial_result, parallel_result);
+    all_identical = all_identical && identical;
     const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
     t.add_row({name, std::to_string(serial_result.evaluations),
                core::TextTable::num(serial_ms, 1),
                core::TextTable::num(parallel_ms, 1),
                core::TextTable::num(speedup, 2) + "x",
                identical ? "yes" : "NO"});
-    // json_num keeps the numbers locale-independent: printf("%f") obeys
-    // LC_NUMERIC and writes comma decimal points under e.g. de_DE.
-    std::printf(
-        "JSON {\"bench\":\"dse_%s\",\"grid_points\":%zu,\"threads\":%zu,"
-        "\"serial_ms\":%s,\"parallel_ms\":%s,\"speedup\":%s,"
-        "\"cache_hits\":%s,\"cache_misses\":%s,\"identical\":%s}\n",
-        name, serial_result.evaluations, core::parallel_threads(),
-        core::json_num(serial_ms, 3).c_str(),
-        core::json_num(parallel_ms, 3).c_str(),
-        core::json_num(speedup, 3).c_str(),
-        core::json_num(parallel_result.cache_hits).c_str(),
-        core::json_num(parallel_result.cache_misses).c_str(),
-        identical ? "true" : "false");
+    report::Json(std::string("dse_") + name)
+        .num("grid_points", serial_result.evaluations)
+        .num("threads", core::parallel_threads())
+        .num("serial_ms", serial_ms, 3)
+        .num("parallel_ms", parallel_ms, 3)
+        .num("speedup", speedup, 3)
+        .num("cache_hits", parallel_result.cache_hits)
+        .num("cache_misses", parallel_result.cache_misses)
+        .flag("identical", identical)
+        .print();
   };
   compare("exhaustive", [&] { return dse_exhaustive(kernel, config); });
   compare("random", [&] { return dse_random(kernel, config, 600, 17); });
   std::printf("%s", t.to_string().c_str());
+  return all_identical;
 }
 
 void print_tables() {
@@ -215,10 +190,8 @@ void print_tables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_parallel_comparison();
+  report::run_micro_timings(argc, argv);
+  const bool identical = print_parallel_comparison();
   print_tables();
-  return 0;
+  return identical ? 0 : 1;
 }

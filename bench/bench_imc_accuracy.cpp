@@ -13,6 +13,7 @@
 #include "imc/noise_training.hpp"
 #include "imc/pipeline.hpp"
 #include "imc/program_verify.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -149,17 +150,17 @@ void print_early_stop_study() {
     const auto full = characterize_programming_error_sequential(
         spec, pv, target, kBudget, 11, exhaustive);
     const bool inside = seq.estimate.contains(full.estimate.mean);
-    std::printf(
-        "JSON {\"bench\":\"imc_early_stop\",\"study\":\"program_error\","
-        "\"device\":\"%s\",\"budget\":%d,\"samples_run\":%zu,"
-        "\"saved_factor\":%s,\"estimate_us\":%s,\"half_width_us\":%s,"
-        "\"oracle_mean_us\":%s,\"oracle_inside_ci\":%s}\n",
-        spec.name.c_str(), kBudget, seq.samples_run,
-        core::json_num(seq.saved_factor(), 2).c_str(),
-        core::json_num(seq.estimate.mean, 5).c_str(),
-        core::json_num(seq.estimate.half_width, 5).c_str(),
-        core::json_num(full.estimate.mean, 5).c_str(),
-        inside ? "true" : "false");
+    report::Json("imc_early_stop")
+        .str("study", "program_error")
+        .str("device", spec.name)
+        .num("budget", kBudget)
+        .num("samples_run", seq.samples_run)
+        .num("saved_factor", seq.saved_factor(), 2)
+        .num("estimate_us", seq.estimate.mean, 5)
+        .num("half_width_us", seq.estimate.half_width, 5)
+        .num("oracle_mean_us", full.estimate.mean, 5)
+        .flag("oracle_inside_ci", inside)
+        .print();
 
     const auto noise_seq =
         characterize_read_noise_sequential(spec, kBudget, 13, stop);
@@ -167,36 +168,25 @@ void print_early_stop_study() {
         characterize_read_noise_sequential(spec, kBudget, 13, exhaustive);
     const bool noise_inside =
         noise_seq.estimate.contains(noise_full.estimate.mean);
-    std::printf(
-        "JSON {\"bench\":\"imc_early_stop\",\"study\":\"read_noise\","
-        "\"device\":\"%s\",\"budget\":%d,\"samples_run\":%zu,"
-        "\"saved_factor\":%s,\"estimate\":%s,\"half_width\":%s,"
-        "\"oracle_mean\":%s,\"oracle_inside_ci\":%s}\n",
-        spec.name.c_str(), kBudget, noise_seq.samples_run,
-        core::json_num(noise_seq.saved_factor(), 2).c_str(),
-        core::json_num(noise_seq.estimate.mean, 5).c_str(),
-        core::json_num(noise_seq.estimate.half_width, 5).c_str(),
-        core::json_num(noise_full.estimate.mean, 5).c_str(),
-        noise_inside ? "true" : "false");
+    report::Json("imc_early_stop")
+        .str("study", "read_noise")
+        .str("device", spec.name)
+        .num("budget", kBudget)
+        .num("samples_run", noise_seq.samples_run)
+        .num("saved_factor", noise_seq.saved_factor(), 2)
+        .num("estimate", noise_seq.estimate.mean, 5)
+        .num("half_width", noise_seq.estimate.half_width, 5)
+        .num("oracle_mean", noise_full.estimate.mean, 5)
+        .flag("oracle_inside_ci", noise_inside)
+        .print();
   }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool early_stop = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--early-stop") {
-      early_stop = true;
-      // Consume the flag so google-benchmark doesn't reject it.
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  const bool early_stop = report::take_flag(argc, argv, "--early-stop");
+  report::run_micro_timings(argc, argv);
   if (early_stop) {
     print_early_stop_study();
     return 0;

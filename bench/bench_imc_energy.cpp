@@ -11,6 +11,7 @@
 #include "core/table.hpp"
 #include "imc/dimc.hpp"
 #include "imc/pipeline.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -71,11 +72,9 @@ void print_tables() {
     CrossbarConfig config;
     config.adc_bits = bits;
     Crossbar xb(w, config);
-    const double prog = xb.energy().total_pj();
     xb.matvec(x);
     const double reads = xb.energy().component_pj("analog_mvm");
     const double adc = xb.energy().component_pj("adc");
-    (void)prog;
     bt.add_row({std::to_string(bits), core::TextTable::num(reads, 2),
                 core::TextTable::num(adc, 2),
                 core::TextTable::num(100.0 * adc / (adc + reads), 1) + "%"});
@@ -84,6 +83,29 @@ void print_tables() {
   std::printf(
       "-> the A/D conversion dominates analog MVM energy at high resolution,"
       " motivating analog accumulation and approximate periphery [11]\n");
+
+  std::printf("\n=== Analog accumulation across row tiles ([11]: one A/D "
+              "conversion per strip) ===\n");
+  core::TextTable aa({"accumulation", "pJ/MVM (16x64, 4 row tiles)",
+                      "reduction", "DNN acc (8-row tiles)"});
+  double digital_pj = 0.0;
+  for (const bool analog : {false, true}) {
+    TileConfig config;
+    config.tile_rows = 16;  // the 64-input layer spans 4 row tiles
+    config.crossbar.programming.scheme = ProgramScheme::kVerify;
+    config.analog_accumulation = analog;
+    TiledMatvec strip(random_weights(16, 64, 3), config);
+    strip.matvec(x);
+    const double pj = strip.mvm_energy_pj();
+    if (!analog) digital_pj = pj;
+    config.tile_rows = 8;  // multi-tile strips on the MLP's 16-input layer
+    const auto point = run_imc_experiment(config, 1.0, 42);
+    aa.add_row({analog ? "analog (charge domain)" : "digital (ADC per tile)",
+                core::TextTable::num(pj, 1),
+                core::TextTable::num(digital_pj / pj, 1) + "x",
+                core::TextTable::num(100.0 * point.imc_accuracy, 1) + "%"});
+  }
+  std::printf("%s", aa.to_string().c_str());
 
   std::printf("\n=== Array size amortises the ADC (8b, pJ/op) ===\n");
   core::TextTable st({"array", "pJ/op"});
@@ -117,9 +139,7 @@ void print_tables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  report::run_micro_timings(argc, argv);
   print_tables();
   return 0;
 }

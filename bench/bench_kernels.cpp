@@ -19,7 +19,6 @@
 // SIMD-vectorized kernels; --geomean fails the process if that geomean
 // falls short of G (only meaningful together with --baseline).
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -41,71 +40,30 @@
 #include "hetero/dna/channel.hpp"
 #include "hetero/dna/cluster.hpp"
 #include "hls/dse.hpp"
+#include "report.hpp"
 
 namespace {
 
 using namespace icsc;
 
-double wall_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
-/// Best-of-N wall time: the minimum is the standard noise-robust estimator
-/// for single-thread micro-kernels.
-double best_ms(int reps, const std::function<void()>& fn) {
-  double best = wall_ms(fn);
-  for (int r = 1; r < reps; ++r) best = std::min(best, wall_ms(fn));
-  return best;
-}
+using report::best_of_ms;
+// The benches must not let the optimizer delete the timed call.
+using benchmark::DoNotOptimize;
 
 struct KernelRow {
   std::string name;
   double old_ms = 0.0;
   double new_ms = 0.0;
   bool identical = false;
-  // Optional work counters ("" when not applicable for the kernel).
-  std::string extra_json;
+  // Optional work counters, printed after the common fields.
+  report::Json counters;
 };
 
 double speedup(const KernelRow& row) {
   return row.new_ms > 0.0 ? row.old_ms / row.new_ms : 0.0;
 }
 
-// The benches must not let the optimizer delete the timed call; a volatile
-// sink is enough without pulling in google-benchmark's macros.
-template <typename T>
-void benchmark_keep(const T& value) {
-  static volatile std::size_t sink = 0;
-  sink = sink + reinterpret_cast<std::uintptr_t>(&value) % 7;
-}
-
 // --- HLS DSE: uncached vs memoized exhaustive sweep --------------------
-
-bool dse_identical(const hls::DseResult& a, const hls::DseResult& b) {
-  if (a.evaluations != b.evaluations || a.feasible != b.feasible ||
-      a.evaluated.size() != b.evaluated.size() ||
-      a.front.size() != b.front.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.evaluated.size(); ++i) {
-    const auto& pa = a.evaluated[i];
-    const auto& pb = b.evaluated[i];
-    if (pa.unroll != pb.unroll || pa.budget.alus != pb.budget.alus ||
-        pa.budget.muls != pb.budget.muls ||
-        pa.budget.mem_ports != pb.budget.mem_ports ||
-        pa.total_latency_us != pb.total_latency_us ||
-        pa.area_score != pb.area_score || pa.cost.cycles != pb.cost.cycles) {
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.front.size(); ++i) {
-    if (a.front[i].id != b.front[i].id) return false;
-  }
-  return true;
-}
 
 KernelRow bench_dse(int reps) {
   // A budget grid that extends well past the kernel's occupancy, as real
@@ -134,18 +92,17 @@ KernelRow bench_dse(int reps) {
 
   KernelRow row;
   row.name = "dse_exhaustive";
-  row.identical = dse_identical(old_result, new_result);
-  row.old_ms = best_ms(reps, [&] {
-    benchmark_keep(hls::dse_exhaustive(kernel, uncached));
+  row.identical = hls::dse_results_identical(old_result, new_result);
+  row.old_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(hls::dse_exhaustive(kernel, uncached));
   });
-  row.new_ms = best_ms(reps, [&] {
-    benchmark_keep(hls::dse_exhaustive(kernel, cached));
+  row.new_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(hls::dse_exhaustive(kernel, cached));
   });
-  row.extra_json = ",\"schedule_calls_old\":" + core::json_num(old_calls) +
-                   ",\"schedule_calls_new\":" + core::json_num(new_calls) +
-                   ",\"cache_hits\":" + core::json_num(new_result.cache_hits) +
-                   ",\"cache_misses\":" +
-                   core::json_num(new_result.cache_misses);
+  row.counters.num("schedule_calls_old", old_calls)
+      .num("schedule_calls_new", new_calls)
+      .num("cache_hits", new_result.cache_hits)
+      .num("cache_misses", new_result.cache_misses);
   if (new_calls * 3 > old_calls) {
     std::fprintf(stderr,
                  "FAIL: memoized exhaustive DSE ran %llu schedule_list "
@@ -180,14 +137,6 @@ approx::ConvLayer random_layer(std::size_t cout, std::size_t cin,
   return layer;
 }
 
-bool maps_identical(const approx::FeatureMap& a, const approx::FeatureMap& b) {
-  if (!a.same_shape(b)) return false;
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    if (a[i] != b[i]) return false;
-  }
-  return true;
-}
-
 KernelRow bench_conv(int reps) {
   const auto layer = random_layer(16, 8, 3, 11);
   const auto input = random_map(8, 56, 56, 12);
@@ -196,10 +145,10 @@ KernelRow bench_conv(int reps) {
   row.name = "conv3x3_fixed_point";
   const auto ref = layer.apply_reference(input, quant);
   const auto fast = layer.apply(input, quant);
-  row.identical = maps_identical(ref, fast);
+  row.identical = ref == fast;
   row.old_ms =
-      best_ms(reps, [&] { benchmark_keep(layer.apply_reference(input, quant)); });
-  row.new_ms = best_ms(reps, [&] { benchmark_keep(layer.apply(input, quant)); });
+      best_of_ms(reps, [&] { DoNotOptimize(layer.apply_reference(input, quant)); });
+  row.new_ms = best_of_ms(reps, [&] { DoNotOptimize(layer.apply(input, quant)); });
   return row;
 }
 
@@ -214,12 +163,12 @@ KernelRow bench_approx_conv(int reps) {
   row.name = "approx_conv_truncated_loa";
   const auto ref = approx::apply_approx_reference(layer, input, quant, arith);
   const auto fast = approx::apply_approx(layer, input, quant, arith);
-  row.identical = maps_identical(ref, fast);
-  row.old_ms = best_ms(reps, [&] {
-    benchmark_keep(approx::apply_approx_reference(layer, input, quant, arith));
+  row.identical = ref == fast;
+  row.old_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(approx::apply_approx_reference(layer, input, quant, arith));
   });
-  row.new_ms = best_ms(reps, [&] {
-    benchmark_keep(approx::apply_approx(layer, input, quant, arith));
+  row.new_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(approx::apply_approx(layer, input, quant, arith));
   });
   return row;
 }
@@ -239,20 +188,12 @@ KernelRow bench_htconv(int reps) {
   row.name = "htconv_foveated";
   const auto ref = layer.apply_foveated_reference(input, fovea, quant);
   const auto fast = layer.apply_foveated(input, fovea, quant);
-  row.identical = ref.height() == fast.height() && ref.width() == fast.width();
-  for (std::size_t r = 0; row.identical && r < ref.height(); ++r) {
-    for (std::size_t c = 0; c < ref.width(); ++c) {
-      if (ref.at(r, c) != fast.at(r, c)) {
-        row.identical = false;
-        break;
-      }
-    }
-  }
-  row.old_ms = best_ms(reps, [&] {
-    benchmark_keep(layer.apply_foveated_reference(input, fovea, quant));
+  row.identical = ref.tensor() == fast.tensor();
+  row.old_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(layer.apply_foveated_reference(input, fovea, quant));
   });
-  row.new_ms = best_ms(reps, [&] {
-    benchmark_keep(layer.apply_foveated(input, fovea, quant));
+  row.new_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(layer.apply_foveated(input, fovea, quant));
   });
   return row;
 }
@@ -296,11 +237,11 @@ KernelRow bench_conv_q16(int reps) {
   approx::FeatureMap fast;
   const std::uint64_t layers =
       int16_layers([&] { fast = layer.apply(input, quant); });
-  row.identical = maps_identical(ref, fast);
+  row.identical = ref == fast;
   require_int16_path(row, layers);
   row.old_ms =
-      best_ms(reps, [&] { benchmark_keep(layer.apply_reference(input, quant)); });
-  row.new_ms = best_ms(reps, [&] { benchmark_keep(layer.apply(input, quant)); });
+      best_of_ms(reps, [&] { DoNotOptimize(layer.apply_reference(input, quant)); });
+  row.new_ms = best_of_ms(reps, [&] { DoNotOptimize(layer.apply(input, quant)); });
   return row;
 }
 
@@ -322,13 +263,13 @@ KernelRow bench_htconv_q16(int reps) {
   core::Image fast;
   const std::uint64_t layers = int16_layers(
       [&] { fast = layer.apply_foveated(input, fovea, quant); });
-  row.identical = maps_identical(ref.tensor(), fast.tensor());
+  row.identical = ref.tensor() == fast.tensor();
   require_int16_path(row, layers);
-  row.old_ms = best_ms(reps, [&] {
-    benchmark_keep(layer.apply_foveated_reference(input, fovea, quant));
+  row.old_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(layer.apply_foveated_reference(input, fovea, quant));
   });
-  row.new_ms = best_ms(reps, [&] {
-    benchmark_keep(layer.apply_foveated(input, fovea, quant));
+  row.new_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(layer.apply_foveated(input, fovea, quant));
   });
   return row;
 }
@@ -367,16 +308,15 @@ KernelRow bench_dna(int reps) {
   const auto old_result = dna::cluster_reads_reference(reads.reads, params);
   const auto new_result = dna::cluster_reads(reads.reads, params);
   row.identical = clusters_identical(old_result, new_result);
-  row.old_ms = best_ms(reps, [&] {
-    benchmark_keep(dna::cluster_reads_reference(reads.reads, params));
+  row.old_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(dna::cluster_reads_reference(reads.reads, params));
   });
-  row.new_ms = best_ms(reps, [&] {
-    benchmark_keep(dna::cluster_reads(reads.reads, params));
+  row.new_ms = best_of_ms(reps, [&] {
+    DoNotOptimize(dna::cluster_reads(reads.reads, params));
   });
-  row.extra_json =
-      ",\"reads\":" + core::json_num(std::uint64_t{reads.reads.size()}) +
-      ",\"pair_comparisons\":" + core::json_num(new_result.pair_comparisons) +
-      ",\"screened_out\":" + core::json_num(new_result.screened_out);
+  row.counters.num("reads", reads.reads.size())
+      .num("pair_comparisons", new_result.pair_comparisons)
+      .num("screened_out", new_result.screened_out);
   return row;
 }
 
@@ -400,23 +340,21 @@ KernelRow bench_normal_pairs(int reps) {
   row.identical = std::memcmp(z0.data(), w0.data(), kPairs * 8) == 0 &&
                   std::memcmp(z1.data(), w1.data(), kPairs * 8) == 0;
   core::Rng rng(0x5EED);
-  row.old_ms = best_ms(reps, [&] {
+  row.old_ms = best_of_ms(reps, [&] {
     for (std::size_t j = 0; j < kPairs; ++j) {
       z0[j] = rng.normal();
       z1[j] = rng.normal();
     }
-    benchmark_keep(z0);
+    DoNotOptimize(z0);
   });
   std::uint64_t key = 0;
-  row.new_ms = best_ms(reps, [&] {
+  row.new_ms = best_of_ms(reps, [&] {
     core::simd::normal_pairs(++key, 0, kPairs, z0.data(), z1.data());
-    benchmark_keep(z0);
+    DoNotOptimize(z0);
   });
   const double per_normal = 1e6 / (2.0 * kPairs);  // ms -> ns per normal
-  row.extra_json = ",\"old_ns_per_normal\":" +
-                   core::json_num(row.old_ms * per_normal, 2) +
-                   ",\"new_ns_per_normal\":" +
-                   core::json_num(row.new_ms * per_normal, 2);
+  row.counters.num("old_ns_per_normal", row.old_ms * per_normal, 2)
+      .num("new_ns_per_normal", row.new_ms * per_normal, 2);
   return row;
 }
 
@@ -434,26 +372,15 @@ const char* const kVectorizedKernels[] = {
     "dna_cluster_reads",
 };
 
-/// Extracts the "new_ms" value of `kernel` from a scoreboard JSON blob.
-/// Hand-rolled on purpose: the scoreboard format is ours, flat, and stable,
-/// so a substring scan avoids pulling a JSON parser into the bench.
-double scoreboard_new_ms(const std::string& json, const std::string& kernel) {
-  const std::string tag = "\"kernel\":\"" + kernel + "\"";
-  const auto at = json.find(tag);
-  if (at == std::string::npos) return 0.0;
-  const std::string field = "\"new_ms\":";
-  const auto ms = json.find(field, at);
-  if (ms == std::string::npos) return 0.0;
-  return std::atof(json.c_str() + ms + field.size());
-}
-
 std::string row_json(const KernelRow& row) {
-  return "    {\"kernel\":\"" + row.name +
-         "\",\"old_ms\":" + core::json_num(row.old_ms, 3) +
-         ",\"new_ms\":" + core::json_num(row.new_ms, 3) +
-         ",\"speedup\":" + core::json_num(speedup(row), 3) +
-         ",\"identical\":" + (row.identical ? "true" : "false") +
-         row.extra_json + "}";
+  return "    " + report::Json()
+                      .str("kernel", row.name)
+                      .num("old_ms", row.old_ms, 3)
+                      .num("new_ms", row.new_ms, 3)
+                      .num("speedup", speedup(row), 3)
+                      .flag("identical", row.identical)
+                      .fields(row.counters)
+                      .text();
 }
 
 }  // namespace
@@ -549,20 +476,22 @@ int main(int argc, char** argv) {
       double log_sum = 0.0;
       int counted = 0;
       for (const char* name : kVectorizedKernels) {
-        const double base_ms = scoreboard_new_ms(baseline, name);
+        const auto base_ms = report::scoreboard_new_ms(baseline, name);
         double cur_ms = 0.0;
         for (const auto& row : rows) {
           if (row.name == name) cur_ms = row.new_ms;
         }
-        if (base_ms <= 0.0 || cur_ms <= 0.0) {
-          std::fprintf(stderr, "FAIL: kernel %s missing from baseline or run\n",
+        if (!base_ms || cur_ms <= 0.0) {
+          std::fprintf(stderr,
+                       "FAIL: kernel %s has no valid new_ms in the baseline "
+                       "or run\n",
                        name);
           ++failures;
           continue;
         }
-        const double ratio = base_ms / cur_ms;
+        const double ratio = *base_ms / cur_ms;
         std::printf("vs baseline: %-28s %6.3f ms -> %6.3f ms  (%.2fx)\n", name,
-                    base_ms, cur_ms, ratio);
+                    *base_ms, cur_ms, ratio);
         log_sum += std::log(ratio);
         ++counted;
       }

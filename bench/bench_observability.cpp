@@ -16,10 +16,9 @@
 // budget, so CI fails loudly instead of silently shipping slow macros.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
-#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "approx/fsrcnn.hpp"
@@ -32,6 +31,7 @@
 #include "hetero/dna/storage_sim.hpp"
 #include "hls/dse.hpp"
 #include "imc/tile.hpp"
+#include "report.hpp"
 #include "scf/fabric.hpp"
 
 namespace {
@@ -66,26 +66,13 @@ BENCHMARK(BM_CounterDisabled);
 // measured with plain steady_clock loops so the study does not depend on
 // google-benchmark's reporter.
 
-double wall_ms(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const auto stop = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(stop - start).count();
-}
-
-double best_of_ms(int repeats, const std::function<void()>& fn) {
-  double best = wall_ms(fn);
-  for (int r = 1; r < repeats; ++r) best = std::min(best, wall_ms(fn));
-  return best;
-}
-
 double calibrate_span_ns(bool enabled) {
   trace::set_enabled(enabled);
   // Enabled spans land in the per-thread ring (capacity 64Ki); half the
   // capacity keeps the measurement on the record path, never the drop path.
   const std::size_t iters = enabled ? (1u << 15) : (1u << 20);
   if (enabled) trace::reset();
-  const double ms = best_of_ms(3, [&] {
+  const double ms = report::best_of_ms(3, [&] {
     if (enabled) trace::reset();
     for (std::size_t i = 0; i < iters; ++i) {
       ICSC_TRACE_SPAN("bench/calibration");
@@ -183,11 +170,11 @@ int run_overhead_study(const std::string& trace_out) {
   trace::reset();
   for (const auto& w : kWorkloads) {
     trace::set_enabled(false);
-    const double disabled_ms = best_of_ms(repeats, w.fn);
+    const double disabled_ms = report::best_of_ms(repeats, w.fn);
 
     trace::set_enabled(true);
     const std::size_t spans_before = trace::collect().size();
-    const double enabled_ms = best_of_ms(repeats, w.fn);
+    const double enabled_ms = report::best_of_ms(repeats, w.fn);
     const std::size_t spans_recorded =
         trace::collect().size() - spans_before;
     trace::set_enabled(false);
@@ -210,34 +197,29 @@ int run_overhead_study(const std::string& trace_out) {
                std::to_string(static_cast<std::size_t>(sites_per_run)),
                core::TextTable::num(disabled_overhead_pct, 4) + "%",
                core::TextTable::num(enabled_overhead_pct, 1) + "%"});
-    // json_num: locale-independent doubles (printf %f honours LC_NUMERIC).
-    std::printf(
-        "JSON {\"bench\":\"observability\",\"workload\":\"%s\","
-        "\"disabled_ms\":%s,\"enabled_ms\":%s,\"spans_per_run\":%s,"
-        "\"disabled_overhead_pct\":%s,\"enabled_overhead_pct\":%s,"
-        "\"within_budget\":%s}\n",
-        w.name, core::json_num(disabled_ms, 3).c_str(),
-        core::json_num(enabled_ms, 3).c_str(),
-        core::json_num(sites_per_run, 1).c_str(),
-        core::json_num(disabled_overhead_pct, 5).c_str(),
-        core::json_num(enabled_overhead_pct, 2).c_str(),
-        within ? "true" : "false");
+    report::Json("observability")
+        .str("workload", w.name)
+        .num("disabled_ms", disabled_ms, 3)
+        .num("enabled_ms", enabled_ms, 3)
+        .num("spans_per_run", sites_per_run, 1)
+        .num("disabled_overhead_pct", disabled_overhead_pct, 5)
+        .num("enabled_overhead_pct", enabled_overhead_pct, 2)
+        .flag("within_budget", within)
+        .print();
   }
   std::printf("%s", t.to_string().c_str());
   std::printf("%s", trace::aggregate_table().c_str());
 
   trace::write_chrome_json(trace_out);
-  std::printf(
-      "JSON {\"bench\":\"observability_summary\","
-      "\"span_disabled_ns\":%s,\"span_enabled_ns\":%s,"
-      "\"trace_events\":%zu,\"dropped\":%llu,"
-      "\"budget_pct\":%s,\"all_within_budget\":%s,"
-      "\"trace_file\":\"%s\"}\n",
-      core::json_num(span_disabled_ns, 3).c_str(),
-      core::json_num(span_enabled_ns, 3).c_str(), trace::collect().size(),
-      static_cast<unsigned long long>(trace::dropped()),
-      core::json_num(kDisabledBudgetPct, 1).c_str(),
-      all_within_budget ? "true" : "false", trace_out.c_str());
+  report::Json("observability_summary")
+      .num("span_disabled_ns", span_disabled_ns, 3)
+      .num("span_enabled_ns", span_enabled_ns, 3)
+      .num("trace_events", trace::collect().size())
+      .num("dropped", trace::dropped())
+      .num("budget_pct", kDisabledBudgetPct, 1)
+      .flag("all_within_budget", all_within_budget)
+      .str("trace_file", trace_out)
+      .print();
   return all_within_budget ? 0 : 1;
 }
 
@@ -245,18 +227,14 @@ int run_overhead_study(const std::string& trace_out) {
 
 int main(int argc, char** argv) {
   std::string trace_out = "observability_trace.json";
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::string(argv[i]) == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[i + 1];
-      ++i;
-      continue;
+  int kept = std::min(argc, 1);
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--trace-out" && i + 1 < argc) {
+      trace_out = argv[++i];
+    } else {
+      argv[kept++] = argv[i];
     }
-    args.push_back(argv[i]);
   }
-  int filtered_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&filtered_argc, args.data());
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  report::run_micro_timings(kept, argv);
   return run_overhead_study(trace_out);
 }

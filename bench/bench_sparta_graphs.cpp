@@ -11,6 +11,7 @@
 #include "core/table.hpp"
 #include "hls/openmp_front.hpp"
 #include "hls/sparta.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -18,6 +19,21 @@ using namespace icsc;
 using namespace icsc::hls;
 
 core::CsrGraph bench_graph() { return core::make_rmat_graph(14, 8.0, 7); }
+
+struct NamedWorkload {
+  const char* name;       // paper table row
+  const char* json_name;  // phase-sampling JSON line
+  std::vector<SpartaTask> tasks;
+};
+
+std::vector<NamedWorkload> graph_workloads(const core::CsrGraph& graph) {
+  std::vector<NamedWorkload> workloads;
+  workloads.push_back({"SpMV", "spmv", make_spmv_tasks(graph)});
+  workloads.push_back({"BFS expand", "bfs", make_bfs_tasks(graph)});
+  workloads.push_back(
+      {"PageRank push", "pagerank", make_pagerank_tasks(graph)});
+  return workloads;
+}
 
 void BM_SpartaSimulation(benchmark::State& state) {
   const auto graph = bench_graph();
@@ -37,14 +53,7 @@ void print_tables() {
       "degrees -> irregular gathers)\n",
       graph.num_vertices(), graph.num_edges());
 
-  struct NamedWorkload {
-    const char* name;
-    std::vector<SpartaTask> tasks;
-  };
-  std::vector<NamedWorkload> workloads;
-  workloads.push_back({"SpMV", make_spmv_tasks(graph)});
-  workloads.push_back({"BFS expand", make_bfs_tasks(graph)});
-  workloads.push_back({"PageRank push", make_pagerank_tasks(graph)});
+  const auto workloads = graph_workloads(graph);
 
   std::printf("\n=== Sec. III: SPARTA vs serial HLS baseline ===\n");
   core::TextTable t({"kernel", "serial cycles", "SPARTA cycles", "speedup",
@@ -153,19 +162,9 @@ void print_tables() {
 void print_phase_sampling() {
   std::printf("\n=== SimPoint-style phase sampling vs exhaustive oracle "
               "===\n");
-  const auto graph = bench_graph();
-  struct NamedWorkload {
-    const char* name;
-    std::vector<SpartaTask> tasks;
-  };
-  std::vector<NamedWorkload> workloads;
-  workloads.push_back({"spmv", make_spmv_tasks(graph)});
-  workloads.push_back({"bfs", make_bfs_tasks(graph)});
-  workloads.push_back({"pagerank", make_pagerank_tasks(graph)});
-
   const SpartaConfig config;  // 4 lanes x 4 contexts, 2 channels
   PhaseSamplingConfig sampling;
-  for (const auto& wl : workloads) {
+  for (const auto& wl : graph_workloads(bench_graph())) {
     const auto sampled = simulate_sparta_sampled(wl.tasks, config, sampling);
     const auto oracle =
         sparta_isolated_reference(wl.tasks, config, sampling.interval_tasks);
@@ -180,40 +179,27 @@ void print_phase_sampling() {
                       static_cast<double>(monolithic.cycles) -
                   1.0
             : 0.0;
-    std::printf(
-        "JSON {\"bench\":\"sparta_phase_sampling\",\"kernel\":\"%s\","
-        "\"intervals\":%zu,\"simulated\":%zu,\"sample_factor\":%s,"
-        "\"phases\":%zu,\"estimate\":%s,\"half_width\":%s,"
-        "\"oracle_cycles\":%llu,\"oracle_inside_ci\":%s,"
-        "\"monolithic_cycles\":%llu,\"coupling_bias\":%s}\n",
-        wl.name, sampled.intervals, sampled.intervals_simulated,
-        core::json_num(sampled.sample_factor(), 2).c_str(),
-        sampled.phases_used,
-        core::json_num(sampled.cycles_estimate, 1).c_str(),
-        core::json_num(sampled.cycles_half_width, 1).c_str(),
-        static_cast<unsigned long long>(oracle.cycles),
-        inside ? "true" : "false",
-        static_cast<unsigned long long>(monolithic.cycles),
-        core::json_num(bias, 4).c_str());
+    report::Json("sparta_phase_sampling")
+        .str("kernel", wl.json_name)
+        .num("intervals", sampled.intervals)
+        .num("simulated", sampled.intervals_simulated)
+        .num("sample_factor", sampled.sample_factor(), 2)
+        .num("phases", sampled.phases_used)
+        .num("estimate", sampled.cycles_estimate, 1)
+        .num("half_width", sampled.cycles_half_width, 1)
+        .num("oracle_cycles", oracle.cycles)
+        .flag("oracle_inside_ci", inside)
+        .num("monolithic_cycles", monolithic.cycles)
+        .num("coupling_bias", bias, 4)
+        .print();
   }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool early_stop = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--early-stop") {
-      early_stop = true;
-      // Consume the flag so google-benchmark doesn't reject it.
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      --i;
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  const bool early_stop = report::take_flag(argc, argv, "--early-stop");
+  report::run_micro_timings(argc, argv);
   if (early_stop) {
     print_phase_sampling();
     return 0;

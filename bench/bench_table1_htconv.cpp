@@ -10,13 +10,14 @@
 // itself; the tables print after the timing runs.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "approx/fpga_cost.hpp"
 #include "approx/fsrcnn.hpp"
 #include "core/parallel.hpp"
 #include "core/table.hpp"
+#include "report.hpp"
 
 namespace {
 
@@ -61,15 +62,14 @@ void BM_TconvExact(benchmark::State& state) {
 }
 BENCHMARK(BM_TconvExact)->Unit(benchmark::kMillisecond);
 
-std::string fmt_row(const Table1Row& row) { return row.method; }
-
 /// Serial-vs-parallel wall clock for the convolution stack (exact TCONV and
 /// foveated HTCONV), with a bit-exactness check on the SR output and a
-/// machine-readable JSON line per mode.
-void print_parallel_comparison() {
-  std::printf(
-      "\n=== Parallel convolution: serial vs thread pool (%zu threads) ===\n",
-      core::parallel_threads());
+/// machine-readable JSON line per mode. Returns false when a parallel
+/// output differs from its serial run.
+bool print_parallel_comparison() {
+  report::timing_section("Parallel convolution: serial vs thread pool (" +
+                         std::to_string(core::parallel_threads()) +
+                         " threads)");
   const Fsrcnn model(compact_model());
   const auto scene =
       core::make_scene(core::SceneKind::kNaturalComposite, 256, 256, 7);
@@ -80,17 +80,16 @@ void print_parallel_comparison() {
 
   core::TextTable t({"kernel", "serial (ms)", "parallel (ms)", "speedup",
                      "bit-identical"});
+  bool all_identical = true;
   auto compare = [&](const char* name, TconvMode mode,
                      const FovealRegion& region) {
     core::Image serial_out(1, 1), parallel_out(1, 1);
     auto time_mode = [&](core::Image& out) {
-      const auto start = std::chrono::steady_clock::now();
-      for (int rep = 0; rep < repeats; ++rep) {
-        out = model.upscale(lr, q16, mode, region);
-      }
-      const auto stop = std::chrono::steady_clock::now();
-      return std::chrono::duration<double, std::milli>(stop - start).count() /
-             repeats;
+      return report::wall_ms([&] {
+        for (int rep = 0; rep < repeats; ++rep) {
+          out = model.upscale(lr, q16, mode, region);
+        }
+      }) / repeats;
     };
     double serial_ms = 0.0;
     {
@@ -98,33 +97,26 @@ void print_parallel_comparison() {
       serial_ms = time_mode(serial_out);
     }
     const double parallel_ms = time_mode(parallel_out);
-    bool identical = serial_out.width() == parallel_out.width() &&
-                     serial_out.height() == parallel_out.height();
-    for (std::size_t r = 0; identical && r < serial_out.height(); ++r) {
-      for (std::size_t c = 0; c < serial_out.width(); ++c) {
-        if (serial_out.at(r, c) != parallel_out.at(r, c)) {
-          identical = false;
-          break;
-        }
-      }
-    }
+    const bool identical = serial_out.tensor() == parallel_out.tensor();
+    all_identical = all_identical && identical;
     const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
     t.add_row({name, core::TextTable::num(serial_ms, 1),
                core::TextTable::num(parallel_ms, 1),
                core::TextTable::num(speedup, 2) + "x",
                identical ? "yes" : "NO"});
-    // json_num: locale-independent doubles (printf %f honours LC_NUMERIC).
-    std::printf(
-        "JSON {\"bench\":\"htconv_%s\",\"lr_size\":128,\"threads\":%zu,"
-        "\"serial_ms\":%s,\"parallel_ms\":%s,\"speedup\":%s,"
-        "\"identical\":%s}\n",
-        name, core::parallel_threads(), core::json_num(serial_ms, 3).c_str(),
-        core::json_num(parallel_ms, 3).c_str(),
-        core::json_num(speedup, 3).c_str(), identical ? "true" : "false");
+    report::Json(std::string("htconv_") + name)
+        .num("lr_size", 128)
+        .num("threads", core::parallel_threads())
+        .num("serial_ms", serial_ms, 3)
+        .num("parallel_ms", parallel_ms, 3)
+        .num("speedup", speedup, 3)
+        .flag("identical", identical)
+        .print();
   };
   compare("tconv_exact", TconvMode::kExact, FovealRegion::full(128, 128));
   compare("htconv_foveated", TconvMode::kFoveated, fovea);
   std::printf("%s", t.to_string().c_str());
+  return all_identical;
 }
 
 void print_tables() {
@@ -183,7 +175,7 @@ void print_tables() {
                       "Fmax (MHz)", "Out Thr. (Mpx/s)", "LUTs", "FFs", "DSPs",
                       "BRAM (kB)", "Power (W)", "En.eff (Mpx/s/W)"});
   auto add = [&t1](const Table1Row& row) {
-    t1.add_row({fmt_row(row), row.in_resolution, row.bitwidth, row.technology,
+    t1.add_row({row.method, row.in_resolution, row.bitwidth, row.technology,
                 core::TextTable::num(row.fmax_mhz, 0),
                 core::TextTable::num(row.out_throughput_mpix_s, 2),
                 std::to_string(row.luts), std::to_string(row.ffs),
@@ -216,10 +208,8 @@ void print_tables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  print_parallel_comparison();
+  report::run_micro_timings(argc, argv);
+  const bool identical = print_parallel_comparison();
   print_tables();
-  return 0;
+  return identical ? 0 : 1;
 }

@@ -16,11 +16,14 @@ namespace icsc::approx {
 
 /// Lower-part-OR adder: the low `approx_bits` are OR-ed instead of added
 /// (no carry chain), the upper part is added exactly. Classic LOA.
+/// Requires approx_bits <= 63; ApproxArithConfig::validate() holds the
+/// conv datapaths to it.
 std::int64_t loa_add(std::int64_t a, std::int64_t b, int approx_bits);
 
 /// Truncated multiplier: partial products whose weight is below
 /// 2^truncated_bits are discarded before accumulation. Models a
-/// fixed-width array multiplier with the low columns pruned.
+/// fixed-width array multiplier with the low columns pruned. Requires
+/// truncated_bits <= 63, as loa_add does.
 std::int64_t truncated_mul(std::int32_t a, std::int32_t b, int truncated_bits);
 
 /// Mitchell's logarithmic multiplier: |a|*|b| ~ 2^(log2|a| + log2|b|) with

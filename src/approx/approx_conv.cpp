@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "approx/conv_kernels.hpp"
@@ -26,6 +28,19 @@ double ApproxArithConfig::energy_factor() const {
   double add_factor = 1.0;
   if (adder == Adder::kLoa) add_factor = loa_energy_factor(loa_bits, 32);
   return 0.8 * mul_factor + 0.2 * add_factor;
+}
+
+void ApproxArithConfig::validate() const {
+  const std::string where = "approx::ApproxArithConfig";
+  for (const auto& [field, bits] :
+       {std::pair{"truncated_bits", truncated_bits},
+        std::pair{"loa_bits", loa_bits}}) {
+    core::require_at_least(where, field, bits, 0.0);
+    if (bits > 63) {
+      throw core::Error(where, std::string(field) + " must be <= 63",
+                        "got " + std::to_string(bits));
+    }
+  }
 }
 
 namespace {
@@ -132,10 +147,14 @@ struct QConvContext {
 };
 
 /// The preconditions of both datapaths: the approximate operators are
-/// integer hardware, and `input` must be [in_channels, h, w].
+/// integer hardware with valid widths, and `input` must be
+/// [in_channels, h, w].
 void require_integer_datapath(const ConvLayer& layer, const FeatureMap& input,
-                              const QuantConfig& quant, const char* where) {
+                              const QuantConfig& quant,
+                              const ApproxArithConfig& arith,
+                              const char* where) {
   quant.validate();
+  arith.validate();
   if (!quant.enabled) {
     throw core::Error(where, "approximate units are integer hardware",
                       "QuantConfig::enabled is false");
@@ -157,7 +176,7 @@ FeatureMap apply_approx(const ConvLayer& layer, const FeatureMap& input,
                         const QuantConfig& quant,
                         const ApproxArithConfig& arith,
                         core::OpCounter* ops) {
-  require_integer_datapath(layer, input, quant, "approx::apply_approx");
+  require_integer_datapath(layer, input, quant, arith, "approx::apply_approx");
   const std::size_t cin = layer.in_channels();
   const std::size_t cout = layer.out_channels();
   const std::size_t h = input.dim(1);
@@ -205,7 +224,7 @@ FeatureMap apply_approx_reference(const ConvLayer& layer,
                                   const QuantConfig& quant,
                                   const ApproxArithConfig& arith,
                                   core::OpCounter* ops) {
-  require_integer_datapath(layer, input, quant,
+  require_integer_datapath(layer, input, quant, arith,
                            "approx::apply_approx_reference");
   const std::size_t cin = layer.in_channels();
   const std::size_t cout = layer.out_channels();
@@ -235,6 +254,7 @@ FeatureMap apply_approx_reference(const ConvLayer& layer,
 ApproxConvResult evaluate_approx_conv(const ApproxArithConfig& arith,
                                       std::size_t image_size,
                                       std::uint64_t seed) {
+  arith.validate();
   const auto scene = core::make_scene(core::SceneKind::kNaturalComposite,
                                       image_size, image_size, seed);
   FeatureMap input({1, image_size, image_size});

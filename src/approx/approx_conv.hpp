@@ -25,6 +25,11 @@ struct ApproxArithConfig {
   /// Datapath energy relative to the exact multiplier+adder (1.0).
   /// Multipliers dominate: 80% of MAC energy; adders the remaining 20%.
   double energy_factor() const;
+
+  /// Throws core::Error unless truncated_bits and loa_bits are in
+  /// [0, 63]: both operators shift a 64-bit mask by them. apply_approx,
+  /// apply_approx_reference and evaluate_approx_conv call it.
+  void validate() const;
 };
 
 /// Runs `layer` on `input` through an integer datapath built from the
@@ -32,8 +37,8 @@ struct ApproxArithConfig {
 /// weights Q(w_int).(w_frac) per `quant`. Accumulation is 64-bit with the
 /// configured adder; the result is rescaled, ReLU'd per the layer, and
 /// re-quantised like ConvLayer::apply. Both datapaths throw core::Error
-/// unless quant.enabled (the approximate units are integer hardware) and
-/// `input` is [in_channels, h, w].
+/// unless quant.enabled (the approximate units are integer hardware),
+/// `input` is [in_channels, h, w] and arith.validate() passes.
 /// Fast path: quantised im2col row panels + register-blocked accumulation
 /// (conv_kernels.hpp). Per-output operator application order is identical
 /// to `apply_approx_reference`, so outputs are bit-identical even under

@@ -478,6 +478,30 @@ DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
   return result;
 }
 
+bool dse_results_identical(const DseResult& a, const DseResult& b) {
+  if (a.evaluations != b.evaluations || a.feasible != b.feasible ||
+      a.evaluated.size() != b.evaluated.size() ||
+      a.front.size() != b.front.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.evaluated.size(); ++i) {
+    const auto& pa = a.evaluated[i];
+    const auto& pb = b.evaluated[i];
+    if (pa.unroll != pb.unroll || pa.budget.alus != pb.budget.alus ||
+        pa.budget.muls != pb.budget.muls ||
+        pa.budget.mem_ports != pb.budget.mem_ports ||
+        pa.cost.cycles != pb.cost.cycles ||
+        pa.total_latency_us != pb.total_latency_us ||
+        pa.area_score != pb.area_score) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.front.size(); ++i) {
+    if (a.front[i].id != b.front[i].id) return false;
+  }
+  return true;
+}
+
 double dse_hypervolume(const DseResult& result, double ref_latency_us,
                        double ref_area) {
   return core::hypervolume_2d(result.front, ref_latency_us, ref_area);

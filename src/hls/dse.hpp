@@ -133,6 +133,11 @@ DseResult dse_random(const Kernel& body, const DseConfig& config,
 DseResult dse_hill_climb(const Kernel& body, const DseConfig& config,
                          int restarts, std::uint64_t seed);
 
+/// Exact equality of two results: counters, front ids and every evaluated
+/// point's coordinates, cycles, latency and area. The serial-vs-parallel
+/// and uncached-vs-memoized checks of the benches use it.
+bool dse_results_identical(const DseResult& a, const DseResult& b);
+
 /// Pareto quality of a result against a reference box (hypervolume).
 double dse_hypervolume(const DseResult& result, double ref_latency_us,
                        double ref_area);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <vector>
+
 #include "core/parallel.hpp"
 
 namespace icsc::hls {
@@ -210,6 +214,38 @@ TEST(Dse, ParallelHillClimbBitIdenticalToSerial) {
   }
   const auto parallel = dse_hill_climb(kernel, config, 2, 5);
   expect_identical(serial, parallel);
+}
+
+TEST(Dse, ResultsIdenticalSeesEveryComparedField) {
+  const auto base = dse_exhaustive(make_dot_kernel(8), small_config());
+  ASSERT_FALSE(base.evaluated.empty());
+  ASSERT_FALSE(base.front.empty());
+  EXPECT_TRUE(dse_results_identical(base, base));
+  const std::vector<std::function<void(DseResult&)>> edits = {
+      [](DseResult& r) { ++r.evaluations; },
+      [](DseResult& r) { ++r.feasible; },
+      [](DseResult& r) { r.evaluated.pop_back(); },
+      [](DseResult& r) { r.front.pop_back(); },
+      [](DseResult& r) { ++r.evaluated[0].unroll; },
+      [](DseResult& r) { ++r.evaluated[0].budget.alus; },
+      [](DseResult& r) { ++r.evaluated[0].budget.muls; },
+      [](DseResult& r) { ++r.evaluated[0].budget.mem_ports; },
+      [](DseResult& r) { ++r.evaluated[0].cost.cycles; },
+      [](DseResult& r) {
+        auto& v = r.evaluated[0].total_latency_us;
+        v = std::nextafter(v, INFINITY);
+      },
+      [](DseResult& r) {
+        auto& v = r.evaluated[0].area_score;
+        v = std::nextafter(v, INFINITY);
+      },
+      [](DseResult& r) { ++r.front[0].id; },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    DseResult edited = base;
+    edits[i](edited);
+    EXPECT_FALSE(dse_results_identical(base, edited)) << "edit " << i;
+  }
 }
 
 TEST(Dse, DeterministicGivenSeed) {

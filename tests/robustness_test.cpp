@@ -423,6 +423,72 @@ TEST(Robustness, ApproxConfigsValidated) {
   EXPECT_NO_THROW((void)conv.apply(input, zero));
 }
 
+TEST(Robustness, ApproxArithWidthsValidated) {
+  // A width of 64 shifted a 64-bit mask by 64 (undefined) in the scalar
+  // operators, while the SIMD path clamped it to 63, so apply_approx and
+  // apply_approx_reference disagreed. Every width outside [0, 63] is
+  // rejected, whichever operators the config selects.
+  using Arith = approx::ApproxArithConfig;
+  approx::ConvLayer conv;
+  conv.weights = core::TensorF({1, 1, 3, 3}, 0.1F);
+  conv.bias = {0.0F};
+  const approx::FeatureMap input({1, 6, 6}, 0.5F);
+  const approx::QuantConfig quant;
+  struct BadArith {
+    const char* field;
+    int Arith::*member;
+    int value;
+  };
+  const BadArith bad[] = {
+      {"truncated_bits", &Arith::truncated_bits, 64},
+      {"truncated_bits", &Arith::truncated_bits, -1},
+      {"truncated_bits", &Arith::truncated_bits,
+       std::numeric_limits<int>::max()},
+      {"loa_bits", &Arith::loa_bits, 64},
+      {"loa_bits", &Arith::loa_bits, -1},
+      {"loa_bits", &Arith::loa_bits, std::numeric_limits<int>::min()},
+  };
+  for (const auto& b : bad) {
+    for (const bool approximate : {true, false}) {
+      SCOPED_TRACE(std::string(b.field) + " = " + std::to_string(b.value) +
+                   (approximate ? " approximate" : " exact"));
+      Arith arith;
+      if (approximate) {
+        arith.multiplier = Arith::Multiplier::kTruncated;
+        arith.adder = Arith::Adder::kLoa;
+      }
+      arith.*b.member = b.value;
+      try {
+        arith.validate();
+        ADD_FAILURE() << "validate() accepted it";
+      } catch (const core::Error& e) {
+        EXPECT_EQ(e.where(), "approx::ApproxArithConfig");
+        EXPECT_NE(std::string(e.what()).find(b.field), std::string::npos)
+            << e.what();
+      }
+      EXPECT_THROW((void)approx::apply_approx(conv, input, quant, arith),
+                   core::Error);
+      EXPECT_THROW(
+          (void)approx::apply_approx_reference(conv, input, quant, arith),
+          core::Error);
+      EXPECT_THROW((void)approx::evaluate_approx_conv(arith, 8, 1),
+                   core::Error);
+    }
+  }
+
+  // The range ends are accepted, and both datapaths agree on them.
+  for (const int bits : {0, 63}) {
+    SCOPED_TRACE(bits);
+    Arith arith;
+    arith.multiplier = Arith::Multiplier::kTruncated;
+    arith.adder = Arith::Adder::kLoa;
+    arith.truncated_bits = arith.loa_bits = bits;
+    EXPECT_NO_THROW(arith.validate());
+    EXPECT_TRUE(approx::apply_approx(conv, input, quant, arith) ==
+                approx::apply_approx_reference(conv, input, quant, arith));
+  }
+}
+
 TEST(Robustness, FovealRegionDegenerate) {
   approx::FovealRegion zero = approx::FovealRegion::centered(10, 10, 0.0);
   int inside = 0;
